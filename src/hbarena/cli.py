@@ -2,7 +2,7 @@
 and aggregate reports, fully reproducible from one master seed.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error,
-3 detection completed but some traces failed to parse.
+3 detection completed but some traces could not be read or parsed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from decimal import Decimal
 from . import __version__
 from .analytics import REPORT_NAMES, build_report, load_records, write_report_csv, write_report_json
 from .auction import AuctionOutcome, WaterfallOutcome, run_scenario
-from .detector import DetectorContractError, extract_auction_metadata, result_row
+from .detector import extract_auction_metadata, result_row
 from .domain import ConfigurationError, Facet, PartnerDirectory, builtin_directory, decimal_str
 from .scenario import ScenarioFile, expand_sites, load_scenario_file, validate_scenario_file
 from .tracegen import (
@@ -27,6 +27,7 @@ from .tracegen import (
     parse_trace_file,
     serialize_trace,
     trace_filename,
+    trace_key,
     truth_filename,
     truth_record,
 )
@@ -270,15 +271,22 @@ def _score(results: list[dict], trace_dir: str) -> None:
                     row = json.loads(line)
                     truth[(row["site_id"], row["round_index"])] = row
     tp = fp = fn = tn = 0
+    scored = errors = 0
     facet_hits = facet_total = 0
     for row in results:
-        if "error" in row:
-            continue
-        key = (row["site_id"], row["round_index"])
+        failed = "error" in row
+        # An error row's site_id is the name of the trace file it failed on.
+        key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
         truth_row = truth.get(key)
         if truth_row is None:
             continue
+        scored += 1
         actual_hb = truth_row["facet"] in ("client_side", "server_side", "hybrid")
+        if failed:
+            # A trace that could not be read is a miss when it held HB.
+            errors += 1
+            fn += int(actual_hb)
+            continue
         detected_hb = bool(row["is_hb"])
         if detected_hb and actual_hb:
             tp += 1
@@ -296,7 +304,7 @@ def _score(results: list[dict], trace_dir: str) -> None:
             return "n/a"
         return decimal_str((Decimal(num) / Decimal(den)).quantize(Decimal("0.000001")))
 
-    print(f"scored {tp + fp + fn + tn} traces against sidecar truth")
+    print(f"scored {scored} traces against sidecar truth" + (f" ({errors} errors)" if errors else ""))
     print(f"precision={ratio(tp, tp + fp)} recall={ratio(tp, tp + fn)} "
           f"facet_accuracy={ratio(facet_hits, facet_total)}")
 
@@ -307,23 +315,22 @@ def cmd_detect(args) -> int:
     directory = _load_directory(args)
     trace_names = sorted(n for n in os.listdir(args.trace_dir) if n.endswith(".trace.jsonl"))
     rows: list[dict] = []
-    parse_errors = 0
+    errors = 0
     for name in trace_names:
-        path = os.path.join(args.trace_dir, name)
         try:
-            trace = parse_trace_file(path)
-            result = extract_auction_metadata(trace, directory)
-            rows.append(result_row(result))
-        except (TraceParseError, DetectorContractError) as exc:
-            parse_errors += 1
+            trace = parse_trace_file(os.path.join(args.trace_dir, name))
+        except (TraceParseError, UnicodeDecodeError, OSError) as exc:
+            errors += 1
             rows.append({"site_id": name, "round_index": None, "error": str(exc)})
+            continue
+        rows.append(result_row(extract_auction_metadata(trace, directory)))
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")
     _write_text(out_path, "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
     print(f"detected over {len(trace_names)} traces -> {out_path}"
-          + (f" ({parse_errors} parse errors)" if parse_errors else ""))
+          + (f" ({errors} errors)" if errors else ""))
     if args.score:
         _score(rows, args.trace_dir)
-    return EXIT_PARSE_ERRORS if parse_errors else EXIT_OK
+    return EXIT_PARSE_ERRORS if errors else EXIT_OK
 
 
 def _rank_by_site(manifest_path) -> dict[str, int] | None:

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
-from .domain import Facet, PartnerDirectory, decimal_str, lookup_partner, quantize_ms
-from .tracegen import KIND_DOM, KIND_REQUEST, KIND_RESPONSE, Trace, TraceEvent
+from .domain import Facet, PartnerDirectory, decimal_str, lookup_partner, quantize_cpm, quantize_ms
+from .tracegen import KIND_DOM, KIND_REQUEST, KIND_RESPONSE, Trace, url_host
 
 HB_PARAM_KEYWORDS = ("bidder", "hb_partner", "hb_price", "hb_size")
 HB_PARAM_PREFIX = "hb_"
@@ -66,172 +66,170 @@ class SlotAuction:
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """One trace's verdict; the defaults are those of a trace without HB."""
+
     site_id: str
     round_index: int
-    is_hb: bool
-    facet: Facet | None
-    partners: tuple[str, ...]
-    auctions: tuple[SlotAuction, ...]
-    late_bid_count: int
-    hb_latency_ms: Decimal | None
-    warnings: int
+    is_hb: bool = False
+    facet: Facet | None = None
+    partners: tuple[str, ...] = ()
+    auctions: tuple[SlotAuction, ...] = ()
+    late_bid_count: int = 0
+    hb_latency_ms: Decimal | None = None
+    warnings: int = 0
 
 
-def _has_hb_params(event: TraceEvent, keywords) -> bool:
-    for key in event.params:
-        if key in keywords or key.startswith(HB_PARAM_PREFIX):
-            return True
-    return False
+def _price(params: dict[str, str]) -> Decimal | None:
+    """The record's hb_price as a canonical CPM; None when it is absent, not
+    a number, not finite or too large for CPM precision."""
+    try:
+        cpm = quantize_cpm(Decimal(params.get("hb_price")))
+    except (InvalidOperation, TypeError):
+        return None
+    return cpm if cpm.is_finite() else None
 
 
-def detect_hb(trace: Trace, directory: PartnerDirectory, keywords=HB_PARAM_KEYWORDS) -> bool:
-    """True iff the trace shows header-bidding activity."""
-    for event in trace.events:
-        if event.kind == KIND_DOM:
-            return True
-        if _has_hb_params(event, keywords):
-            host = event.host
-            if host is None:
+class _Facts:
+    """What one pass over a trace's events, in file order, saw.
+
+    The facet, bids, winners, late count and latency are all derived from
+    these facts.  Hosts are taken once per distinct URL and looked up in the
+    directory once per distinct host.
+    """
+
+    def __init__(self, trace: Trace, directory: PartnerDirectory):
+        self.directory = directory
+        self.hosts: dict[str | None, str | None] = {}
+        self.resolved: dict[str, str | None] = {}
+        self.is_hb = False
+        self.wrapper = False  # any wrapper bid-flow DOM event
+        self.auction_end = None  # of the first auctionEnd in file order
+        self.first_outbound = None
+        self.request_ts: dict[str, Decimal] = {}  # bidder -> its first outbound request
+        self.ad_request = None  # the first outbound request without a bidder
+        self.bid_responses = []
+        self.slot_events = []  # bidWon and render events
+        self.client_bidders: set[str] = set()
+        self.partners: set[str] = set()
+        unmatched = []  # responses without a bidder
+
+        for event in trace.events:
+            params = event.params
+            if event.kind == KIND_DOM:
+                self.is_hb = True
+                name = event.event_name
+                self.wrapper = self.wrapper or name in WRAPPER_DOM_EVENTS
+                if name == "bidRequested" or name == "bidResponse":
+                    bidder = params.get("bidder")
+                    if bidder is not None:
+                        self.client_bidders.add(bidder)
+                        if bidder:
+                            self.partners.add(bidder)
+                    if name == "bidResponse":
+                        self.bid_responses.append(event)
+                elif name == "auctionEnd":
+                    if self.auction_end is None:
+                        self.auction_end = event.ts_ms
+                elif name in ("bidWon", "slotRenderEnded", "adRenderFailed"):
+                    self.slot_events.append(event)
                 continue
+            bidder = params.get("bidder")
+            if event.kind == KIND_REQUEST and event.direction == "outbound":
+                if self.first_outbound is None or event.ts_ms < self.first_outbound:
+                    self.first_outbound = event.ts_ms
+                if bidder is None:
+                    self.ad_request = self.ad_request or event
+                elif bidder not in self.request_ts:
+                    self.request_ts[bidder] = event.ts_ms
+            if bidder is not None:
+                host = self.host(event.url)
+                resolved = self.lookup(host) if host else None
+                self.client_bidders.add(resolved or bidder)
+                if host:
+                    self.partners.add(resolved or f"unknown:{host}")
+            elif event.kind == KIND_RESPONSE:
+                unmatched.append(event)
             # Known partner or not, HB-parameter traffic is HB activity;
             # attribution differs, detection does not.
-            return True
-    return False
+            if not self.is_hb and any(
+                k in HB_PARAM_KEYWORDS or k.startswith(HB_PARAM_PREFIX) for k in params
+            ):
+                self.is_hb = self.host(event.url) is not None
+
+        # The ad server's responses: from the request's host, at or after it.
+        self.ad_responses = []
+        if self.ad_request is not None:
+            host, ts = self.host(self.ad_request.url), self.ad_request.ts_ms
+            self.ad_responses = [e for e in unmatched if e.ts_ms >= ts and self.host(e.url) == host]
+
+    def host(self, url: str | None) -> str | None:
+        if url not in self.hosts:
+            self.hosts[url] = url_host(url)
+        return self.hosts[url]
+
+    def lookup(self, host: str) -> str | None:
+        if host not in self.resolved:
+            self.resolved[host] = lookup_partner(host, self.directory)
+        return self.resolved[host]
+
+    def facet(self) -> Facet:
+        if not self.wrapper:
+            return Facet.SERVER_SIDE
+        for response in self.ad_responses:
+            named = response.params.get("hb_partner")
+            if named and named not in self.client_bidders:
+                return Facet.HYBRID
+        host = self.host(self.ad_request.url) if self.ad_request is not None else None
+        return Facet.HYBRID if host and self.lookup(host) else Facet.CLIENT_SIDE
 
 
-def _wrapper_doms(trace: Trace) -> list[TraceEvent]:
-    return [
-        e for e in trace.events if e.kind == KIND_DOM and e.event_name in WRAPPER_DOM_EVENTS
-    ]
-
-
-def _client_bidders(trace: Trace, directory: PartnerDirectory) -> set[str]:
-    bidders: set[str] = set()
-    for event in trace.events:
-        if event.kind == KIND_DOM and event.event_name in ("bidRequested", "bidResponse"):
-            if "bidder" in event.params:
-                bidders.add(event.params["bidder"])
-        elif event.kind in (KIND_REQUEST, KIND_RESPONSE) and "bidder" in event.params:
-            host = event.host
-            resolved = lookup_partner(host, directory) if host else None
-            bidders.add(resolved if resolved else event.params["bidder"])
-    return bidders
-
-
-def _ad_server_exchange(trace: Trace):
-    """The wrapper-to-ad-server call: the outbound request with no bidder
-    param; returns (request, [responses from the same host at/after it])."""
-    request = None
-    for event in trace.events:
-        if event.kind == KIND_REQUEST and event.direction == "outbound" and "bidder" not in event.params:
-            request = event
-            break
-    if request is None:
-        return None, []
-    responses = [
-        e
-        for e in trace.events
-        if e.kind == KIND_RESPONSE
-        and e.host == request.host
-        and e.ts_ms >= request.ts_ms
-        and "bidder" not in e.params
-    ]
-    return request, responses
+def detect_hb(trace: Trace, directory: PartnerDirectory) -> bool:
+    """True iff the trace shows header-bidding activity."""
+    return _Facts(trace, directory).is_hb
 
 
 def classify_facet(trace: Trace, directory: PartnerDirectory) -> Facet:
     """Assign one of the three HB facets to a trace known to contain HB."""
-    if not detect_hb(trace, directory):
+    facts = _Facts(trace, directory)
+    if not facts.is_hb:
         raise DetectorContractError(f"trace {trace.site_id} r{trace.round_index} shows no HB activity")
-    if not _wrapper_doms(trace):
-        return Facet.SERVER_SIDE
-    client_bidders = _client_bidders(trace, directory)
-    request, responses = _ad_server_exchange(trace)
-    for response in responses:
-        named = response.params.get("hb_partner")
-        if named and named not in client_bidders:
-            return Facet.HYBRID
-    if request is not None and request.host and lookup_partner(request.host, directory):
-        return Facet.HYBRID
-    return Facet.CLIENT_SIDE
+    return facts.facet()
 
 
-def extract_auction_metadata(
-    trace: Trace, directory: PartnerDirectory, keywords=HB_PARAM_KEYWORDS
-) -> DetectionResult:
+def extract_auction_metadata(trace: Trace, directory: PartnerDirectory) -> DetectionResult:
     """Pull partners, per-slot bids, winners, late counts, and the HB latency
     (first outbound bid request to ad-server response) out of one trace."""
-    is_hb = detect_hb(trace, directory, keywords)
-    if not is_hb:
-        return DetectionResult(
-            site_id=trace.site_id,
-            round_index=trace.round_index,
-            is_hb=False,
-            facet=None,
-            partners=(),
-            auctions=(),
-            late_bid_count=0,
-            hb_latency_ms=None,
-            warnings=0,
-        )
-    facet = classify_facet(trace, directory)
+    facts = _Facts(trace, directory)
+    if not facts.is_hb:
+        return DetectionResult(trace.site_id, trace.round_index)
+    facet = facts.facet()
+    partners = facts.partners
     warnings = 0
-
-    auction_end_ts = None
-    for event in trace.events:
-        if event.kind == KIND_DOM and event.event_name == "auctionEnd":
-            auction_end_ts = event.ts_ms
-            break
-
-    request_ts: dict[str, Decimal] = {}
-    first_outbound: Decimal | None = None
-    for event in trace.events:
-        if event.kind == KIND_REQUEST and event.direction == "outbound":
-            if first_outbound is None or event.ts_ms < first_outbound:
-                first_outbound = event.ts_ms
-            bidder = event.params.get("bidder")
-            if bidder is not None and bidder not in request_ts:
-                request_ts[bidder] = event.ts_ms
-
-    partners: set[str] = set()
+    late_count = 0
     slot_bids: dict[str, list[DetectedBid]] = {}
     slot_sizes: dict[str, str] = {}
     slot_winner: dict[str, tuple[str, Decimal]] = {}
-    late_count = 0
 
+    # A slot's size is the first one noted: bidResponses, then bidWon and
+    # render events, then ad-server responses.
     def note_slot(slot_id, size):
         if slot_id is not None:
             slot_bids.setdefault(slot_id, [])
             if size and slot_id not in slot_sizes:
                 slot_sizes[slot_id] = size
 
-    for event in trace.events:
-        if event.kind == KIND_DOM and event.event_name in ("bidRequested", "bidResponse"):
-            bidder = event.params.get("bidder")
-            if bidder:
-                partners.add(bidder)
-        elif event.kind in (KIND_REQUEST, KIND_RESPONSE) and "bidder" in event.params:
-            host = event.host
-            if host:
-                resolved = lookup_partner(host, directory)
-                partners.add(resolved if resolved else f"unknown:{host}")
-
-    for event in trace.events:
-        if event.kind != KIND_DOM or event.event_name != "bidResponse":
-            continue
-        bidder = event.params.get("bidder", "")
-        price = event.params.get("hb_price")
-        try:
-            cpm = Decimal(price)
-        except (InvalidOperation, TypeError):
+    auction_end = facts.auction_end
+    for event in facts.bid_responses:
+        cpm = _price(event.params)
+        if cpm is None:
             warnings += 1
             continue
+        bidder = event.params.get("bidder", "")
         size = event.params.get("hb_size")
         note_slot(event.slot_id, size)
-        late = auction_end_ts is not None and event.ts_ms > auction_end_ts
-        if late:
-            late_count += 1
-        latency = event.ts_ms - request_ts.get(bidder, Decimal(0))
+        late = auction_end is not None and event.ts_ms > auction_end
+        late_count += late
+        latency = event.ts_ms - facts.request_ts.get(bidder, Decimal(0))
         bid = DetectedBid(
             partner=bidder or "unknown:",
             cpm=cpm,
@@ -243,46 +241,42 @@ def extract_auction_metadata(
         )
         slot_bids.setdefault(event.slot_id or "", []).append(bid)
 
-    for event in trace.events:
-        if event.kind == KIND_DOM and event.event_name == "bidWon":
-            price = event.params.get("hb_price")
-            try:
-                cpm = Decimal(price)
-            except (InvalidOperation, TypeError):
+    for event in facts.slot_events:
+        if event.event_name == "bidWon":
+            cpm = _price(event.params)
+            if cpm is None:
                 warnings += 1
                 continue
             note_slot(event.slot_id, event.params.get("hb_size"))
             slot_winner[event.slot_id or ""] = (event.params.get("bidder", ""), cpm)
-        elif event.kind == KIND_DOM and event.event_name in ("slotRenderEnded", "adRenderFailed"):
+        else:
             note_slot(event.slot_id, event.params.get("hb_size"))
 
-    request, responses = _ad_server_exchange(trace)
     hb_latency = None
-    client_bidders = _client_bidders(trace, directory)
-    if request is not None and responses:
-        hb_latency = quantize_ms(responses[0].ts_ms - (first_outbound or Decimal(0)))
-        if request.host:
-            resolved = lookup_partner(request.host, directory)
+    request, responses = facts.ad_request, facts.ad_responses
+    if responses:
+        hb_latency = quantize_ms(responses[0].ts_ms - (facts.first_outbound or Decimal(0)))
+        host = facts.host(request.url)
+        if host:
+            resolved = facts.lookup(host)
             if resolved:
                 partners.add(resolved)
             elif facet is Facet.SERVER_SIDE:
-                partners.add(f"unknown:{request.host}")
+                partners.add(f"unknown:{host}")
         for response in responses:
             named = response.params.get("hb_partner")
             if not named:
                 note_slot(response.slot_id, None)
                 continue
-            price = response.params.get("hb_price")
-            try:
-                cpm = Decimal(price)
-            except (InvalidOperation, TypeError):
+            cpm = _price(response.params)
+            if cpm is None:
                 warnings += 1
                 continue
             size = response.params.get("hb_size")
             note_slot(response.slot_id, size)
             if response.slot_id not in slot_winner:
                 slot_winner[response.slot_id or ""] = (named, cpm)
-            if named not in client_bidders:
+            if named not in facts.client_bidders:
                 # New information only: a server-side price the client flow
                 # never showed.  Client winners echoed back are not re-added.
                 slot_bids.setdefault(response.slot_id or "", []).append(

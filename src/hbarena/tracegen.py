@@ -24,13 +24,15 @@ and parameters, as in a real capture.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from typing import Mapping
+from urllib.parse import urlsplit
 
 from .auction import AuctionOutcome, CHANNEL_CLIENT, SlotOutcome, WaterfallOutcome
-from .domain import DemandPartnerSpec, Facet, WebsiteScenario, decimal_str, quantize_ms
+from .domain import MS_QUANTUM, DemandPartnerSpec, Facet, WebsiteScenario, decimal_str, quantize_ms
 
 DOM_EVENT_NAMES = (
     "auctionInit",
@@ -47,8 +49,15 @@ KIND_DOM = "dom_event"
 KIND_REQUEST = "web_request"
 KIND_RESPONSE = "web_response"
 
-_ALLOWED_KEYS = ("ts_ms", "kind", "event_name", "url", "direction", "params", "auction_id", "slot_id")
-_HOST_RE = re.compile(r"^https?://([^/]+)", re.IGNORECASE)
+_ALLOWED_KEYS = frozenset(
+    ("ts_ms", "kind", "event_name", "url", "direction", "params", "auction_id", "slot_id")
+)
+_KINDS = frozenset((KIND_DOM, KIND_REQUEST, KIND_RESPONSE))
+_DOM_NAMES = frozenset(DOM_EVENT_NAMES)
+_DIRECTIONS = frozenset(("outbound", "inbound"))
+_WEB_SCHEMES = frozenset(("http", "https"))
+_STR_OR_NONE = (str, type(None))
+_TS_LIMIT_MS = Decimal("1e15")
 
 
 class TraceParseError(ValueError):
@@ -57,7 +66,24 @@ class TraceParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+def url_host(url: str | None) -> str | None:
+    """Lower-case host of an http(s) URL, without userinfo or port.
+
+    None for other schemes, URLs without a host and malformed URLs (such as
+    an unbalanced IPv6 bracket).
+    """
+    if not url:
+        return None
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return None
+    return parts.hostname if parts.scheme in _WEB_SCHEMES else None
+
+
+# Not frozen: a trace holds one event per record, and a frozen dataclass's
+# __init__ costs several times as much per event.  Treat events as immutable.
+@dataclass(slots=True)
 class TraceEvent:
     ts_ms: Decimal
     kind: str
@@ -70,10 +96,7 @@ class TraceEvent:
 
     @property
     def host(self) -> str | None:
-        if not self.url:
-            return None
-        m = _HOST_RE.match(self.url)
-        return m.group(1).lower() if m else None
+        return url_host(self.url)
 
 
 @dataclass(frozen=True)
@@ -302,40 +325,47 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def parse_event(obj: dict, line_no: int) -> TraceEvent:
-    for key in obj:
-        if key not in _ALLOWED_KEYS:
-            raise TraceParseError(line_no, f"unknown key {key!r}")
+    if not obj.keys() <= _ALLOWED_KEYS:
+        key = next(k for k in obj if k not in _ALLOWED_KEYS)
+        raise TraceParseError(line_no, f"unknown key {key!r}")
     try:
         ts = Decimal(obj["ts_ms"])
-    except (KeyError, InvalidOperation, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidOperation) as exc:
         raise TraceParseError(line_no, f"bad ts_ms: {exc}") from exc
+    # The bound keeps every difference of two timestamps exact at
+    # millisecond precision in the default 28-digit context.
+    if not ts.is_finite() or abs(ts) >= _TS_LIMIT_MS:
+        raise TraceParseError(line_no, f"bad ts_ms: out of range: {obj['ts_ms']!r}")
+    ts = ts.quantize(MS_QUANTUM, rounding=ROUND_HALF_EVEN)
     kind = obj.get("kind")
-    if kind not in (KIND_DOM, KIND_REQUEST, KIND_RESPONSE):
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise TraceParseError(line_no, f"bad kind {kind!r}")
     name = obj.get("event_name")
     if kind == KIND_DOM:
-        if name not in DOM_EVENT_NAMES:
+        if not isinstance(name, str) or name not in _DOM_NAMES:
             raise TraceParseError(line_no, f"unknown dom event {name!r}")
     elif name is not None:
         raise TraceParseError(line_no, "event_name only valid on dom_event records")
     direction = obj.get("direction")
-    if kind != KIND_DOM and direction not in ("outbound", "inbound"):
+    if kind == KIND_DOM:
+        if not isinstance(direction, _STR_OR_NONE):
+            raise TraceParseError(line_no, f"bad direction {direction!r}")
+    elif not isinstance(direction, str) or direction not in _DIRECTIONS:
         raise TraceParseError(line_no, f"bad direction {direction!r}")
     params = obj.get("params", {})
-    if not isinstance(params, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in params.items()
-    ):
+    if not isinstance(params, dict):
         raise TraceParseError(line_no, "params must be a flat string map")
-    return TraceEvent(
-        ts_ms=quantize_ms(ts),
-        kind=kind,
-        event_name=name,
-        url=obj.get("url"),
-        direction=direction,
-        params=params,
-        auction_id=obj.get("auction_id"),
-        slot_id=obj.get("slot_id"),
-    )
+    for key, value in params.items():
+        if not isinstance(key, str) or not isinstance(value, str):
+            raise TraceParseError(line_no, "params must be a flat string map")
+    url, auction_id, slot_id = obj.get("url"), obj.get("auction_id"), obj.get("slot_id")
+    if not (
+        isinstance(url, _STR_OR_NONE)
+        and isinstance(auction_id, _STR_OR_NONE)
+        and isinstance(slot_id, _STR_OR_NONE)
+    ):
+        raise TraceParseError(line_no, "url, auction_id and slot_id must be strings")
+    return TraceEvent(ts, kind, name, url, direction, params, auction_id, slot_id)
 
 
 def parse_trace_text(text: str, site_id: str, round_index: int) -> Trace:
@@ -347,23 +377,36 @@ def parse_trace_text(text: str, site_id: str, round_index: int) -> Trace:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+            raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise TraceParseError(line_no, "record must be a JSON object")
-        events.append(parse_event(obj, line_no))
+        event = parse_event(obj, line_no)
+        # In text decoded from UTF-8 only a \u escape can make a lone
+        # surrogate, which no later stage could encode.  parse_event has
+        # rejected deeply nested values, so this cannot exhaust the stack.
+        if "\\u" in line:
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise TraceParseError(line_no, "strings must be valid Unicode") from exc
+        events.append(event)
     return Trace(site_id, round_index, tuple(events))
 
 
 _TRACE_NAME_RE = re.compile(r"^(?P<site>.+)__r(?P<round>\d+)\.trace\.jsonl$")
 
 
+def trace_key(name: str) -> tuple[str, int]:
+    """(site id, round index) a trace file name stands for; a name that does
+    not follow trace_filename stands for (name, 0)."""
+    m = _TRACE_NAME_RE.match(name)
+    return (m.group("site"), int(m.group("round"))) if m else (name, 0)
+
+
 def parse_trace_file(path) -> Trace:
     """Load one trace; site and round are recovered from the file name."""
-    import os
-
-    name = os.path.basename(str(path))
-    m = _TRACE_NAME_RE.match(name)
-    site_id = m.group("site") if m else name
-    round_index = int(m.group("round")) if m else 0
+    site_id, round_index = trace_key(os.path.basename(str(path)))
     with open(path, "r", encoding="utf-8") as fh:
         return parse_trace_text(fh.read(), site_id, round_index)
 

@@ -3,13 +3,20 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbarena.cli import main
+
+MINIMAL_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "minimal.json"
+MINIMAL_TRACE = "demo-site__r0.trace.jsonl"
 
 MINIMAL = {
     "master_seed": 21,
@@ -251,3 +258,159 @@ def test_detect_then_report_over_results(tmp_path):
     assert code == 0
     assert (out / "reports" / "report.json").exists()
     assert (out / "reports" / "latency_by_rank_bin.csv").read_text().count("\n") >= 2
+
+
+def simulate_minimal(out: Path) -> Path:
+    """The scenarios/minimal.json corpus in out; returns its one trace file."""
+    assert main(["simulate", "--scenario", str(MINIMAL_SCENARIO), "--out", str(out)]) == 0
+    return out / MINIMAL_TRACE
+
+
+def rewrite_records(trace: Path, edit) -> None:
+    """Apply edit(record) to every record of a trace file, in place."""
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    for record in records:
+        edit(record)
+    trace.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
+
+
+def result_rows(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("ts", ["Infinity", "NaN", "sNaN", "1e40"])
+def test_unusable_timestamp_is_an_error_row(tmp_path, ts):
+    def edit(record):
+        if record.get("event_name") == "auctionEnd":
+            record["ts_ms"] = ts
+
+    rewrite_records(simulate_minimal(tmp_path / "run"), edit)
+    assert main(["detect", str(tmp_path / "run")]) == 3
+    [row] = result_rows(tmp_path / "run" / "results.jsonl")
+    assert row["site_id"] == MINIMAL_TRACE and row["error"].startswith("line 11: bad ts_ms")
+
+
+def test_undecodable_trace_is_an_error_row(tmp_path):
+    trace = simulate_minimal(tmp_path / "run")
+    trace.write_bytes(trace.read_bytes() + b"\xff\n")
+    assert main(["detect", str(tmp_path / "run")]) == 3
+    [row] = result_rows(tmp_path / "run" / "results.jsonl")
+    assert "can't decode byte 0xff" in row["error"]
+
+
+def test_unreadable_trace_is_an_error_row(tmp_path):
+    simulate_minimal(tmp_path / "run")
+    (tmp_path / "run" / "zz__r0.trace.jsonl").mkdir()  # opening it raises IsADirectoryError
+    assert main(["detect", str(tmp_path / "run")]) == 3
+    good, bad = result_rows(tmp_path / "run" / "results.jsonl")
+    assert good["is_hb"] and good["warnings"] == 0
+    assert bad["site_id"] == "zz__r0.trace.jsonl" and "Is a directory" in bad["error"]
+
+
+@pytest.mark.parametrize("field", ["extra", "direction"])
+def test_deep_record_with_escape_is_an_error_row(tmp_path, field):
+    # A \u escape and a list nested just within the JSON decoder's depth
+    # limit, in a key the record may not have or in a DOM event's direction.
+    # Depths down from the recursion limit cover whatever the stack depth of
+    # the caller is.
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit):
+        nested = "[" * depth + "]" * depth
+        line = '{"ts_ms":"0","kind":"dom_event","event_name":"bidWon","slot_id":"\\u00e9","%s":%s}' % (field, nested)
+        (tmp_path / f"d{depth}__r0.trace.jsonl").write_text(line + "\n")
+    assert main(["detect", str(tmp_path)]) == 3
+    rows = result_rows(tmp_path / "results.jsonl")
+    assert len(rows) == 100 and all(row["error"].startswith("line 1: ") for row in rows)
+
+
+@pytest.mark.parametrize("price", ["NaN", "sNaN", "Infinity"])
+def test_non_finite_price_is_a_warning_and_report_accepts_results(tmp_path, price):
+    def edit(record):
+        if "hb_price" in record.get("params", {}):
+            record["params"]["hb_price"] = price
+
+    out = tmp_path / "run"
+    rewrite_records(simulate_minimal(out), edit)
+    assert main(["detect", str(out)]) == 0
+    [row] = result_rows(out / "results.jsonl")
+    # Two bidResponses, the bidWon and the ad server's response.
+    assert row["warnings"] == 4
+    assert row["auctions"] == [
+        {"slot_id": "slot0", "size": "300x250", "bids": [], "winner_partner": None, "winner_cpm": None}
+    ]
+    assert main(["report", str(out / "results.jsonl"), "--out", str(tmp_path / "reports")]) == 0
+
+
+def test_score_counts_error_rows(tmp_path, capsys):
+    trace = simulate_minimal(tmp_path / "run")
+    lines = trace.read_text().splitlines()
+    lines[6] = lines[6][: len(lines[6]) // 2]
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["detect", str(tmp_path / "run"), "--score"]) == 3
+    out = capsys.readouterr().out
+    assert "scored 1 traces against sidecar truth (1 errors)" in out
+    assert "precision=n/a recall=0 facet_accuracy=n/a" in out
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.sampled_from(["NaN", "sNaN", "Infinity", "-Infinity", "1e40", "1e30", "-0", "0.5", "1e-999999", "\ud800"]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+)
+_RECORD_KEYS = ("ts_ms", "kind", "event_name", "url", "direction", "params", "auction_id", "slot_id")
+
+
+@st.composite
+def _mutated_trace(draw, pristine: bytes) -> bytes:
+    if draw(st.booleans()):
+        data = bytearray(pristine)
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(data)))
+            op = draw(st.sampled_from(["replace", "insert", "delete"]))
+            chunk = draw(st.binary(min_size=1, max_size=4))
+            if op == "insert":
+                data[at:at] = chunk
+            elif op == "replace":
+                data[at:at + len(chunk)] = chunk
+            else:
+                del data[at:at + len(chunk)]
+        return bytes(data)
+    records = [json.loads(line) for line in pristine.decode().splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        record = records[draw(st.integers(0, len(records) - 1))]
+        value = draw(_JSON_VALUES)
+        if draw(st.booleans()) and isinstance(record.get("params"), dict):
+            record["params"][draw(st.sampled_from(["hb_price", "hb_size", "bidder", "hb_partner"]))] = value
+        else:
+            record[draw(st.sampled_from(_RECORD_KEYS))] = value
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records).encode()
+
+
+@pytest.fixture(scope="module")
+def minimal_corpus(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("minimal") / "run"
+    simulate_minimal(out)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_traces_never_abort_detect_or_report(minimal_corpus, data):
+    """Any bytes in a trace give a result row or an error row (exit 0 or 3),
+    and report accepts whatever detect wrote."""
+    mutated = data.draw(_mutated_trace((minimal_corpus / MINIMAL_TRACE).read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(minimal_corpus, run)
+        (run / MINIMAL_TRACE).write_bytes(mutated)
+        assert main(["detect", str(run), "--score"]) in (0, 3)
+        for row in result_rows(run / "results.jsonl"):
+            for auction in row.get("auctions", []):
+                assert all(Decimal(b["cpm"]).is_finite() for b in auction["bids"])
+        assert main(["report", str(run / "results.jsonl"), "--out", str(run / "reports")]) == 0

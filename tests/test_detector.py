@@ -5,6 +5,7 @@ ground truth constructed independently by the auction engine.
 """
 
 import builtins
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -16,9 +17,10 @@ from hbarena.detector import (
     classify_facet,
     detect_hb,
     extract_auction_metadata,
+    result_row,
 )
 from hbarena.domain import Facet, PartnerDirectory, WrapperPolicy
-from hbarena.tracegen import Trace, emit_trace
+from hbarena.tracegen import KIND_DOM, KIND_REQUEST, KIND_RESPONSE, Trace, TraceEvent, emit_trace
 
 D = Decimal
 
@@ -206,6 +208,111 @@ class TestExtraction:
         assert result.auctions[0].bids == () or all(
             b.channel == "ad_server" for b in result.auctions[0].bids
         )
+
+
+def late_bid_trace():
+    """p1 bids 0.5 at 100 ms; p2 bids 0.9 at 4000 ms, after auctionEnd at 3000 ms."""
+    roster = {
+        "p1": make_partner("p1", latency_ms="100"),
+        "p2": make_partner("p2", latency_ms="4000", bid_cpm="0.9"),
+    }
+    scenario = make_scenario(partners=("p1", "p2"))
+    return emit_trace(run_client_side(scenario, roster, master_seed=1), scenario, roster)
+
+
+def _bid(partner, cpm, latency, late):
+    return {"partner": partner, "cpm": cpm, "latency_ms": latency, "late": late, "channel": "client"}
+
+
+# The row for late_bid_trace(), whatever the order of its records in the file.
+LATE_BID_ROW = {
+    "site_id": "site-a",
+    "round_index": 0,
+    "is_hb": True,
+    "facet": "client_side",
+    "partners": ["p1", "p2"],
+    "auctions": [
+        {
+            "slot_id": "slot0",
+            "size": "300x250",
+            "bids": [_bid("p1", "0.5", "100.000", False), _bid("p2", "0.9", "4000.000", True)],
+            "winner_partner": "p1",
+            "winner_cpm": "0.5",
+        }
+    ],
+    "late_bid_count": 1,
+    "hb_latency_ms": "3150.000",
+    "warnings": 0,
+}
+
+
+def _ad_server(event):
+    return event.kind != KIND_DOM and "bidder" not in event.params
+
+
+def _move_before(events, picked, anchor):
+    """The events that satisfy picked, moved in front of the first anchor event."""
+    moving = [e for e in events if picked(e)]
+    rest = [e for e in events if not picked(e)]
+    at = next(i for i, e in enumerate(rest) if anchor(e))
+    return rest[:at] + moving + rest[at:]
+
+
+def _row(events):
+    return result_row(extract_auction_metadata(Trace("site-a", 0, tuple(events)), DIRECTORY))
+
+
+class TestUnsortedTraces:
+    """Rows for traces whose file order is not time order, pinned to the
+    output of the multi-pass detector this one replaced."""
+
+    def test_sorted_trace(self):
+        assert _row(late_bid_trace().events) == LATE_BID_ROW
+
+    def test_late_bid_response_before_auction_end_in_file(self):
+        events = _move_before(
+            late_bid_trace().events,
+            lambda e: e.ts_ms == D(4000),
+            lambda e: e.event_name == "auctionEnd",
+        )
+        assert _row(events) == LATE_BID_ROW
+
+    def test_first_auction_end_in_file_decides_lateness(self):
+        # An earlier-stamped second auctionEnd would make p1's bid late too.
+        extra = TraceEvent(D("50.000"), KIND_DOM, "auctionEnd", auction_id="site-a:r0")
+        assert _row(late_bid_trace().events + (extra,)) == LATE_BID_ROW
+
+    def test_ad_server_response_before_its_request_in_file(self):
+        events = _move_before(
+            late_bid_trace().events,
+            lambda e: e.kind == KIND_RESPONSE and _ad_server(e),
+            lambda e: e.kind == KIND_REQUEST and _ad_server(e),
+        )
+        assert _row(events) == LATE_BID_ROW
+
+    def test_slot_size_noted_by_render_event_only(self):
+        # slot0's render record comes first in the file, yet its bidResponse
+        # size is the one kept; slot9 is sized by its render record alone.
+        first = TraceEvent(D(0), KIND_DOM, "slotRenderEnded", params={"hb_size": "1x1"}, slot_id="slot0")
+        last = TraceEvent(D(3150), KIND_DOM, "adRenderFailed", params={"hb_size": "728x90"}, slot_id="slot9")
+        expected = dict(LATE_BID_ROW)
+        expected["auctions"] = LATE_BID_ROW["auctions"] + [
+            {"slot_id": "slot9", "size": "728x90", "bids": [], "winner_partner": None, "winner_cpm": None}
+        ]
+        assert _row((first,) + late_bid_trace().events + (last,)) == expected
+
+
+@pytest.mark.parametrize("price", ["NaN", "sNaN", "Infinity", "-Infinity", "1e30"])
+def test_unusable_price_is_a_warning_not_a_bid(price):
+    # Every priced record: p1 and p2's bidResponses, p1's bidWon, the ad
+    # server's response naming p1.
+    events = [
+        replace(e, params=dict(e.params, hb_price=price)) if "hb_price" in e.params else e
+        for e in late_bid_trace().events
+    ]
+    result = extract_auction_metadata(Trace("site-a", 0, tuple(events)), DIRECTORY)
+    assert result.warnings == 4
+    assert [(a.bids, a.winner_partner, a.winner_cpm) for a in result.auctions] == [((), None, None)]
 
 
 class TestSidecarIsolation:

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import make_partner, make_scenario, make_slot
 from hbarena.auction import run_client_side, run_hybrid, run_scenario, run_server_side, run_waterfall
-from hbarena.domain import Facet, WrapperPolicy, decimal_str
+from hbarena.domain import Facet, WrapperPolicy, builtin_directory, decimal_str, lookup_partner
 from hbarena.tracegen import (
     DOM_EVENT_NAMES,
     KIND_DOM,
     KIND_REQUEST,
     KIND_RESPONSE,
+    TraceEvent,
     TraceParseError,
     emit_trace,
     parse_trace_text,
@@ -144,6 +145,25 @@ class TestServerTrace:
         outbound = [e for e in server_trace.events if e.kind == KIND_REQUEST]
         assert len(outbound) == 1
         assert outbound[0].host == "adserve.example.org"
+        # Host attribution drops userinfo, port, query and fragment; only
+        # http(s) URLs have a host, and a malformed one has none.
+        hosts = {
+            "https://u@adnxs.com:443/x": "adnxs.com",
+            "https://u:pw@ADNXS.com:8443": "adnxs.com",
+            "https://adnxs.com?x=1": "adnxs.com",
+            "https://adnxs.com#frag": "adnxs.com",
+            "HTTP://Sub.Adnxs.COM/hb": "sub.adnxs.com",
+            "https://[::1]:8080/x": "::1",
+            "https://[adnxs.com/x": None,
+            "ftp://adnxs.com/x": None,
+            "https:///x": None,
+            "adnxs.com/x": None,
+            "": None,
+        }
+        for url, host in hosts.items():
+            assert TraceEvent(D(0), KIND_REQUEST, url=url, direction="outbound").host == host, url
+        event = TraceEvent(D(0), KIND_REQUEST, url="https://u@adnxs.com:443/x", direction="outbound")
+        assert lookup_partner(event.host, builtin_directory()) == "appnexus"
 
     def test_response_carries_winner_params(self, server_trace):
         responses = [e for e in server_trace.events if e.kind == KIND_RESPONSE]
@@ -291,6 +311,34 @@ class TestParseErrors:
     def test_bad_ts_rejected(self):
         with pytest.raises(TraceParseError):
             parse_trace_text('{"ts_ms":"abc","kind":"web_request","url":"https://x/","direction":"outbound"}\n', "s", 0)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param('{"ts_ms":"Infinity","kind":"dom_event","event_name":"auctionInit"}', id="ts-inf"),
+            pytest.param('{"ts_ms":"NaN","kind":"dom_event","event_name":"auctionInit"}', id="ts-nan"),
+            pytest.param('{"ts_ms":"sNaN","kind":"dom_event","event_name":"auctionInit"}', id="ts-snan"),
+            pytest.param('{"ts_ms":"1e40","kind":"dom_event","event_name":"auctionInit"}', id="ts-1e40"),
+            pytest.param('{"ts_ms":"-1e15","kind":"dom_event","event_name":"auctionInit"}', id="ts-range"),
+            pytest.param('{"ts_ms":NaN,"kind":"dom_event","event_name":"auctionInit"}', id="ts-json-nan"),
+            pytest.param('{"ts_ms":1e400,"kind":"dom_event","event_name":"auctionInit"}', id="ts-json-inf"),
+            pytest.param('{"ts_ms":[],"kind":"dom_event","event_name":"auctionInit"}', id="ts-list"),
+            pytest.param('{"ts_ms":' + "9" * 5000 + "}", id="int-digits"),
+            pytest.param("[" * 100000 + "]" * 100000, id="nesting"),
+            pytest.param('{"ts_ms":"0","kind":"dom_event","event_name":"bidWon","slot_id":"\\ud800"}', id="surrogate"),
+            pytest.param('{"ts_ms":"0","kind":["dom_event"]}', id="kind-list"),
+            pytest.param('{"ts_ms":"0","kind":"dom_event","event_name":{"x":1}}', id="name-object"),
+            pytest.param('{"ts_ms":"0","kind":"web_request","direction":["outbound"]}', id="direction-list"),
+            pytest.param('{"ts_ms":"0","kind":"dom_event","event_name":"bidWon","direction":[[]]}', id="dom-direction-list"),
+            pytest.param('{"ts_ms":"0","kind":"web_request","direction":"outbound","url":5}', id="url-number"),
+            pytest.param('{"ts_ms":"0","kind":"dom_event","event_name":"bidWon","slot_id":["s"]}', id="slot-list"),
+            pytest.param('{"ts_ms":"0","kind":"dom_event","event_name":"bidWon","auction_id":1}', id="auction-number"),
+        ],
+    )
+    def test_hostile_record_is_a_parse_error(self, line):
+        with pytest.raises(TraceParseError) as err:
+            parse_trace_text('{"ts_ms":"0","kind":"dom_event","event_name":"auctionInit"}\n' + line + "\n", "s", 0)
+        assert err.value.line_no == 2
 
 
 def test_truth_record_shape(client_trace, two_partner_roster):
