@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable
@@ -23,26 +24,10 @@ POPULARITY_BIN_WIDTH = 10
 LATENCY_GROUPS = ("site", "partner", "partner_count", "slot_count", "rank_bin")
 PRICE_GROUPS = ("slot_size", "facet", "partner_popularity_bin")
 
-REPORT_NAMES = (
-    "latency_by_site",
-    "latency_by_partner",
-    "latency_by_partner_count",
-    "latency_by_slot_count",
-    "latency_by_rank_bin",
-    "late_bid_fractions",
-    "late_by_partner",
-    "prices_by_slot_size",
-    "prices_by_facet",
-    "prices_by_popularity_bin",
-    "facet_breakdown",
-    "partner_popularity",
-    "partner_combinations",
-)
-
 CSV_COLUMNS = ("group", "count", "p5", "p25", "p50", "p75", "p95", "mean")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BidPoint:
     partner: str
     size: str | None
@@ -52,7 +37,7 @@ class BidPoint:
     channel: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuctionRecord:
     """One auction round, normalized from either input schema."""
 
@@ -70,43 +55,28 @@ class AuctionRecord:
 def _dec(value) -> Decimal | None:
     if value is None:
         return None
-    return Decimal(str(value))
+    return Decimal(value if isinstance(value, str) else str(value))
 
 
 def record_from_outcome_row(row: dict) -> AuctionRecord:
     facet = row.get("facet")
     bids = []
     if facet == "waterfall_only":
-        for tier in row.get("tiers_tried", []):
+        for tier in row.get("tiers_tried", ()):
             if tier.get("bid") is not None:
-                bids.append(
-                    BidPoint(
-                        partner=tier["partner"],
-                        size=None,
-                        cpm=_dec(tier["bid"]),
-                        latency_ms=_dec(tier["latency_ms"]),
-                        late=False,
-                        channel="client",
-                    )
-                )
+                bids.append(BidPoint(tier["partner"], None, _dec(tier["bid"]), _dec(tier["latency_ms"]),
+                                     False, "client"))
     else:
-        for slot in row.get("slots", []):
-            for bid in slot.get("bids", []):
-                arrived = _dec(bid.get("arrived_at_ms"))
-                requested = _dec(bid.get("requested_at_ms"))
+        for slot in row.get("slots", ()):
+            size = slot.get("size")
+            for bid in slot.get("bids", ()):
                 latency = None
-                if bid.get("channel") == "client" and arrived is not None and requested is not None:
-                    latency = arrived - requested
-                bids.append(
-                    BidPoint(
-                        partner=bid["partner"],
-                        size=slot.get("size"),
-                        cpm=_dec(bid["cpm"]),
-                        latency_ms=latency,
-                        late=bool(bid.get("late")),
-                        channel=bid.get("channel", "client"),
-                    )
-                )
+                if bid.get("channel") == "client":
+                    arrived, requested = bid.get("arrived_at_ms"), bid.get("requested_at_ms")
+                    if arrived is not None and requested is not None:
+                        latency = _dec(arrived) - _dec(requested)
+                bids.append(BidPoint(bid["partner"], size, _dec(bid["cpm"]), latency, bool(bid.get("late")),
+                                     bid.get("channel", "client")))
     return AuctionRecord(
         site_id=row["site_id"],
         round_index=int(row.get("round_index", 0)),
@@ -122,31 +92,22 @@ def record_from_outcome_row(row: dict) -> AuctionRecord:
 
 def record_from_result_row(row: dict, rank_by_site: dict[str, int] | None = None) -> AuctionRecord:
     bids = []
-    for auction in row.get("auctions", []):
-        for bid in auction.get("bids", []):
-            bids.append(
-                BidPoint(
-                    partner=bid["partner"],
-                    size=auction.get("size"),
-                    cpm=_dec(bid["cpm"]),
-                    latency_ms=_dec(bid.get("latency_ms")),
-                    late=bool(bid.get("late")),
-                    channel=bid.get("channel", "client"),
-                )
-            )
-    rank = None
-    if rank_by_site:
-        rank = rank_by_site.get(row["site_id"])
+    auctions = row.get("auctions", ())
+    for auction in auctions:
+        size = auction.get("size")
+        for bid in auction.get("bids", ()):
+            bids.append(BidPoint(bid["partner"], size, _dec(bid["cpm"]), _dec(bid.get("latency_ms")),
+                                 bool(bid.get("late")), bid.get("channel", "client")))
     return AuctionRecord(
         site_id=row["site_id"],
         round_index=int(row.get("round_index", 0)),
         facet=row.get("facet"),
         is_hb=bool(row.get("is_hb")),
-        rank=rank,
+        rank=rank_by_site.get(row["site_id"]) if rank_by_site else None,
         partner_ids=tuple(row.get("partners", [])),
         bids=tuple(bids),
         total_latency_ms=_dec(row.get("hb_latency_ms")),
-        slot_count=len(row.get("auctions", [])),
+        slot_count=len(auctions),
     )
 
 
@@ -167,20 +128,23 @@ def load_records(path, rank_by_site: dict[str, int] | None = None) -> list[Aucti
     return records
 
 
+def _percentile_of_sorted(data: list, q_pct: int) -> Decimal:
+    n = len(data)
+    if n == 1:
+        return data[0]
+    i, rem = divmod(q_pct * (n - 1), 100)
+    i = int(i)
+    if rem == 0:
+        return data[i]
+    return data[i] + (data[i + 1] - data[i]) * Decimal(rem) / Decimal(100)
+
+
 def percentile(values, q_pct: int) -> Decimal:
     """q_pct-th percentile, linear interpolation between closest ranks."""
     data = sorted(values)
     if not data:
         raise ValueError("percentile of empty data")
-    n = len(data)
-    if n == 1:
-        return data[0]
-    pos = q_pct * (n - 1)
-    i, rem = divmod(pos, 100)
-    i = int(i)
-    if rem == 0:
-        return data[i]
-    return data[i] + (data[i + 1] - data[i]) * Decimal(rem) / Decimal(100)
+    return _percentile_of_sorted(data, q_pct)
 
 
 @dataclass(frozen=True)
@@ -198,16 +162,14 @@ class StatsSummary:
         data = sorted(values)
         if not data:
             raise ValueError("cannot summarize empty data")
-        total = sum(data, Decimal(0))
-        return cls(
-            count=len(data),
-            p5=percentile(data, 5),
-            p25=percentile(data, 25),
-            p50=percentile(data, 50),
-            p75=percentile(data, 75),
-            p95=percentile(data, 95),
-            mean=total / Decimal(len(data)),
-        )
+        return cls._of_sorted(data, sum(data, Decimal(0)))
+
+    @classmethod
+    def _of_sorted(cls, data: list, total: Decimal) -> "StatsSummary":
+        """Summary of non-empty, already sorted values whose sum is ``total``."""
+        pct = _percentile_of_sorted
+        return cls(len(data), pct(data, 5), pct(data, 25), pct(data, 50), pct(data, 75), pct(data, 95),
+                   total / Decimal(len(data)))
 
 
 def _summarize_groups(groups: dict[str, list[Decimal]]) -> dict[str, StatsSummary]:
@@ -217,6 +179,15 @@ def _summarize_groups(groups: dict[str, list[Decimal]]) -> dict[str, StatsSummar
 def rank_bin_label(rank: int) -> str:
     lo = ((rank - 1) // RANK_BIN_WIDTH) * RANK_BIN_WIDTH + 1
     return f"{lo}-{lo + RANK_BIN_WIDTH - 1}"
+
+
+# Per-auction latency groupings: the record's group key, or None to leave it out.
+_AUCTION_KEYS = {
+    "site": lambda rec: rec.site_id,
+    "partner_count": lambda rec: str(len(rec.partner_ids)),
+    "slot_count": lambda rec: str(rec.slot_count),
+    "rank_bin": lambda rec: None if rec.rank is None else rank_bin_label(rec.rank),
+}
 
 
 def latency_stats(
@@ -233,28 +204,20 @@ def latency_stats(
     """
     if group_by not in LATENCY_GROUPS:
         raise ValueError(f"unknown latency grouping {group_by!r}; expected one of {LATENCY_GROUPS}")
-    groups: dict[str, list[Decimal]] = {}
-    for rec in records:
-        if group_by == "partner":
+    groups: dict[str, list[Decimal]] = defaultdict(list)
+    if group_by == "partner":
+        for rec in records:
             for bid in rec.bids:
                 if bid.latency_ms is not None:
-                    groups.setdefault(bid.partner, []).append(bid.latency_ms)
+                    groups[bid.partner].append(bid.latency_ms)
+        return _summarize_groups(groups)
+    key_of = _AUCTION_KEYS[group_by]
+    for rec in records:
+        if rec.total_latency_ms is None or not (include_zero_bid_auctions or rec.bids):
             continue
-        if rec.total_latency_ms is None:
-            continue
-        if not include_zero_bid_auctions and not rec.bids:
-            continue
-        if group_by == "site":
-            key = rec.site_id
-        elif group_by == "partner_count":
-            key = str(len(rec.partner_ids))
-        elif group_by == "slot_count":
-            key = str(rec.slot_count)
-        else:
-            if rec.rank is None:
-                continue
-            key = rank_bin_label(rec.rank)
-        groups.setdefault(key, []).append(rec.total_latency_ms)
+        key = key_of(rec)
+        if key is not None:
+            groups[key].append(rec.total_latency_ms)
     return _summarize_groups(groups)
 
 
@@ -272,17 +235,23 @@ def late_bid_stats(records: Iterable[AuctionRecord]) -> LateBidStats:
     with_late: list[Decimal] = []
     partner_totals: dict[str, list[int]] = {}
     for rec in records:
-        client_bids = [b for b in rec.bids if b.channel == "client"]
-        if client_bids:
-            late = sum(1 for b in client_bids if b.late)
-            fraction = Decimal(late) / Decimal(len(client_bids))
+        n_client = late = 0
+        for bid in rec.bids:
+            if bid.channel != "client":
+                continue
+            n_client += 1
+            tally = partner_totals.get(bid.partner)
+            if tally is None:
+                tally = partner_totals[bid.partner] = [0, 0]
+            tally[0] += 1
+            if bid.late:
+                late += 1
+                tally[1] += 1
+        if n_client:
+            fraction = Decimal(late) / Decimal(n_client)
             fractions.append(fraction)
             if late:
                 with_late.append(fraction)
-        for bid in client_bids:
-            tally = partner_totals.setdefault(bid.partner, [0, 0])
-            tally[0] += 1
-            tally[1] += int(bid.late)
     per_partner = {
         pid: (total, late, Decimal(late) / Decimal(total))
         for pid, (total, late) in partner_totals.items()
@@ -294,14 +263,32 @@ def late_bid_stats(records: Iterable[AuctionRecord]) -> LateBidStats:
     )
 
 
-def _popularity_order(records: list[AuctionRecord]) -> list[str]:
-    presence: dict[str, set[str]] = {}
+def _hb_partners_by_site(records: Iterable[AuctionRecord]) -> dict[str, set[str]]:
+    """Every partner seen on each HB site, over all its HB rounds."""
+    partners_by_site: dict[str, set[str]] = {}
     for rec in records:
-        if not rec.is_hb:
-            continue
-        for pid in rec.partner_ids:
-            presence.setdefault(pid, set()).add(rec.site_id)
-    return sorted(presence, key=lambda pid: (-len(presence[pid]), pid))
+        if rec.is_hb:
+            partners_by_site.setdefault(rec.site_id, set()).update(rec.partner_ids)
+    return partners_by_site
+
+
+def _site_presence(partners_by_site: dict[str, set[str]]) -> dict[str, int]:
+    presence: dict[str, int] = {}
+    for pids in partners_by_site.values():
+        for pid in pids:
+            presence[pid] = presence.get(pid, 0) + 1
+    return presence
+
+
+def _popularity_bins(records: Iterable[AuctionRecord]) -> dict[str, str]:
+    """Partner -> its popularity bin, partners ranked by HB site presence."""
+    presence = _site_presence(_hb_partners_by_site(records))
+    order = sorted(presence, key=lambda pid: (-presence[pid], pid))
+    bins = {}
+    for i, pid in enumerate(order):
+        lo = (i // POPULARITY_BIN_WIDTH) * POPULARITY_BIN_WIDTH + 1
+        bins[pid] = f"{lo}-{lo + POPULARITY_BIN_WIDTH - 1}"
+    return bins
 
 
 def price_stats(records: Iterable[AuctionRecord], group_by: str) -> dict[str, StatsSummary]:
@@ -309,46 +296,44 @@ def price_stats(records: Iterable[AuctionRecord], group_by: str) -> dict[str, St
     popularity bin (partners ranked by site presence, 10 per bin)."""
     if group_by not in PRICE_GROUPS:
         raise ValueError(f"unknown price grouping {group_by!r}; expected one of {PRICE_GROUPS}")
-    records = list(records)
-    groups: dict[str, list[Decimal]] = {}
-    if group_by == "partner_popularity_bin":
-        order = _popularity_order(records)
-        bin_of = {
-            pid: f"{(i // POPULARITY_BIN_WIDTH) * POPULARITY_BIN_WIDTH + 1}-"
-            f"{(i // POPULARITY_BIN_WIDTH) * POPULARITY_BIN_WIDTH + POPULARITY_BIN_WIDTH}"
-            for i, pid in enumerate(order)
-        }
-    for rec in records:
-        for bid in rec.bids:
-            if group_by == "slot_size":
-                if bid.size is None:
-                    continue
-                key = bid.size
-            elif group_by == "facet":
-                if rec.facet is None:
-                    continue
-                key = rec.facet
-            else:
+    groups: dict[str, list[Decimal]] = defaultdict(list)
+    if group_by == "slot_size":
+        for rec in records:
+            for bid in rec.bids:
+                if bid.size is not None:
+                    groups[bid.size].append(bid.cpm)
+    elif group_by == "facet":
+        for rec in records:
+            if rec.facet is not None and rec.bids:
+                groups[rec.facet].extend([bid.cpm for bid in rec.bids])
+    else:
+        records = list(records)
+        bin_of = _popularity_bins(records)
+        for rec in records:
+            for bid in rec.bids:
                 key = bin_of.get(bid.partner)
-                if key is None:
-                    continue
-            groups.setdefault(key, []).append(bid.cpm)
+                if key is not None:
+                    groups[key].append(bid.cpm)
     return _summarize_groups(groups)
 
 
-def facet_breakdown(records: Iterable[AuctionRecord]) -> dict[str, Decimal]:
-    """Proportion of each HB facet among sites detected as HB."""
+def _hb_facet_counts(records: Iterable[AuctionRecord]) -> dict[str, int]:
+    """HB sites per facet, each site counted under the facet of its last HB round."""
     facet_by_site: dict[str, str] = {}
     for rec in records:
         if rec.is_hb and rec.facet:
             facet_by_site[rec.site_id] = rec.facet
-    total = len(facet_by_site)
-    if total == 0:
-        return {}
     counts: dict[str, int] = {}
     for facet in facet_by_site.values():
         counts[facet] = counts.get(facet, 0) + 1
-    return {facet: Decimal(n) / Decimal(total) for facet, n in sorted(counts.items())}
+    return dict(sorted(counts.items()))
+
+
+def facet_breakdown(records: Iterable[AuctionRecord]) -> dict[str, Decimal]:
+    """Proportion of each HB facet among sites detected as HB."""
+    counts = _hb_facet_counts(records)
+    total = Decimal(sum(counts.values()))
+    return {facet: Decimal(n) / total for facet, n in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -360,20 +345,14 @@ class PopularityReport:
 
 def partner_popularity_and_combinations(records: Iterable[AuctionRecord]) -> PopularityReport:
     """Per-partner site presence and the frequency-ranked exact partner sets."""
-    partners_by_site: dict[str, set[str]] = {}
-    for rec in records:
-        if not rec.is_hb:
-            continue
-        partners_by_site.setdefault(rec.site_id, set()).update(rec.partner_ids)
+    partners_by_site = _hb_partners_by_site(records)
     total = len(partners_by_site)
-    presence_sites: dict[str, int] = {}
     combo_counts: dict[str, int] = {}
-    for site, pids in partners_by_site.items():
-        for pid in pids:
-            presence_sites[pid] = presence_sites.get(pid, 0) + 1
-        combo_counts["+".join(sorted(pids))] = combo_counts.get("+".join(sorted(pids)), 0) + 1
+    for pids in partners_by_site.values():
+        combo = "+".join(sorted(pids))
+        combo_counts[combo] = combo_counts.get(combo, 0) + 1
     presence = {
-        pid: (n, Decimal(n) / Decimal(total)) for pid, n in presence_sites.items()
+        pid: (n, Decimal(n) / Decimal(total)) for pid, n in _site_presence(partners_by_site).items()
     }
     combinations = [
         (combo, n, Decimal(n) / Decimal(total))
@@ -387,16 +366,10 @@ def _fmt(value: Decimal) -> str:
 
 
 def _stats_row(group: str, s: StatsSummary) -> dict:
-    return {
-        "group": group,
-        "count": s.count,
-        "p5": _fmt(s.p5),
-        "p25": _fmt(s.p25),
-        "p50": _fmt(s.p50),
-        "p75": _fmt(s.p75),
-        "p95": _fmt(s.p95),
-        "mean": _fmt(s.mean),
-    }
+    # Small groups repeat values across columns; format each distinct one once.
+    text = {value: _fmt(value) for value in {s.p5, s.p25, s.p50, s.p75, s.p95, s.mean}}
+    return {"group": group, "count": s.count, "p5": text[s.p5], "p25": text[s.p25], "p50": text[s.p50],
+            "p75": text[s.p75], "p95": text[s.p95], "mean": text[s.mean]}
 
 
 def _flat_row(group: str, count: int, value: Decimal) -> dict:
@@ -405,8 +378,87 @@ def _flat_row(group: str, count: int, value: Decimal) -> dict:
             "p75": text, "p95": text, "mean": text}
 
 
-def _numeric_key(key: str):
-    return (0, int(key)) if key.isdigit() else (1, key)
+_ZERO, _ONE = Decimal(0), Decimal(1)
+
+
+def _latency_rows(group_by: str):
+    return lambda records, include_zero: [
+        _stats_row(k, s) for k, s in latency_stats(records, group_by, include_zero).items()
+    ]
+
+
+def _price_rows(group_by: str):
+    return lambda records, _: [_stats_row(k, s) for k, s in price_stats(records, group_by).items()]
+
+
+def _late_fraction_rows(records, _) -> list[dict]:
+    late = late_bid_stats(records)
+    rows = []
+    if late.per_auction:
+        rows.append(_stats_row("all_auctions", late.per_auction))
+    if late.per_auction_with_late:
+        rows.append(_stats_row("auctions_with_late_bids", late.per_auction_with_late))
+    return rows
+
+
+def _late_partner_rows(records, _) -> list[dict]:
+    # Each partner's bids as 0/1 late indicators, already sorted: the zeros first.
+    return [
+        _stats_row(pid, StatsSummary._of_sorted([_ZERO] * (total - late) + [_ONE] * late, Decimal(late)))
+        for pid, (total, late, _fraction) in late_bid_stats(records).per_partner.items()
+    ]
+
+
+def _facet_rows(records, _) -> list[dict]:
+    counts = _hb_facet_counts(records)
+    total = Decimal(sum(counts.values()))
+    return [_flat_row(facet, n, Decimal(n) / total) for facet, n in counts.items()]
+
+
+def _popularity_rows(records, _) -> list[dict]:
+    presence = partner_popularity_and_combinations(records).presence
+    return [_flat_row(pid, sites, fraction) for pid, (sites, fraction) in presence.items()]
+
+
+def _combination_rows(records, _) -> list[dict]:
+    combinations = partner_popularity_and_combinations(records).combinations
+    return [_flat_row(combo, n, fraction) for combo, n, fraction in combinations]
+
+
+def _by_group(row: dict):
+    return row["group"]
+
+
+def _by_number(row: dict):
+    return (0, int(row["group"])) if row["group"].isdigit() else (1, row["group"])
+
+
+def _by_bin_start(row: dict):
+    return int(row["group"].split("-")[0])
+
+
+def _most_first(row: dict):
+    return (-row["count"], row["group"])
+
+
+# Report name -> (rows builder(records, include_zero_bid_auctions), row order).
+_REPORTS = {
+    "latency_by_site": (_latency_rows("site"), _by_group),
+    "latency_by_partner": (_latency_rows("partner"), _by_group),
+    "latency_by_partner_count": (_latency_rows("partner_count"), _by_number),
+    "latency_by_slot_count": (_latency_rows("slot_count"), _by_number),
+    "latency_by_rank_bin": (_latency_rows("rank_bin"), _by_bin_start),
+    "late_bid_fractions": (_late_fraction_rows, _by_group),
+    "late_by_partner": (_late_partner_rows, _by_group),
+    "prices_by_slot_size": (_price_rows("slot_size"), _by_group),
+    "prices_by_facet": (_price_rows("facet"), _by_group),
+    "prices_by_popularity_bin": (_price_rows("partner_popularity_bin"), _by_bin_start),
+    "facet_breakdown": (_facet_rows, _by_group),
+    "partner_popularity": (_popularity_rows, _most_first),
+    "partner_combinations": (_combination_rows, _most_first),
+}
+
+REPORT_NAMES = tuple(_REPORTS)
 
 
 def build_report(
@@ -415,64 +467,10 @@ def build_report(
     include_zero_bid_auctions: bool = True,
 ) -> list[dict]:
     """Rows for one named report, in the fixed CSV column schema."""
-    if name == "latency_by_site":
-        stats = latency_stats(records, "site", include_zero_bid_auctions)
-        return [_stats_row(k, stats[k]) for k in sorted(stats)]
-    if name == "latency_by_partner":
-        stats = latency_stats(records, "partner", include_zero_bid_auctions)
-        return [_stats_row(k, stats[k]) for k in sorted(stats)]
-    if name == "latency_by_partner_count":
-        stats = latency_stats(records, "partner_count", include_zero_bid_auctions)
-        return [_stats_row(k, stats[k]) for k in sorted(stats, key=_numeric_key)]
-    if name == "latency_by_slot_count":
-        stats = latency_stats(records, "slot_count", include_zero_bid_auctions)
-        return [_stats_row(k, stats[k]) for k in sorted(stats, key=_numeric_key)]
-    if name == "latency_by_rank_bin":
-        stats = latency_stats(records, "rank_bin", include_zero_bid_auctions)
-        return [_stats_row(k, stats[k]) for k in sorted(stats, key=lambda k: int(k.split("-")[0]))]
-    if name == "late_bid_fractions":
-        late = late_bid_stats(records)
-        rows = []
-        if late.per_auction:
-            rows.append(_stats_row("all_auctions", late.per_auction))
-        if late.per_auction_with_late:
-            rows.append(_stats_row("auctions_with_late_bids", late.per_auction_with_late))
-        return rows
-    if name == "late_by_partner":
-        late = late_bid_stats(records)
-        rows = []
-        for pid in sorted(late.per_partner):
-            total, n_late, fraction = late.per_partner[pid]
-            indicator = [Decimal(1)] * n_late + [Decimal(0)] * (total - n_late)
-            rows.append(_stats_row(pid, StatsSummary.of(indicator)))
-        return rows
-    if name == "prices_by_slot_size":
-        stats = price_stats(records, "slot_size")
-        return [_stats_row(k, stats[k]) for k in sorted(stats)]
-    if name == "prices_by_facet":
-        stats = price_stats(records, "facet")
-        return [_stats_row(k, stats[k]) for k in sorted(stats)]
-    if name == "prices_by_popularity_bin":
-        stats = price_stats(records, "partner_popularity_bin")
-        return [_stats_row(k, stats[k]) for k in sorted(stats, key=lambda k: int(k.split("-")[0]))]
-    if name == "facet_breakdown":
-        sites_per_facet: dict[str, set[str]] = {}
-        for rec in records:
-            if rec.is_hb and rec.facet:
-                sites_per_facet.setdefault(rec.facet, set()).add(rec.site_id)
-        breakdown = facet_breakdown(records)
-        return [
-            _flat_row(facet, len(sites_per_facet[facet]), share)
-            for facet, share in breakdown.items()
-        ]
-    if name == "partner_popularity":
-        report = partner_popularity_and_combinations(records)
-        ranked = sorted(report.presence.items(), key=lambda kv: (-kv[1][0], kv[0]))
-        return [_flat_row(pid, sites, fraction) for pid, (sites, fraction) in ranked]
-    if name == "partner_combinations":
-        report = partner_popularity_and_combinations(records)
-        return [_flat_row(combo, n, fraction) for combo, n, fraction in report.combinations]
-    raise ValueError(f"unknown report {name!r}; valid names: {', '.join(REPORT_NAMES)}")
+    if name not in _REPORTS:
+        raise ValueError(f"unknown report {name!r}; valid names: {', '.join(REPORT_NAMES)}")
+    rows_of, order = _REPORTS[name]
+    return sorted(rows_of(records, include_zero_bid_auctions), key=order)
 
 
 def write_report_csv(path, rows: list[dict]) -> None:

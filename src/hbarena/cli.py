@@ -24,6 +24,7 @@ from .scenario import ScenarioFile, expand_sites, load_scenario_file, validate_s
 from .tracegen import (
     TraceParseError,
     emit_trace,
+    file_label,
     parse_trace_file,
     serialize_trace,
     trace_filename,
@@ -321,7 +322,7 @@ def cmd_detect(args) -> int:
             trace = parse_trace_file(os.path.join(args.trace_dir, name))
         except (TraceParseError, UnicodeDecodeError, OSError) as exc:
             errors += 1
-            rows.append({"site_id": name, "round_index": None, "error": str(exc)})
+            rows.append({"site_id": file_label(name), "round_index": None, "error": str(exc)})
             continue
         rows.append(result_row(extract_auction_metadata(trace, directory)))
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")

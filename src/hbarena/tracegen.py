@@ -404,9 +404,14 @@ def trace_key(name: str) -> tuple[str, int]:
     return (m.group("site"), int(m.group("round"))) if m else (name, 0)
 
 
+def file_label(name: str) -> str:
+    """A file name as text, with bytes that are not UTF-8 shown as ``\\xNN``."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
+
+
 def parse_trace_file(path) -> Trace:
     """Load one trace; site and round are recovered from the file name."""
-    site_id, round_index = trace_key(os.path.basename(str(path)))
+    site_id, round_index = trace_key(file_label(os.path.basename(str(path))))
     with open(path, "r", encoding="utf-8") as fh:
         return parse_trace_text(fh.read(), site_id, round_index)
 

@@ -104,3 +104,165 @@ def percentile_linear(values, q_pct):
     if rem == 0:
         return data[i]
     return data[i] + (data[i + 1] - data[i]) * Decimal(rem) / Decimal(100)
+
+
+# --------------------------------------------------------------------------
+# Reports: one straight loop per report family, over AuctionRecord-shaped
+# objects, giving the rows build_report must give.
+
+REPORT_CPM_QUANTUM = Decimal("0.000001")
+
+
+def report_text(value):
+    """A report cell: 6 fraction digits half-even, trailing zeros dropped."""
+    text = format(value.quantize(REPORT_CPM_QUANTUM, rounding="ROUND_HALF_EVEN"), "f")
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text or "0"
+
+
+def stats_row(group, values):
+    data = sorted(values)
+    cells = {f"p{q}": report_text(percentile_linear(data, q)) for q in (5, 25, 50, 75, 95)}
+    mean = sum(data, Decimal(0)) / Decimal(len(data))
+    return {"group": group, "count": len(data), **cells, "mean": report_text(mean)}
+
+
+def flat_row(group, count, value):
+    text = report_text(value)
+    return {"group": group, "count": count, "p5": text, "p25": text, "p50": text,
+            "p75": text, "p95": text, "mean": text}
+
+
+def _latency_groups(records, group_by, include_zero_bid_auctions):
+    groups = {}
+    for rec in records:
+        if group_by == "partner":
+            for bid in rec.bids:
+                if bid.latency_ms is not None:
+                    groups.setdefault(bid.partner, []).append(bid.latency_ms)
+            continue
+        if rec.total_latency_ms is None:
+            continue
+        if not include_zero_bid_auctions and not rec.bids:
+            continue
+        if group_by == "site":
+            key = rec.site_id
+        elif group_by == "partner_count":
+            key = str(len(rec.partner_ids))
+        elif group_by == "slot_count":
+            key = str(rec.slot_count)
+        else:
+            if rec.rank is None:
+                continue
+            lo = ((rec.rank - 1) // 500) * 500 + 1
+            key = f"{lo}-{lo + 499}"
+        groups.setdefault(key, []).append(rec.total_latency_ms)
+    return groups
+
+
+def _hb_partner_sets(records):
+    partners_by_site = {}
+    for rec in records:
+        if rec.is_hb:
+            partners_by_site.setdefault(rec.site_id, set()).update(rec.partner_ids)
+    return partners_by_site
+
+
+def _price_groups(records, group_by):
+    bin_of = {}
+    if group_by == "partner_popularity_bin":
+        presence = {}
+        for pids in _hb_partner_sets(records).values():
+            for pid in pids:
+                presence[pid] = presence.get(pid, 0) + 1
+        order = sorted(presence, key=lambda pid: (-presence[pid], pid))
+        for i, pid in enumerate(order):
+            lo = (i // 10) * 10 + 1
+            bin_of[pid] = f"{lo}-{lo + 9}"
+    groups = {}
+    for rec in records:
+        for bid in rec.bids:
+            if group_by == "slot_size":
+                key = bid.size
+            elif group_by == "facet":
+                key = rec.facet
+            else:
+                key = bin_of.get(bid.partner)
+            if key is not None:
+                groups.setdefault(key, []).append(bid.cpm)
+    return groups
+
+
+def _numeric(key):
+    return (0, int(key)) if key.isdigit() else (1, key)
+
+
+def _bin_start(key):
+    return int(key.split("-")[0])
+
+
+def report_rows(name, records, include_zero_bid_auctions=True):
+    """Rows of one named report, derived without the library's helpers."""
+    records = list(records)
+    latency = {
+        "latency_by_site": ("site", None),
+        "latency_by_partner": ("partner", None),
+        "latency_by_partner_count": ("partner_count", _numeric),
+        "latency_by_slot_count": ("slot_count", _numeric),
+        "latency_by_rank_bin": ("rank_bin", _bin_start),
+    }
+    prices = {
+        "prices_by_slot_size": ("slot_size", None),
+        "prices_by_facet": ("facet", None),
+        "prices_by_popularity_bin": ("partner_popularity_bin", _bin_start),
+    }
+    if name in latency or name in prices:
+        if name in latency:
+            group_by, order = latency[name]
+            groups = _latency_groups(records, group_by, include_zero_bid_auctions)
+        else:
+            group_by, order = prices[name]
+            groups = _price_groups(records, group_by)
+        return [stats_row(k, groups[k]) for k in sorted(groups, key=order)]
+    if name in ("late_bid_fractions", "late_by_partner"):
+        fractions, with_late, tallies = [], [], {}
+        for rec in records:
+            client = [b for b in rec.bids if b.channel == "client"]
+            late = sum(1 for b in client if b.late)
+            if client:
+                fractions.append(Decimal(late) / Decimal(len(client)))
+                if late:
+                    with_late.append(fractions[-1])
+            for b in client:
+                tally = tallies.setdefault(b.partner, [])
+                tally.append(Decimal(1) if b.late else Decimal(0))
+        if name == "late_by_partner":
+            return [stats_row(pid, tallies[pid]) for pid in sorted(tallies)]
+        rows = []
+        if fractions:
+            rows.append(stats_row("all_auctions", fractions))
+        if with_late:
+            rows.append(stats_row("auctions_with_late_bids", with_late))
+        return rows
+    if name == "facet_breakdown":
+        last_facet = {}
+        for rec in records:
+            if rec.is_hb and rec.facet:
+                last_facet[rec.site_id] = rec.facet
+        counts = {}
+        for facet in last_facet.values():
+            counts[facet] = counts.get(facet, 0) + 1
+        total = len(last_facet)
+        return [flat_row(f, n, Decimal(n) / Decimal(total)) for f, n in sorted(counts.items())]
+    if name not in ("partner_popularity", "partner_combinations"):
+        raise ValueError(name)
+    partners_by_site = _hb_partner_sets(records)
+    total = len(partners_by_site)
+    counts = {}
+    for pids in partners_by_site.values():
+        keys = pids if name == "partner_popularity" else ["+".join(sorted(pids))]
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [flat_row(key, n, Decimal(n) / Decimal(total)) for key, n in ranked]

@@ -3,6 +3,8 @@ and the canned price/popularity distributions."""
 
 from decimal import Decimal
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,12 @@ from hbarena.analytics import (
     AuctionRecord,
     BidPoint,
     StatsSummary,
+    REPORT_NAMES,
     build_report,
     facet_breakdown,
     late_bid_stats,
     latency_stats,
+    load_records,
     partner_popularity_and_combinations,
     percentile,
     price_stats,
@@ -216,6 +220,19 @@ class TestBreakdownAndPopularity:
     def test_empty_breakdown(self):
         assert facet_breakdown([record(facet="waterfall_only")]) == {}
 
+    def test_breakdown_counts_each_site_by_its_last_round(self):
+        records = [
+            record(site="a", facet="hybrid"),
+            record(site="a", facet="client_side", round_index=1),
+            record(site="b", facet="hybrid"),
+        ]
+        rows = build_report("facet_breakdown", records)
+        assert [(r["group"], r["count"], r["mean"]) for r in rows] == [
+            ("client_side", 1, "0.5"),
+            ("hybrid", 1, "0.5"),
+        ]
+        assert facet_breakdown(records) == {"client_side": D("0.5"), "hybrid": D("0.5")}
+
     def test_popularity_presence(self):
         records = [record(site=f"s{i}", partners=("x",) if i < 8 else ("y",)) for i in range(10)]
         report = partner_popularity_and_combinations(records)
@@ -248,3 +265,63 @@ class TestReports:
     def test_empty_input_yields_empty_rows(self):
         for name in ("latency_by_site", "prices_by_slot_size", "facet_breakdown"):
             assert build_report(name, []) == []
+
+
+class TestLoadRecords:
+    def test_json_numbers_read_like_strings(self, tmp_path):
+        row = {
+            "site_id": "s1", "round_index": 0, "is_hb": True, "facet": "client_side",
+            "partners": ["p1"], "hb_latency_ms": 350.5,
+            "auctions": [{"slot_id": "slot0", "size": "300x250", "bids": [
+                {"partner": "p1", "cpm": 0.1, "latency_ms": 120, "late": False, "channel": "client"},
+                {"partner": "p2", "cpm": "0.25", "latency_ms": "80.125", "late": True, "channel": "client"},
+            ]}],
+        }
+        path = tmp_path / "results.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        [rec] = load_records(path)
+        assert rec == record(
+            site="s1", rank=None, partners=("p1",), total="350.5",
+            bids=[bid(cpm="0.1", latency="120"),
+                  bid(partner="p2", cpm="0.25", latency="80.125", late=True)],
+        )
+        assert str(rec.bids[0].cpm) == "0.1" and str(rec.total_latency_ms) == "350.5"
+
+
+# Small value sets, so that groups hold duplicates and ties.
+PARTNER_POOL = tuple(f"p{i:02d}" for i in range(24))
+decimals = st.decimals(min_value=0, max_value=50, places=2)
+
+bid_points = st.builds(
+    BidPoint,
+    partner=st.sampled_from(PARTNER_POOL[:14]),
+    size=st.sampled_from([None, "300x250", "728x90"]),
+    cpm=decimals,
+    latency_ms=st.none() | decimals,
+    late=st.booleans(),
+    channel=st.sampled_from(["client", "client", "ad_server"]),
+)
+
+
+@st.composite
+def auction_records(draw):
+    facet = draw(st.sampled_from(["client_side", "server_side", "hybrid", "waterfall_only", "no_ads", None]))
+    return AuctionRecord(
+        site_id=draw(st.sampled_from("abcdef")),
+        round_index=draw(st.integers(0, 2)),
+        facet=facet,
+        is_hb=facet in ("client_side", "server_side", "hybrid"),
+        rank=draw(st.none() | st.integers(1, 1600)),
+        partner_ids=tuple(draw(st.lists(st.sampled_from(PARTNER_POOL), max_size=14))),
+        bids=tuple(draw(st.lists(bid_points, max_size=8))),
+        total_latency_ms=draw(st.none() | decimals),
+        slot_count=draw(st.integers(0, 3)),
+    )
+
+
+class TestReportsMatchLoopReference:
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(auction_records(), max_size=25), include_zero=st.booleans())
+    def test_every_report(self, records, include_zero):
+        for name in REPORT_NAMES:
+            assert build_report(name, records, include_zero) == oracles.report_rows(name, records, include_zero), name

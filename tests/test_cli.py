@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from hbarena.analytics import REPORT_NAMES, build_report, load_records
 from hbarena.cli import main
 
 MINIMAL_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "minimal.json"
@@ -260,6 +262,27 @@ def test_detect_then_report_over_results(tmp_path):
     assert (out / "reports" / "latency_by_rank_bin.csv").read_text().count("\n") >= 2
 
 
+@pytest.fixture(scope="module")
+def mixed_run(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("mixed") / "run"
+    assert main(["simulate", "--scenario", str(write(out.parent, MIXED)), "--out", str(out)]) == 0
+    assert main(["detect", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("include_zero", [True, False])
+@pytest.mark.parametrize("source", ["outcomes.jsonl", "results.jsonl"])
+def test_reports_match_loop_reference_on_mixed_corpus(mixed_run, source, include_zero):
+    manifest = json.loads((mixed_run / "manifest.json").read_text())
+    ranks = {site: meta["rank"] for site, meta in manifest["site_meta"].items()}
+    records = load_records(mixed_run / source, ranks)
+    assert len(records) == 80
+    for name in REPORT_NAMES:
+        expected = oracles.report_rows(name, records, include_zero)
+        assert expected, name
+        assert build_report(name, records, include_zero) == expected, name
+
+
 def simulate_minimal(out: Path) -> Path:
     """The scenarios/minimal.json corpus in out; returns its one trace file."""
     assert main(["simulate", "--scenario", str(MINIMAL_SCENARIO), "--out", str(out)]) == 0
@@ -305,6 +328,18 @@ def test_unreadable_trace_is_an_error_row(tmp_path):
     good, bad = result_rows(tmp_path / "run" / "results.jsonl")
     assert good["is_hb"] and good["warnings"] == 0
     assert bad["site_id"] == "zz__r0.trace.jsonl" and "Is a directory" in bad["error"]
+
+
+def test_non_utf8_trace_name_reaches_report(tmp_path):
+    trace = simulate_minimal(tmp_path / "run")
+    renamed = os.path.join(os.fsencode(trace.parent), b"demo-\xffsite__r0.trace.jsonl")
+    os.rename(trace, renamed)
+    (tmp_path / "run" / "zz\udcff__r0.trace.jsonl").mkdir()  # an error row under a non-UTF-8 name
+    assert main(["detect", str(tmp_path / "run")]) in (0, 3)
+    rows = result_rows(tmp_path / "run" / "results.jsonl")
+    assert [row["site_id"] for row in rows] == ["demo-\\xffsite", "zz\\xff__r0.trace.jsonl"]
+    assert main(["report", str(tmp_path / "run" / "results.jsonl"), "--out", str(tmp_path / "reports")]) == 0
+    assert "demo-\\xffsite," in (tmp_path / "reports" / "latency_by_site.csv").read_text()
 
 
 @pytest.mark.parametrize("field", ["extra", "direction"])

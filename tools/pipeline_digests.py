@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Digest every artifact of the whole pipeline, to prove a change byte-identical.
+
+For each scenario (by default the seven canned ones under ``scenarios/``) it
+runs, in a temporary directory:
+
+    simulate --scenario S --out NAME
+    detect NAME --score
+    report NAME/outcomes.jsonl --out NAME/report_truth
+    report NAME/outcomes.jsonl --out NAME/report_truth_nonzero --no-include-zero-bid-auctions
+    report NAME/results.jsonl --out NAME/report_results --manifest NAME/manifest.json
+    report NAME/results.jsonl --out NAME/report_results_nonzero --manifest NAME/manifest.json
+           --no-include-zero-bid-auctions
+
+and prints each command's exit code and stdout, then one ``NAME/path sha256``
+line per file the commands wrote.  Commands run with relative paths, so the
+output does not depend on where the temporary directory is.  Two runs agree
+exactly when the two checkouts produce the same bytes:
+
+    python3 tools/pipeline_digests.py > change.txt
+    python3 tools/pipeline_digests.py --repo ../parent > parent.txt
+    diff parent.txt change.txt
+
+``--repo`` runs another checkout's ``src`` (which need not have this tool)
+on this checkout's scenarios.  ``--scenario`` and ``--seed`` pick other
+inputs.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def commands(name: str, scenario: Path, seed: int | None) -> list[list[str]]:
+    simulate = ["simulate", "--scenario", str(scenario), "--out", name]
+    if seed is not None:
+        simulate += ["--seed", str(seed)]
+    results = ["--manifest", f"{name}/manifest.json"]
+    return [
+        simulate,
+        ["detect", name, "--score"],
+        ["report", f"{name}/outcomes.jsonl", "--out", f"{name}/report_truth"],
+        ["report", f"{name}/outcomes.jsonl", "--out", f"{name}/report_truth_nonzero",
+         "--no-include-zero-bid-auctions"],
+        ["report", f"{name}/results.jsonl", "--out", f"{name}/report_results", *results],
+        ["report", f"{name}/results.jsonl", "--out", f"{name}/report_results_nonzero", *results,
+         "--no-include-zero-bid-auctions"],
+    ]
+
+
+def sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def run_scenario(scenario: Path, seed: int | None, work: Path, env: dict[str, str]) -> list[str]:
+    name = scenario.stem
+    lines = []
+    for argv in commands(name, scenario, seed):
+        proc = subprocess.run([sys.executable, "-m", "hbarena.cli", *argv], cwd=work, env=env,
+                              capture_output=True, text=True)
+        shown = [scenario.name if arg == str(scenario) else arg for arg in argv]
+        lines.append(f"$ hbarena {' '.join(shown)} -> exit {proc.returncode}")
+        lines.extend(f"  {line}" for line in proc.stdout.splitlines())
+    out = work / name
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        lines.append(f"{path.relative_to(work).as_posix()} {sha256(path)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", type=Path, default=ROOT, help="checkout whose src/ runs (default: this one)")
+    parser.add_argument("--scenario", type=Path, action="append",
+                        help="scenario file (repeatable; default: every scenarios/*.json)")
+    parser.add_argument("--seed", type=int, default=None, help="master seed for every scenario")
+    args = parser.parse_args(argv)
+    scenarios = [p.resolve() for p in args.scenario] if args.scenario else sorted((ROOT / "scenarios").glob("*.json"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str((args.repo / "src").resolve())
+    with tempfile.TemporaryDirectory(prefix="hbarena-digests-") as tmp:
+        for scenario in scenarios:
+            print("\n".join(run_scenario(scenario, args.seed, Path(tmp), env)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
