@@ -28,7 +28,7 @@ from .domain import (
     lookup_partner,
     validate_scenario,
 )
-from .netsim import RngStream, run_sim, sample_bid, sample_latency
+from .netsim import RngStream, sample_bid, sample_latency
 from .tracegen import Trace, TraceEvent, emit_trace, parse_trace_file, serialize_trace
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "run_client_side",
     "run_hybrid",
     "run_server_side",
-    "run_sim",
     "run_waterfall",
     "sample_bid",
     "sample_latency",

@@ -9,7 +9,7 @@ ad server; a bid arriving at the handoff instant still counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import Mapping
 
@@ -21,14 +21,7 @@ from .domain import (
     WrapperPolicy,
     quantize_ms,
 )
-from .netsim import (
-    RngStream,
-    initial_schedule,
-    run_sim,
-    sample_bid,
-    sample_latency,
-    sample_partner_bids,
-)
+from .netsim import RngStream, sample_bid, sample_latency, sample_partner_bids
 
 CHANNEL_CLIENT = "client"
 CHANNEL_AD_SERVER = "ad_server"
@@ -176,7 +169,8 @@ def _render_failures(scenario, filled_slot_ids, master_seed, round_index) -> set
     return failed
 
 
-def _slot_outcomes(scenario, bids_by_slot, render_failed) -> tuple[SlotOutcome, ...]:
+def _slot_outcomes(scenario, bids_by_slot, master_seed, round_index) -> tuple[SlotOutcome, ...]:
+    """Per-slot winners, then the render failures of the filled slots."""
     out = []
     for slot in scenario.slots:
         bids = tuple(bids_by_slot.get(slot.slot_id, ()))
@@ -191,31 +185,10 @@ def _slot_outcomes(scenario, bids_by_slot, render_failed) -> tuple[SlotOutcome, 
                 winner=winner,
                 filled=filled,
                 fallback_used=not filled,
-                render_failed=slot.slot_id in render_failed,
             )
         )
-    return tuple(out)
-
-
-def _run_round_engine(responses, send_time, adserver_latency, any_filled):
-    """Drive the round through the event engine; returns the response time."""
-    state = {"response_at": None}
-
-    def handler(payload, now):
-        tag = payload[0]
-        if tag == "round_start":
-            spawned = [(arrival, ("arrival", pid)) for pid, (arrival, _) in responses.items()]
-            spawned.append((send_time, ("wrapper_send",)))
-            return spawned
-        if tag == "wrapper_send":
-            return [(now + adserver_latency, ("adserver_response",))]
-        if tag == "adserver_response":
-            state["response_at"] = now
-            return [(now, ("winner_notify",))] if any_filled else []
-        return []
-
-    run_sim(initial_schedule([(Decimal(0), ("round_start",))]), handler)
-    return state["response_at"]
+    failed = _render_failures(scenario, [s.slot_id for s in out if s.filled], master_seed, round_index)
+    return tuple(replace(s, render_failed=True) if s.slot_id in failed else s for s in out)
 
 
 def run_client_side(
@@ -290,12 +263,8 @@ def _run_wrapper_round(scenario, partners, master_seed, round_index, server_enti
                     )
                 )
 
-    provisional = _slot_outcomes(scenario, bids_by_slot, render_failed=set())
-    filled_ids = [s.slot_id for s in provisional if s.filled]
-    render_failed = _render_failures(scenario, filled_ids, master_seed, round_index)
-    slots = _slot_outcomes(scenario, bids_by_slot, render_failed)
-
-    response_at = _run_round_engine(responses, send_time, adserver_latency, bool(filled_ids))
+    slots = _slot_outcomes(scenario, bids_by_slot, master_seed, round_index)
+    response_at = quantize_ms(send_time + adserver_latency)
     rendered_any = any(s.filled and not s.render_failed for s in slots)
     return AuctionOutcome(
         site_id=scenario.site_id,
@@ -348,12 +317,8 @@ def run_server_side(
                 )
             )
 
-    provisional = _slot_outcomes(scenario, bids_by_slot, render_failed=set())
-    filled_ids = [s.slot_id for s in provisional if s.filled]
-    render_failed = _render_failures(scenario, filled_ids, master_seed, round_index)
-    slots = _slot_outcomes(scenario, bids_by_slot, render_failed)
-
-    response_at = _run_round_engine({}, Decimal(0), adserver_latency, bool(filled_ids))
+    slots = _slot_outcomes(scenario, bids_by_slot, master_seed, round_index)
+    response_at = quantize_ms(adserver_latency)
     rendered_any = any(s.filled and not s.render_failed for s in slots)
     return AuctionOutcome(
         site_id=scenario.site_id,
@@ -383,44 +348,32 @@ def run_waterfall(
     slot = scenario.slots[0]
     tier_specs = [_resolve(partners, pid, scenario.site_id) for pid in scenario.partners]
 
-    state = {"tried": [], "winner": None, "total": Decimal(0)}
-
-    def handler(payload, now):
-        tag = payload[0]
-        if tag == "tier":
-            i = payload[1]
-            spec = tier_specs[i]
-            lat = sample_latency(
-                spec.latency_model,
-                RngStream(master_seed, scenario.site_id, round_index, f"latency:{spec.partner_id}"),
-            )
-            cpm = sample_bid(
-                spec.bid_model,
-                RngStream(master_seed, scenario.site_id, round_index, f"bid:{spec.partner_id}"),
-                spec.response_probability,
-            )
-            return [(now + lat, ("tier_done", i, cpm, lat))]
-        if tag == "tier_done":
-            _, i, cpm, lat = payload
-            state["tried"].append(TierTrial(tier_specs[i].partner_id, cpm, lat))
-            state["total"] = now
-            if cpm is not None and cpm >= slot.floor_price:
-                state["winner"] = (tier_specs[i].partner_id, cpm)
-                return []
-            if i + 1 < len(tier_specs):
-                return [(now, ("tier", i + 1))]
-            return []
-        return []
-
-    run_sim(initial_schedule([(Decimal(0), ("tier", 0))]), handler)
+    tried = []
+    winner = None
+    total = Decimal(0)
+    for spec in tier_specs:
+        lat = sample_latency(
+            spec.latency_model,
+            RngStream(master_seed, scenario.site_id, round_index, f"latency:{spec.partner_id}"),
+        )
+        cpm = sample_bid(
+            spec.bid_model,
+            RngStream(master_seed, scenario.site_id, round_index, f"bid:{spec.partner_id}"),
+            spec.response_probability,
+        )
+        tried.append(TierTrial(spec.partner_id, cpm, lat))
+        total = quantize_ms(total + lat)
+        if cpm is not None and cpm >= slot.floor_price:
+            winner = (spec.partner_id, cpm)
+            break
     return WaterfallOutcome(
         site_id=scenario.site_id,
         round_index=round_index,
         slot_id=slot.slot_id,
-        tiers_tried=tuple(state["tried"]),
-        winner=state["winner"],
-        total_latency_ms=state["total"],
-        fallback_used=state["winner"] is None,
+        tiers_tried=tuple(tried),
+        winner=winner,
+        total_latency_ms=total,
+        fallback_used=winner is None,
     )
 
 

@@ -39,6 +39,10 @@ EXIT_RUNTIME = 2
 EXIT_PARSE_ERRORS = 3
 
 ENV_SEED = "HBARENA_SEED"
+_CORPUS_SUFFIXES = (".trace.jsonl", ".truth.jsonl")
+
+# json.dumps with separators makes a new encoder per call; rows share this one.
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,9 +63,24 @@ def _sha256_file(path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_text(path, text: str) -> str:
+    """Write text as UTF-8; returns the "sha256:" digest of the bytes written."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _write_lines(path, lines) -> str:
+    """Write each line and a newline as UTF-8, one at a time rather than as
+    one joined copy; returns the "sha256:" digest of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in lines:
+            data = line.encode("utf-8") + b"\n"
+            digest.update(data)
+            fh.write(data)
+    return "sha256:" + digest.hexdigest()
 
 
 def _participating_partners(scenario) -> list[str]:
@@ -148,24 +167,26 @@ def outcome_row(outcome, scenario, round_index) -> dict:
     return base
 
 
-def _simulate_site(task) -> tuple[str, list[str], list[str]]:
+def _simulate_site(task) -> tuple[str, list[tuple[str, str]], list[str]]:
     """Run all rounds for one site and write its trace/truth files.
 
-    Returns (site_id, written file names, outcome row JSON lines).
+    Returns (site_id, (file name, digest) of each file written, outcome row
+    JSON lines).
     """
     scenario, partners, master_seed, rounds, out_dir = task
-    written: list[str] = []
+    written: list[tuple[str, str]] = []
     rows: list[str] = []
     for round_index in range(rounds):
         outcome = run_scenario(scenario, partners, master_seed, round_index)
         trace = emit_trace(outcome, scenario, partners, round_index)
         t_name = trace_filename(scenario.site_id, round_index)
-        _write_text(os.path.join(out_dir, t_name), serialize_trace(trace))
+        written.append((t_name, _write_text(os.path.join(out_dir, t_name), serialize_trace(trace))))
         s_name = truth_filename(scenario.site_id, round_index)
         record = truth_record(outcome, scenario, round_index)
-        _write_text(os.path.join(out_dir, s_name), json.dumps(record, separators=(",", ":")) + "\n")
-        written.extend([t_name, s_name])
-        rows.append(json.dumps(outcome_row(outcome, scenario, round_index), separators=(",", ":")))
+        written.append(
+            (s_name, _write_text(os.path.join(out_dir, s_name), _COMPACT_JSON.encode(record) + "\n"))
+        )
+        rows.append(_COMPACT_JSON.encode(outcome_row(outcome, scenario, round_index)))
     return scenario.site_id, written, rows
 
 
@@ -204,27 +225,24 @@ def cmd_simulate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     tasks = [(site, sf.partners, master_seed, sf.rounds_per_site, out_dir) for site in sites]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_site, tasks, chunksize=64))
     else:
         results = [_simulate_site(task) for task in tasks]
     results.sort(key=lambda r: r[0])
 
-    all_files: list[str] = []
+    digests: dict[str, str] = {}
     outcome_lines: list[str] = []
     for _, written, rows in results:
-        all_files.extend(written)
+        digests.update(written)
         outcome_lines.extend(rows)
-    _write_text(os.path.join(out_dir, "outcomes.jsonl"), "".join(line + "\n" for line in outcome_lines))
-    all_files.append("outcomes.jsonl")
-
-    directory = sf.directory()
-    _write_text(
+    digests["outcomes.jsonl"] = _write_lines(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines)
+    digests["directory.json"] = _write_text(
         os.path.join(out_dir, "directory.json"),
-        json.dumps(directory.to_json(), indent=2, sort_keys=True) + "\n",
+        json.dumps(sf.directory().to_json(), indent=2, sort_keys=True) + "\n",
     )
-    all_files.append("directory.json")
 
     facet_counts: dict[str, int] = {}
     for site in sites:
@@ -240,9 +258,18 @@ def cmd_simulate(args) -> int:
         "site_meta": {
             site.site_id: {"rank": site.rank, "facet": site.facet.value} for site in sites
         },
-        "files": {name: _sha256_file(os.path.join(out_dir, name)) for name in sorted(all_files)},
+        "files": digests,  # sorted once, by sort_keys
     }
     _write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    stale = sorted(
+        name for name in os.listdir(out_dir) if name.endswith(_CORPUS_SUFFIXES) and name not in digests
+    )
+    if stale:
+        print(
+            f"warning: {out_dir} holds {len(stale)} trace or truth file(s) this run did not write "
+            f"(first: {file_label(stale[0])}); detect reads them, but the manifest does not list them",
+            file=sys.stderr,
+        )
     print(
         f"simulated {len(sites)} sites x {sf.rounds_per_site} rounds "
         f"(seed {master_seed}) into {out_dir}"
@@ -326,7 +353,7 @@ def cmd_detect(args) -> int:
             continue
         rows.append(result_row(extract_auction_metadata(trace, directory)))
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")
-    _write_text(out_path, "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
+    _write_text(out_path, "".join(_COMPACT_JSON.encode(row) + "\n" for row in rows))
     print(f"detected over {len(trace_names)} traces -> {out_path}"
           + (f" ({errors} errors)" if errors else ""))
     if args.score:
@@ -365,6 +392,16 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hbarena", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hbarena {__version__}")
@@ -374,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", required=True, help="scenario JSON file")
     p_sim.add_argument("--seed", type=int, default=None, help="master seed override (u64)")
     p_sim.add_argument("--out", default=None, help="output directory")
-    p_sim.add_argument("--jobs", type=int, default=1, help="concurrent site simulations")
+    p_sim.add_argument("--jobs", type=_at_least_one, default=1,
+                       help="concurrent site simulations (at most one worker per site)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("detect", help="classify traces for header-bidding activity")

@@ -1,4 +1,4 @@
-"""Seeded discrete-event engine and samplers underpinning every protocol run.
+"""Seeded samplers underpinning every protocol run.
 
 Randomness is organized as independent keyed streams: the key
 (master_seed, site_id, round_index, purpose) is hashed with SHA-256 into a
@@ -12,11 +12,8 @@ arithmetic stays in Decimal and is exact.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Any, Callable, Iterable
 
 from .domain import (
     BidModel,
@@ -28,10 +25,6 @@ from .domain import (
 )
 
 _MASK64 = (1 << 64) - 1
-
-
-class SchedulingError(RuntimeError):
-    """An event was scheduled to fire before the current virtual time."""
 
 
 def _stream_seed(master_seed: int, site_id: str, round_index: int, purpose: str) -> int:
@@ -59,12 +52,17 @@ class RngStream:
         return (z ^ (z >> 31)) & _MASK64
 
     def uniform(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        """Uniform double in [0, 1) from the top 53 bits of next_u64()."""
+        # next_u64() inlined: this is the hottest call of the auction core.
+        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; consumes two raw draws."""
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
+        # u1 is in (0, 1]: k * 2**-53 + 2**-53 is exactly (k + 1) * 2**-53.
+        u1 = self.uniform() + 2.0**-53
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
@@ -84,7 +82,10 @@ def sample_latency(model: LatencyModel, stream: RngStream) -> Decimal:
     if model.kind == "empirical":
         if not model.samples_ms:
             raise ConfigurationError("empirical latency model has no samples")
-        return model.samples_ms[stream.choice_index(len(model.samples_ms))]
+        value = model.samples_ms[stream.choice_index(len(model.samples_ms))]
+        if value <= 0:
+            raise ConfigurationError("empirical latency samples must be strictly positive")
+        return value
     raise ConfigurationError(f"unknown latency model kind {model.kind!r}")
 
 
@@ -120,58 +121,3 @@ def sample_partner_bids(
     if stream.uniform() >= float(response_probability):
         return None
     return [_bid_value(model, stream) for _ in range(n_slots)]
-
-
-@dataclass(frozen=True)
-class ScheduledEvent:
-    """Queue entry; processed in (fire_at_ms, seq) lexicographic order."""
-
-    fire_at_ms: Decimal
-    seq: int
-    payload: Any
-
-
-@dataclass
-class SimClock:
-    now_ms: Decimal = Decimal(0)
-
-
-Handler = Callable[[Any, Decimal], Iterable[tuple[Decimal, Any]]]
-
-
-def initial_schedule(entries: Iterable[tuple[Decimal, Any]]) -> list[ScheduledEvent]:
-    """Assign insertion sequence numbers in list order."""
-    return [ScheduledEvent(quantize_ms(t), i, payload) for i, (t, payload) in enumerate(entries)]
-
-
-def run_sim(
-    initial_events: list[ScheduledEvent], handler: Handler
-) -> tuple[SimClock, list[ScheduledEvent]]:
-    """Drain the event queue, calling handler(payload, now) for each event.
-
-    The handler may return new (fire_at_ms, payload) pairs; scheduling into
-    the past raises SchedulingError.  Events tied on fire time run in
-    insertion order.  Returns the final clock and the processed-event log.
-    """
-    clock = SimClock()
-    heap: list[tuple[Decimal, int, Any]] = []
-    seq = 0
-    for ev in initial_events:
-        if ev.fire_at_ms < 0:
-            raise SchedulingError(f"initial event at negative time {ev.fire_at_ms}")
-        heapq.heappush(heap, (ev.fire_at_ms, ev.seq, ev.payload))
-        seq = max(seq, ev.seq + 1)
-    log: list[ScheduledEvent] = []
-    while heap:
-        fire_at, ev_seq, payload = heapq.heappop(heap)
-        clock.now_ms = fire_at
-        log.append(ScheduledEvent(fire_at, ev_seq, payload))
-        for new_time, new_payload in handler(payload, fire_at) or ():
-            new_time = quantize_ms(new_time)
-            if new_time < clock.now_ms:
-                raise SchedulingError(
-                    f"handler scheduled event at {new_time} before current time {clock.now_ms}"
-                )
-            heapq.heappush(heap, (new_time, seq, new_payload))
-            seq += 1
-    return clock, log

@@ -28,6 +28,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Mapping
 from urllib.parse import urlsplit
 
@@ -58,6 +59,8 @@ _DIRECTIONS = frozenset(("outbound", "inbound"))
 _WEB_SCHEMES = frozenset(("http", "https"))
 _STR_OR_NONE = (str, type(None))
 _TS_LIMIT_MS = Decimal("1e15")
+# Round start; every other time an emitter stamps was quantized when sampled.
+_ROUND_START = Decimal("0.000")
 
 
 class TraceParseError(ValueError):
@@ -130,7 +133,7 @@ def _partner_host(spec: DemandPartnerSpec) -> str:
 
 def _dom(ts, name, params=None, auction_id=None, slot_id=None) -> TraceEvent:
     return TraceEvent(
-        ts_ms=quantize_ms(ts),
+        ts_ms=ts,
         kind=KIND_DOM,
         event_name=name,
         params=dict(params or {}),
@@ -141,7 +144,7 @@ def _dom(ts, name, params=None, auction_id=None, slot_id=None) -> TraceEvent:
 
 def _web(ts, kind, url, direction, params=None, auction_id=None, slot_id=None) -> TraceEvent:
     return TraceEvent(
-        ts_ms=quantize_ms(ts),
+        ts_ms=ts,
         kind=kind,
         url=url,
         direction=direction,
@@ -182,12 +185,12 @@ def _emit_wrapper_round(
     response_at = outcome.ad_server_response_time_ms
 
     events: list[TraceEvent] = []
-    events.append(_dom(0, "auctionInit", auction_id=aid))
-    events.append(_dom(0, "requestBids", auction_id=aid))
+    events.append(_dom(_ROUND_START, "auctionInit", auction_id=aid))
+    events.append(_dom(_ROUND_START, "requestBids", auction_id=aid))
     for pid in scenario.partners:
         url = f"https://{_partner_host(partners[pid])}/hb/bid?auction={aid}&bidder={pid}"
-        events.append(_dom(0, "bidRequested", {"bidder": pid}, auction_id=aid))
-        events.append(_web(0, KIND_REQUEST, url, "outbound", {"bidder": pid}, auction_id=aid))
+        events.append(_dom(_ROUND_START, "bidRequested", {"bidder": pid}, auction_id=aid))
+        events.append(_web(_ROUND_START, KIND_REQUEST, url, "outbound", {"bidder": pid}, auction_id=aid))
 
     # One response record per (partner, slot) bid keeps the flat parameter
     # map collision-free; all of one partner's bids share its arrival time.
@@ -243,7 +246,7 @@ def _emit_server_side(
     ad_url = f"https://{ad_host}/hb/auction?auction={aid}"
     response_at = outcome.ad_server_response_time_ms
 
-    events = [_web(0, KIND_REQUEST, ad_url, "outbound", {"hb_auction": aid}, auction_id=aid)]
+    events = [_web(_ROUND_START, KIND_REQUEST, ad_url, "outbound", {"hb_auction": aid}, auction_id=aid)]
     for slot in outcome.slots:
         params = {"hb_auction": aid}
         if slot.winner is not None:
@@ -264,7 +267,7 @@ def _emit_waterfall(
     partners: Mapping[str, DemandPartnerSpec],
 ) -> list[TraceEvent]:
     events: list[TraceEvent] = []
-    t = Decimal(0)
+    t = _ROUND_START
     for i, trial in enumerate(outcome.tiers_tried):
         host = _partner_host(partners[trial.partner_id])
         url = f"https://{host}/wf/ad?tier={i}"
@@ -304,24 +307,35 @@ def emit_trace(
 
 
 def serialize_event(event: TraceEvent) -> str:
-    obj: dict = {"ts_ms": _ts(event.ts_ms), "kind": event.kind}
+    """One compact, ASCII-only JSON line (no newline), keys in schema order.
+
+    The same text as ``json.dumps`` of the record with ``separators=(",",
+    ":")``; it is written out directly because building a dict and a new
+    encoder per event costs several times as much.
+    """
+    parts = ['{"ts_ms":"', _ts(event.ts_ms), '","kind":', _json_str(event.kind)]
     if event.event_name is not None:
-        obj["event_name"] = event.event_name
+        parts += (',"event_name":', _json_str(event.event_name))
     if event.url is not None:
-        obj["url"] = event.url
+        parts += (',"url":', _json_str(event.url))
     if event.direction is not None:
-        obj["direction"] = event.direction
+        parts += (',"direction":', _json_str(event.direction))
     if event.params:
-        obj["params"] = event.params
+        sep = ',"params":{'
+        for key, value in event.params.items():
+            parts += (sep, _json_str(key), ":", _json_str(value))
+            sep = ","
+        parts.append("}")
     if event.auction_id is not None:
-        obj["auction_id"] = event.auction_id
+        parts += (',"auction_id":', _json_str(event.auction_id))
     if event.slot_id is not None:
-        obj["slot_id"] = event.slot_id
-    return json.dumps(obj, separators=(",", ":"))
+        parts += (',"slot_id":', _json_str(event.slot_id))
+    parts.append("}")
+    return "".join(parts)
 
 
 def serialize_trace(trace: Trace) -> str:
-    return "".join(serialize_event(e) + "\n" for e in trace.events)
+    return "".join([serialize_event(e) + "\n" for e in trace.events])
 
 
 def parse_event(obj: dict, line_no: int) -> TraceEvent:

@@ -5,6 +5,7 @@ written against the protocol rules directly, not against the library code, so
 the tests compare two unrelated derivations of the same quantity.
 """
 
+import json
 from decimal import Decimal
 
 
@@ -67,6 +68,19 @@ def waterfall_totals(tiers, floor):
             winner = (partner_id, bid)
             break
     return tried, winner, total
+
+
+def serialize_event_json(event):
+    """One trace line the plain way: a dict in schema key order, then
+    ``json.dumps`` (ASCII-only, compact).  Absent fields and empty params are
+    left out; the timestamp is quantized to 3 places, half-even."""
+    ts = event.ts_ms.quantize(Decimal("0.001"), rounding="ROUND_HALF_EVEN")
+    obj = {"ts_ms": format(ts, "f"), "kind": event.kind}
+    for key in ("event_name", "url", "direction", "params", "auction_id", "slot_id"):
+        value = getattr(event, key)
+        if value is not None and (key != "params" or value):
+            obj[key] = value
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def count_client_trace_events(n_partners, n_arrived_bids, n_slots, n_filled_slots,

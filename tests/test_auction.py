@@ -16,7 +16,14 @@ from hbarena.auction import (
     run_waterfall,
     select_winner,
 )
-from hbarena.domain import ConfigurationError, Facet, WrapperPolicy
+from hbarena.domain import (
+    BidModel,
+    ConfigurationError,
+    DemandPartnerSpec,
+    Facet,
+    LatencyModel,
+    WrapperPolicy,
+)
 
 D = Decimal
 
@@ -268,6 +275,26 @@ class TestWaterfall:
         assert outcome.winner is None
         assert outcome.fallback_used
         assert len(outcome.tiers_tried) == 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32), n_tiers=st.integers(min_value=1, max_value=6))
+    def test_total_latency_is_sum_of_tier_latencies(self, seed, n_tiers):
+        roster = {
+            f"t{i}": DemandPartnerSpec(
+                partner_id=f"t{i}",
+                domains=(f"t{i}.example.net",),
+                latency_model=LatencyModel.lognormal(4.5, 0.8),
+                bid_model=BidModel.lognormal(-2.0, 1.0),
+                response_probability=D("0.7"),
+            )
+            for i in range(n_tiers)
+        }
+        scenario = make_scenario(
+            facet=Facet.WATERFALL_ONLY, partners=tuple(roster), slots=[make_slot(floor="0.2")]
+        )
+        outcome = run_waterfall(scenario, roster, master_seed=seed)
+        assert outcome.total_latency_ms == sum(t.latency_ms for t in outcome.tiers_tried)
+        assert outcome.total_latency_ms.as_tuple().exponent == -3
 
     def test_empty_tiers_config_error(self):
         scenario = make_scenario(facet=Facet.WATERFALL_ONLY, partners=())

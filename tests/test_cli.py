@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from hbarena.analytics import REPORT_NAMES, build_report, load_records
+from hbarena import cli
 from hbarena.cli import main
 
 MINIMAL_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "minimal.json"
@@ -137,13 +138,63 @@ def test_full_pipeline_deterministic_across_hash_seeds(tmp_path):
 
 
 def test_manifest_digests_match_files(tmp_path):
+    """The manifest digests the bytes as written, serially and from pool workers."""
+    scen = write(tmp_path, MIXED)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"run{jobs}"
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out), "--jobs", jobs]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert list(manifest["files"]) == on_disk
+        for name, digest in manifest["files"].items():
+            actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == f"sha256:{actual}", (jobs, name)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_jobs_below_one_exits_1(tmp_path, capsys, jobs):
     scen = write(tmp_path, MINIMAL)
     out = tmp_path / "run"
-    main(["simulate", "--scenario", str(scen), "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text())
-    for name, digest in manifest["files"].items():
-        actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert digest == f"sha256:{actual}", name
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(scen), "--out", str(out), "--jobs", jobs])
+    assert exc.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_jobs_never_exceed_sites(tmp_path, monkeypatch):
+    """A 1-site scenario runs in this process whatever --jobs asks for."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for one site")
+
+    scen = write(tmp_path, MINIMAL)
+    serial, asked_two = tmp_path / "serial", tmp_path / "jobs2"
+    assert main(["simulate", "--scenario", str(scen), "--out", str(serial)]) == 0
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(asked_two), "--jobs", "2"]) == 0
+    assert tree_digest(serial) == tree_digest(asked_two)
+
+
+def test_simulate_warns_about_trace_files_it_did_not_write(tmp_path, capsys):
+    scen = write(tmp_path, MINIMAL)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+    clean = capsys.readouterr()
+    # Re-running into its own output rewrites the same files: nothing to warn about.
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+    assert capsys.readouterr() == clean
+    assert "warning" not in clean.err
+
+    (out / "old-site__r0.trace.jsonl").write_text("")
+    (out / "old-site__r0.truth.jsonl").write_text("")
+    (out / "notes.txt").write_text("")
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+    stale = capsys.readouterr()
+    assert stale.out == clean.out
+    assert "holds 2 trace or truth file(s) this run did not write" in stale.err
+    assert "old-site__r0.trace.jsonl" in stale.err
+    assert "old-site__r0.trace.jsonl" not in json.loads((out / "manifest.json").read_text())["files"]
 
 
 def test_invalid_scenario_exits_1(tmp_path, capsys):

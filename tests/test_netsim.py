@@ -1,4 +1,4 @@
-"""Engine ordering, sampler determinism, and the pinned RNG golden file."""
+"""Sampler determinism and the pinned RNG golden file."""
 
 import json
 from decimal import Decimal
@@ -8,15 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hbarena.domain import BidModel, ConfigurationError, LatencyModel
-from hbarena.netsim import (
-    RngStream,
-    SchedulingError,
-    initial_schedule,
-    run_sim,
-    sample_bid,
-    sample_latency,
-    sample_partner_bids,
-)
+from hbarena.netsim import RngStream, sample_bid, sample_latency, sample_partner_bids
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "rng_golden.json").read_text())
 
@@ -63,6 +55,12 @@ def test_sample_latency_empirical_empty_is_config_error():
         sample_latency(LatencyModel(kind="empirical"), RngStream(1, "s", 0, "t"))
 
 
+@pytest.mark.parametrize("sample", ["0", "-1.5"])
+def test_sample_latency_empirical_non_positive_draw_is_config_error(sample):
+    with pytest.raises(ConfigurationError):
+        sample_latency(LatencyModel.empirical([sample]), RngStream(1, "s", 0, "t"))
+
+
 @given(seed=st.integers(min_value=0, max_value=2**32), sigma=st.floats(min_value=0, max_value=3))
 def test_sample_latency_always_positive_finite(seed, sigma):
     stream = RngStream(seed, "s", 0, "t")
@@ -93,49 +91,3 @@ def test_sample_partner_bids_shape():
     bids = sample_partner_bids(BidModel.fixed("0.2"), RngStream(1, "s", 0, "b"), 1, 4)
     assert bids == [Decimal("0.2")] * 4
     assert sample_partner_bids(BidModel.fixed("0.2"), RngStream(1, "s", 0, "b"), 0, 4) is None
-
-
-def test_run_sim_empty_queue():
-    clock, log = run_sim([], lambda payload, now: [])
-    assert clock.now_ms == 0
-    assert log == []
-
-
-def test_run_sim_orders_by_time():
-    events = initial_schedule([(Decimal(5), "a"), (Decimal(3), "b")])
-    _, log = run_sim(events, lambda payload, now: [])
-    assert [e.payload for e in log] == ["b", "a"]
-    assert [e.fire_at_ms for e in log] == [Decimal(3), Decimal(5)]
-
-
-def test_run_sim_fifo_on_ties():
-    events = initial_schedule([(Decimal(7), "A"), (Decimal(7), "B")])
-    _, log = run_sim(events, lambda payload, now: [])
-    assert [e.payload for e in log] == ["A", "B"]
-
-
-def test_run_sim_handler_spawns_events():
-    def handler(payload, now):
-        if payload == "start":
-            return [(now + Decimal(10), "next")]
-        return []
-
-    clock, log = run_sim(initial_schedule([(Decimal(0), "start")]), handler)
-    assert [e.payload for e in log] == ["start", "next"]
-    assert clock.now_ms == Decimal(10)
-
-
-def test_run_sim_rejects_scheduling_into_the_past():
-    def handler(payload, now):
-        return [(now - Decimal(1), "bad")]
-
-    with pytest.raises(SchedulingError):
-        run_sim(initial_schedule([(Decimal(5), "start")]), handler)
-
-
-@given(times=st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=30))
-def test_run_sim_log_sorted_by_time_then_seq(times):
-    events = initial_schedule([(Decimal(t), i) for i, t in enumerate(times)])
-    _, log = run_sim(events, lambda payload, now: [])
-    keys = [(e.fire_at_ms, e.seq) for e in log]
-    assert keys == sorted(keys)

@@ -18,6 +18,7 @@ from hbarena.tracegen import (
     TraceParseError,
     emit_trace,
     parse_trace_text,
+    serialize_event,
     serialize_trace,
     truth_record,
 )
@@ -291,6 +292,35 @@ class TestRoundTrip:
         assert parsed == trace
         assert serialize_trace(parsed) == text
         assert [e.ts_ms for e in trace.events] == sorted(e.ts_ms for e in trace.events)
+
+
+# Quotes, backslashes, control characters, non-ASCII text and lone surrogates,
+# beside whatever else Hypothesis draws (surrogates included).
+_awkward_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=12,
+)
+_optional_text = st.none() | _awkward_text
+
+
+@settings(max_examples=200)
+@given(
+    ts=st.decimals(min_value=-10**9, max_value=10**9, allow_nan=False, allow_infinity=False, places=5),
+    kind=_awkward_text,
+    event_name=_optional_text,
+    url=_optional_text,
+    direction=_optional_text,
+    params=st.dictionaries(_awkward_text, _awkward_text, max_size=4),
+    auction_id=_optional_text,
+    slot_id=_optional_text,
+)
+def test_serialize_event_equals_json_dumps(ts, kind, event_name, url, direction, params,
+                                           auction_id, slot_id):
+    event = TraceEvent(ts, kind, event_name, url, direction, params, auction_id, slot_id)
+    assert serialize_event(event) == oracles.serialize_event_json(event)
 
 
 class TestParseErrors:
