@@ -480,7 +480,24 @@ def write_report_csv(path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+# json.dump's indent= falls back to the pure-Python encoder; the C one writes
+# each flat row, and this separator puts every key after the first on its own
+# line at the row's indent.
+_ROW_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": "))
+
+
+def _json_row(row: dict) -> str:
+    text = _ROW_JSON.encode(row)
+    return "      {\n        " + text[1:-1] + "\n      }" if row else "      {}"
+
+
 def write_report_json(path, reports: dict[str, list[dict]]) -> None:
+    """The text of ``json.dump({"reports": reports}, indent=2, sort_keys=True)``
+    and a newline; every row is a flat map of scalars."""
+    entries = [
+        f"    {_ROW_JSON.encode(name)}: " + ("[\n" + ",\n".join(map(_json_row, rows)) + "\n    ]" if rows else "[]")
+        for name, rows in sorted(reports.items())
+    ]
+    body = "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"reports": reports}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n  "reports": ' + body + "\n}\n")

@@ -21,7 +21,7 @@ from .domain import (
     WrapperPolicy,
     quantize_ms,
 )
-from .netsim import RngStream, sample_bid, sample_latency, sample_partner_bids
+from .netsim import RngStream, sample_latency, sample_partner_bids
 
 CHANNEL_CLIENT = "client"
 CHANNEL_AD_SERVER = "ad_server"
@@ -356,11 +356,13 @@ def run_waterfall(
             spec.latency_model,
             RngStream(master_seed, scenario.site_id, round_index, f"latency:{spec.partner_id}"),
         )
-        cpm = sample_bid(
+        bids = sample_partner_bids(
             spec.bid_model,
             RngStream(master_seed, scenario.site_id, round_index, f"bid:{spec.partner_id}"),
             spec.response_probability,
+            1,
         )
+        cpm = bids[0] if bids else None
         tried.append(TierTrial(spec.partner_id, cpm, lat))
         total = quantize_ms(total + lat)
         if cpm is not None and cpm >= slot.floor_price:

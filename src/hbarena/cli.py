@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -167,6 +168,16 @@ def outcome_row(outcome, scenario, round_index) -> dict:
     return base
 
 
+def _map_ordered(fn, tasks: list, jobs: int) -> list:
+    """[fn(task) for task in tasks], on up to ``jobs`` worker processes but
+    never more than there are tasks; one task or job runs in this process."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=64))
+
+
 def _simulate_site(task) -> tuple[str, list[tuple[str, str]], list[str]]:
     """Run all rounds for one site and write its trace/truth files.
 
@@ -225,13 +236,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     tasks = [(site, sf.partners, master_seed, sf.rounds_per_site, out_dir) for site in sites]
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_site, tasks, chunksize=64))
-    else:
-        results = [_simulate_site(task) for task in tasks]
-    results.sort(key=lambda r: r[0])
+    results = sorted(_map_ordered(_simulate_site, tasks, args.jobs), key=lambda r: r[0])
 
     digests: dict[str, str] = {}
     outcome_lines: list[str] = []
@@ -337,21 +342,22 @@ def _score(results: list[dict], trace_dir: str) -> None:
           f"facet_accuracy={ratio(facet_hits, facet_total)}")
 
 
+def _detect_trace(trace_dir: str, directory: PartnerDirectory, name: str) -> dict:
+    """One trace file's result row, or its error row when it cannot be read."""
+    try:
+        trace = parse_trace_file(os.path.join(trace_dir, name))
+    except (TraceParseError, UnicodeDecodeError, OSError) as exc:
+        return {"site_id": file_label(name), "round_index": None, "error": str(exc)}
+    return result_row(extract_auction_metadata(trace, directory))
+
+
 def cmd_detect(args) -> int:
     if not os.path.isdir(args.trace_dir):
         raise ConfigurationError(f"trace directory not found: {args.trace_dir}")
     directory = _load_directory(args)
     trace_names = sorted(n for n in os.listdir(args.trace_dir) if n.endswith(".trace.jsonl"))
-    rows: list[dict] = []
-    errors = 0
-    for name in trace_names:
-        try:
-            trace = parse_trace_file(os.path.join(args.trace_dir, name))
-        except (TraceParseError, UnicodeDecodeError, OSError) as exc:
-            errors += 1
-            rows.append({"site_id": file_label(name), "round_index": None, "error": str(exc)})
-            continue
-        rows.append(result_row(extract_auction_metadata(trace, directory)))
+    rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
+    errors = sum("error" in row for row in rows)
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")
     _write_text(out_path, "".join(_COMPACT_JSON.encode(row) + "\n" for row in rows))
     print(f"detected over {len(trace_names)} traces -> {out_path}"
@@ -420,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--directory", default=None, help="partner directory JSON file")
     p_det.add_argument("--out", default=None, help="results JSONL path")
     p_det.add_argument("--score", action="store_true", help="score against truth sidecars")
+    p_det.add_argument("--jobs", type=_at_least_one, default=1,
+                       help="concurrent trace detections (at most one worker per trace)")
     p_det.set_defaults(func=cmd_detect)
 
     p_rep = sub.add_parser("report", help="aggregate results or ground truth into reports")
@@ -439,7 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (1), or --help / --version (0)
+        return exc.code
     try:
         return args.func(args)
     except ConfigurationError as exc:

@@ -103,21 +103,14 @@ def _bid_value(model: BidModel, stream: RngStream) -> Decimal:
     raise ConfigurationError(f"unknown bid model kind {model.kind!r}")
 
 
-def sample_bid(model: BidModel, stream: RngStream, response_probability) -> Decimal | None:
-    """One bid draw; None when the partner declines to respond.
-
-    The first uniform gates the response, further draws produce the value,
-    so a given stream yields the same decision sequence everywhere.
-    """
-    if stream.uniform() >= float(response_probability):
-        return None
-    return _bid_value(model, stream)
-
-
 def sample_partner_bids(
     model: BidModel, stream: RngStream, response_probability, n_slots: int
 ) -> list[Decimal] | None:
-    """Response gate plus one bid per slot; None when the partner stays silent."""
+    """Response gate plus one bid per slot; None when the partner stays silent.
+
+    The first uniform gates the response, further draws produce the values,
+    so a given stream yields the same decision sequence everywhere.
+    """
     if stream.uniform() >= float(response_probability):
         return None
     return [_bid_value(model, stream) for _ in range(n_slots)]

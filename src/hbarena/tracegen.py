@@ -23,6 +23,7 @@ and parameters, as in a real capture.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -77,6 +78,15 @@ def url_host(url: str | None) -> str | None:
     """
     if not url:
         return None
+    # The scheme and host both end before the first "?" or "#", so the URL
+    # cut there has the same host; bidder URLs differ only in their query.
+    return _host_before_query(url.partition("?")[0].partition("#")[0])
+
+
+# Partner hosts recur in every trace and stay cached; a first-party ad
+# server's is seen in one trace only.  A larger cache gets no more hits.
+@functools.lru_cache(maxsize=256)
+def _host_before_query(url: str) -> str | None:
     try:
         parts = urlsplit(url)
     except ValueError:
@@ -338,10 +348,7 @@ def serialize_trace(trace: Trace) -> str:
     return "".join([serialize_event(e) + "\n" for e in trace.events])
 
 
-def parse_event(obj: dict, line_no: int) -> TraceEvent:
-    if not obj.keys() <= _ALLOWED_KEYS:
-        key = next(k for k in obj if k not in _ALLOWED_KEYS)
-        raise TraceParseError(line_no, f"unknown key {key!r}")
+def _checked_ts(obj: dict, line_no: int) -> Decimal:
     try:
         ts = Decimal(obj["ts_ms"])
     except (KeyError, TypeError, ValueError, InvalidOperation) as exc:
@@ -350,7 +357,31 @@ def parse_event(obj: dict, line_no: int) -> TraceEvent:
     # millisecond precision in the default 28-digit context.
     if not ts.is_finite() or abs(ts) >= _TS_LIMIT_MS:
         raise TraceParseError(line_no, f"bad ts_ms: out of range: {obj['ts_ms']!r}")
-    ts = ts.quantize(MS_QUANTUM, rounding=ROUND_HALF_EVEN)
+    return ts.quantize(MS_QUANTUM, rounding=ROUND_HALF_EVEN)
+
+
+# A trace repeats its own few timestamps within a few lines, so a small cache
+# hits as often as a large one.
+@functools.lru_cache(maxsize=64)
+def _ts_of_text(text: str) -> Decimal | None:
+    """The checked timestamp a string ts_ms stands for; None if it is unusable."""
+    try:
+        return _checked_ts({"ts_ms": text}, 0)
+    except TraceParseError:
+        return None
+
+
+def parse_event(obj: dict, line_no: int) -> TraceEvent:
+    if not obj.keys() <= _ALLOWED_KEYS:
+        key = next(k for k in obj if k not in _ALLOWED_KEYS)
+        raise TraceParseError(line_no, f"unknown key {key!r}")
+    # A string timestamp is checked once per distinct text (round start,
+    # arrivals and the ad server's response repeat).  Other types, and
+    # unusable strings, take the checked path for its error message.
+    ts = obj.get("ts_ms")
+    ts = _ts_of_text(ts) if type(ts) is str else None
+    if ts is None:
+        ts = _checked_ts(obj, line_no)
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise TraceParseError(line_no, f"bad kind {kind!r}")
@@ -382,13 +413,39 @@ def parse_event(obj: dict, line_no: int) -> TraceEvent:
     return TraceEvent(ts, kind, name, url, direction, params, auction_id, slot_id)
 
 
+_scan_once = json.JSONDecoder().scan_once  # the C scanner behind json.loads
+_SCAN_MAX_BRACKETS = 32
+_UNSCANNED = object()
+
+
+def _scanned(line: str):
+    """json.loads(line)'s value when the C scanner decodes the whole line on
+    its own, without json.loads's three Python frames; else _UNSCANNED.
+
+    Leading or trailing whitespace, a BOM, malformed text and too many digits
+    are left to json.loads, for its value or its error.  So is a line with
+    many brackets: the scanner runs two frames shallower than json.loads's
+    does, so nested close to the recursion limit it could succeed where
+    json.loads fails.
+    """
+    if line.count("[") + line.count("{") > _SCAN_MAX_BRACKETS:
+        return _UNSCANNED
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return _UNSCANNED
+    return obj if end == len(line) else _UNSCANNED
+
+
 def parse_trace_text(text: str, site_id: str, round_index: int) -> Trace:
     events = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _scanned(line)
+            if obj is _UNSCANNED:
+                obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
         except (ValueError, RecursionError) as exc:  # too many digits, too deep

@@ -6,7 +6,8 @@ the tests compare two unrelated derivations of the same quantity.
 """
 
 import json
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
+from urllib.parse import urlsplit
 
 
 def brute_force_winner(bids, floor):
@@ -280,3 +281,37 @@ def report_rows(name, records, include_zero_bid_auctions=True):
             counts[key] = counts.get(key, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [flat_row(key, n, Decimal(n) / Decimal(total)) for key, n in ranked]
+
+
+def url_host(url):
+    """Host of an http(s) URL from urlsplit's own body, past its cache: lower
+    case, no userinfo or port; None for other schemes, URLs without a host
+    and URLs urlsplit rejects."""
+    if not url:
+        return None
+    try:
+        parts = urlsplit.__wrapped__(url)
+    except ValueError:
+        return None
+    return parts.hostname if parts.scheme in ("http", "https") else None
+
+
+def json_outcome(decode, line):
+    """decode(line) as ("value", repr of the value) or ("error", exception
+    type, message); repr tells 1 from 1.0 and True, and NaN equals NaN."""
+    try:
+        return ("value", repr(decode(line)))
+    except (ValueError, RecursionError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def string_timestamp(text, line_no):
+    """A string ts_ms checked the plain way: ("ok", canonical text) or
+    ("error", the parse error's message)."""
+    try:
+        ts = Decimal(text)
+    except (ValueError, InvalidOperation) as exc:
+        return ("error", f"line {line_no}: bad ts_ms: {exc}")
+    if not ts.is_finite() or abs(ts) >= Decimal("1e15"):
+        return ("error", f"line {line_no}: bad ts_ms: out of range: {text!r}")
+    return ("ok", str(ts.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)))

@@ -24,6 +24,7 @@ from hbarena.analytics import (
     percentile,
     price_stats,
     rank_bin_label,
+    write_report_json,
 )
 
 D = Decimal
@@ -325,3 +326,17 @@ class TestReportsMatchLoopReference:
     def test_every_report(self, records, include_zero):
         for name in REPORT_NAMES:
             assert build_report(name, records, include_zero) == oracles.report_rows(name, records, include_zero), name
+
+
+_ROW_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\u00e9\u4e2d\U0001f600\n\t '), max_size=6)
+_ROW_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), _ROW_TEXT,
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports=st.dictionaries(_ROW_TEXT, st.lists(st.dictionaries(_ROW_TEXT, _ROW_VALUES, max_size=8), max_size=4),
+                               max_size=4))
+def test_report_json_equals_indented_json_dump(tmp_path_factory, reports):
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    write_report_json(path, reports)
+    assert path.read_text(encoding="utf-8") == json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n"

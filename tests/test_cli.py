@@ -155,11 +155,20 @@ def test_manifest_digests_match_files(tmp_path):
 def test_jobs_below_one_exits_1(tmp_path, capsys, jobs):
     scen = write(tmp_path, MINIMAL)
     out = tmp_path / "run"
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--scenario", str(scen), "--out", str(out), "--jobs", jobs])
-    assert exc.value.code == 1
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out), "--jobs", jobs]) == 1
     assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+    assert main(["detect", str(tmp_path), "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "results.jsonl").exists()
+
+
+def test_usage_errors_help_and_version_return_their_exit_codes(capsys):
+    assert main(["detect"]) == 1
+    assert main(["simulate", "--no-such-flag"]) == 1
+    assert main(["--version"]) == 0
+    assert main(["detect", "--help"]) == 0
+    assert "--jobs" in capsys.readouterr().out
 
 
 def test_jobs_never_exceed_sites(tmp_path, monkeypatch):
@@ -174,6 +183,7 @@ def test_jobs_never_exceed_sites(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(["simulate", "--scenario", str(scen), "--out", str(asked_two), "--jobs", "2"]) == 0
     assert tree_digest(serial) == tree_digest(asked_two)
+    assert main(["detect", str(asked_two), "--jobs", "2"]) == 0  # one trace
 
 
 def test_simulate_warns_about_trace_files_it_did_not_write(tmp_path, capsys):
@@ -332,6 +342,17 @@ def test_reports_match_loop_reference_on_mixed_corpus(mixed_run, source, include
         expected = oracles.report_rows(name, records, include_zero)
         assert expected, name
         assert build_report(name, records, include_zero) == expected, name
+
+
+@pytest.mark.parametrize("source", ["outcomes.jsonl", "results.jsonl"])
+def test_report_json_equals_indented_json_dump_on_mixed_corpus(mixed_run, tmp_path, source):
+    out, manifest = tmp_path / "reports", mixed_run / "manifest.json"
+    assert main(["report", str(mixed_run / source), "--out", str(out), "--manifest", str(manifest)]) == 0
+    ranks = {site: meta["rank"] for site, meta in json.loads(manifest.read_text())["site_meta"].items()}
+    records = load_records(mixed_run / source, ranks)
+    reports = {name: build_report(name, records) for name in REPORT_NAMES}
+    assert all(reports.values())
+    assert (out / "report.json").read_text() == json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n"
 
 
 def simulate_minimal(out: Path) -> Path:
@@ -500,3 +521,34 @@ def test_mutated_traces_never_abort_detect_or_report(minimal_corpus, data):
             for auction in row.get("auctions", []):
                 assert all(Decimal(b["cpm"]).is_finite() for b in auction["bids"])
         assert main(["report", str(run / "results.jsonl"), "--out", str(run / "reports")]) == 0
+
+
+def detect_outputs(run: Path, jobs: str, capsys) -> tuple[int, str, bytes]:
+    """detect --score --jobs N over run: exit code, stdout, results.jsonl."""
+    capsys.readouterr()
+    code = main(["detect", str(run), "--score", "--jobs", jobs])
+    return code, capsys.readouterr().out, (run / "results.jsonl").read_bytes()
+
+
+def test_detect_jobs_2_matches_jobs_1_on_mixed(mixed_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(mixed_run, run)
+    serial = detect_outputs(run, "1", capsys)
+    assert serial[0] == 0 and "precision=1 recall=1 facet_accuracy=1" in serial[1]
+    assert detect_outputs(run, "2", capsys) == serial
+
+
+def test_detect_jobs_2_matches_jobs_1_on_hostile_traces(mixed_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(mixed_run, run)
+    names = sorted(p.name for p in run.glob("*.trace.jsonl") if p.stat().st_size)
+    rewrite_records(run / names[0], lambda r: r.update(ts_ms="Infinity"))
+    rewrite_records(run / names[1], lambda r: r.update(ts_ms=[1]))
+    (run / names[2]).write_bytes((run / names[2]).read_bytes() + b"\xff\n")
+    os.rename(run / names[3], os.path.join(os.fsencode(run), b"bad-\xffname__r0.trace.jsonl"))
+    (run / "zz\udcff__r0.trace.jsonl").mkdir()
+    serial = detect_outputs(run, "1", capsys)
+    assert serial[0] == 3 and "(4 errors)" in serial[1]
+    errors = [row for row in map(json.loads, serial[2].splitlines()) if "error" in row]
+    assert [row["site_id"] for row in errors] == [*names[:3], "zz\\xff__r0.trace.jsonl"]
+    assert detect_outputs(run, "2", capsys) == serial

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hbarena.domain import BidModel, ConfigurationError, LatencyModel
-from hbarena.netsim import RngStream, sample_bid, sample_latency, sample_partner_bids
+from hbarena.netsim import RngStream, sample_latency, sample_partner_bids
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "rng_golden.json").read_text())
 
@@ -73,18 +73,18 @@ def test_sample_latency_always_positive_finite(seed, sigma):
 
 def test_sample_bid_response_probability_edges():
     stream = RngStream(1, "s", 0, "b")
-    assert sample_bid(BidModel.fixed("0.5"), stream, 1) == Decimal("0.5")
+    assert sample_partner_bids(BidModel.fixed("0.5"), stream, 1, 1) == [Decimal("0.5")]
     stream = RngStream(1, "s", 0, "b")
-    assert sample_bid(BidModel.fixed("0.5"), stream, 0) is None
+    assert sample_partner_bids(BidModel.fixed("0.5"), stream, 0, 1) is None
     stream = RngStream(1, "s", 0, "b")
-    assert sample_bid(BidModel.fixed("0.031"), stream, 1) == Decimal("0.031")
+    assert sample_partner_bids(BidModel.fixed("0.031"), stream, 1, 1) == [Decimal("0.031")]
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_sample_bid_non_negative(seed):
     stream = RngStream(seed, "s", 0, "b")
-    value = sample_bid(BidModel.lognormal(-8.0, 2.0), stream, 1)
-    assert value is not None and value >= 0
+    values = sample_partner_bids(BidModel.lognormal(-8.0, 2.0), stream, 1, 1)
+    assert values is not None and len(values) == 1 and values[0] >= 0
 
 
 def test_sample_partner_bids_shape():

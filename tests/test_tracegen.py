@@ -1,5 +1,7 @@
 """Trace emission fixtures, serialization round-trips, facet fingerprints."""
 
+import json
+import sys
 from decimal import Decimal
 
 import pytest
@@ -9,6 +11,7 @@ import oracles
 from conftest import make_partner, make_scenario, make_slot
 from hbarena.auction import run_client_side, run_hybrid, run_scenario, run_server_side, run_waterfall
 from hbarena.domain import Facet, WrapperPolicy, builtin_directory, decimal_str, lookup_partner
+from hbarena import tracegen
 from hbarena.tracegen import (
     DOM_EVENT_NAMES,
     KIND_DOM,
@@ -17,10 +20,12 @@ from hbarena.tracegen import (
     TraceEvent,
     TraceParseError,
     emit_trace,
+    parse_event,
     parse_trace_text,
     serialize_event,
     serialize_trace,
     truth_record,
+    url_host,
 )
 
 D = Decimal
@@ -394,3 +399,110 @@ def test_render_failure_emits_ad_render_failed():
     assert "adRenderFailed" in names
     assert "slotRenderEnded" not in names
     assert not outcome.winner_notified
+
+
+# Pieces of JSON and of near-JSON, joined at random into lines.
+_JSON_TOKENS = (
+    "{", "}", "[", "]", ":", ",", '"', "\\", '"a"', '"ts_ms"', '"0.000"', '"\\ud800"', '"\\u00e9"', '"\u00e9"',
+    "1", "-0", "0.5", "1e400", "-1e-400", "9" * 5000, "NaN", "Infinity", "-Infinity", "true", "null",
+    " ", "\t", "\n", "\ufeff", "\x00", "\u2028",
+)
+_TRACE_LINES = (
+    '{"ts_ms":"0.000","kind":"dom_event","event_name":"auctionInit","auction_id":"s:r0"}',
+    '{"ts_ms":"130.250","kind":"web_response","url":"https://ib.adnxs.com/hb/bid?auction=s:r0&bidder=appnexus",'
+    '"direction":"inbound","params":{"bidder":"appnexus","hb_price":"0.412","hb_size":"300x250"},'
+    '"auction_id":"s:r0","slot_id":"slot0"}',
+)
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+_LINES = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_JSON_TOKENS), max_size=40).map("".join),
+    st.tuples(st.sampled_from(("", " ", "\ufeff", "x", "{")), st.sampled_from(_TRACE_LINES),
+              st.sampled_from(("", " ", "\t", ",", "}", "{}", '{"a":[1'))).map("".join),
+    # Across the scanner's bracket budget, and far past the recursion limit.
+    st.integers(1, 2 * tracegen._SCAN_MAX_BRACKETS).map(_nested),
+    st.integers(sys.getrecursionlimit() + 100, 3 * sys.getrecursionlimit()).map(_nested),
+)
+
+
+def _decode_like_parse(line):
+    obj = tracegen._scanned(line)
+    return json.loads(line) if obj is tracegen._UNSCANNED else obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=_LINES)
+def test_line_decode_equals_json_loads(line):
+    """The value, or the exception type and message, of json.loads."""
+    assert oracles.json_outcome(_decode_like_parse, line) == oracles.json_outcome(json.loads, line)
+
+
+def test_many_brackets_skip_the_scanner(monkeypatch):
+    def no_scan(line, idx):
+        raise AssertionError("scanned a line with more brackets than the budget")
+
+    monkeypatch.setattr(tracegen, "_scan_once", no_scan)
+    line = '{"a":' + _nested(tracegen._SCAN_MAX_BRACKETS) + "}"
+    assert tracegen._scanned(line) is tracegen._UNSCANNED
+
+
+def test_joined_lines_that_are_valid_json_still_fail():
+    # {"a":[1 and 2]},{"b":1} join into valid JSON; each line alone is not.
+    with pytest.raises(TraceParseError) as err:
+        parse_trace_text('{"a":[1\n2]},{"b":1}\n', "s", 0)
+    assert err.value.line_no == 1 and "invalid JSON" in str(err.value)
+
+
+_TS_TEXTS = st.one_of(
+    st.sampled_from(["0", "0.0005", "0.0015", "-0", "1e3", "999999999999999.9995", "1e15", "-1e15",
+                     "NaN", "-Infinity", "sNaN", " 1", "1_000", "x", "", "0.000"]),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.text(alphabet="0123456789.-eE+ ", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TS_TEXTS, line_no=st.integers(1, 50))
+def test_string_timestamp_parses_as_checked_once_or_twice(text, line_no):
+    """A string ts_ms parses the same the first time and when seen again."""
+    record = {"ts_ms": text, "kind": "dom_event", "event_name": "auctionInit"}
+    outcomes = []
+    for _ in range(2):
+        try:
+            outcomes.append(("ok", str(parse_event(dict(record), line_no).ts_ms)))
+        except TraceParseError as exc:
+            outcomes.append(("error", str(exc)))
+    assert outcomes[0] == outcomes[1] == oracles.string_timestamp(text, line_no)
+
+
+_URL_PIECES = st.sampled_from((
+    "http", "https", "HTTPS", "ftp", "h", ":", "//", "/", "?", "#", "@", "[", "]", "::1", "u:p", ":443", ":x",
+    "ads.example.com", "A.B", ".", " ", "\t", "\n", "\x00", "%", "\u00e9", "\uff21", "\u2100", "\uff03", "\uff1f",
+    "auction=s:r0&bidder=a",
+))
+
+
+_URLS = st.one_of(
+    st.text(),
+    st.lists(_URL_PIECES, max_size=12).map("".join),
+    st.tuples(
+        st.sampled_from(("http://", "https://", "HTTPS://", "ftp://", "http:", " https://", "\thttp://")),
+        st.sampled_from(("", "u@", "u:p@", "@", "a?b@", "a#b@", "a/b@")),
+        st.sampled_from(("ads.example.com", "A.B", "[::1]", "[::1", "::1]", "\u00e9.example", "x\u2100y", "")),
+        st.sampled_from(("", ":443", ":x", ":")),
+        st.sampled_from(("", "/", "/hb/bid", "/a@b", "?q@r", "#f@g")),
+    ).map("".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(url=_URLS, tail=st.sampled_from(("", "?q=1", "#f", "?a=b#c", "?other", "?u@h")))
+def test_url_host_equals_uncached_urlsplit(url, tail):
+    # The tail gives URLs that share a host-cache key but not their text.
+    for text in (url, url + tail):
+        assert url_host(text) == oracles.url_host(text), text
