@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable
 
-from .domain import decimal_str, quantize_cpm
+from .domain import HB_FACETS, decimal_str, quantize_cpm
 
 RANK_BIN_WIDTH = 500
 POPULARITY_BIN_WIDTH = 10
@@ -81,7 +81,7 @@ def record_from_outcome_row(row: dict) -> AuctionRecord:
         site_id=row["site_id"],
         round_index=int(row.get("round_index", 0)),
         facet=facet,
-        is_hb=facet in ("client_side", "server_side", "hybrid"),
+        is_hb=facet in HB_FACETS,
         rank=int(row["rank"]) if row.get("rank") is not None else None,
         partner_ids=tuple(row.get("partner_ids", [])),
         bids=tuple(bids),

@@ -191,6 +191,41 @@ def _slot_outcomes(scenario, bids_by_slot, master_seed, round_index) -> tuple[Sl
     return tuple(replace(s, render_failed=True) if s.slot_id in failed else s for s in out)
 
 
+def _add_bids(bids_by_slot, slots, pid, cpms, requested_at, arrived_at, late, channel) -> None:
+    """Append one partner's bid for each slot; all share the same timing."""
+    for slot, cpm in zip(slots, cpms):
+        bids_by_slot[slot.slot_id].append(Bid(pid, slot.slot_id, cpm, requested_at, arrived_at, late, channel))
+
+
+def _add_server_bids(bids_by_slot, scenario, spec, master_seed, round_index, at) -> None:
+    """The bids the ad-server entity collects from spec; they materialize at
+    the ad server at time `at` and can never be late."""
+    stream = RngStream(master_seed, scenario.site_id, round_index, f"server_bid:{spec.partner_id}")
+    cpms = sample_partner_bids(spec.bid_model, stream, spec.response_probability, len(scenario.slots))
+    if cpms is not None:
+        _add_bids(bids_by_slot, scenario.slots, spec.partner_id, cpms, at, at, False, CHANNEL_AD_SERVER)
+
+
+def _auction_outcome(scenario, bids_by_slot, master_seed, round_index, send_time) -> AuctionOutcome:
+    """Per-slot winners and the ad server's answer, sent at send_time."""
+    adserver_latency = sample_latency(
+        scenario.ad_server_latency,
+        RngStream(master_seed, scenario.site_id, round_index, "adserver_latency"),
+    )
+    slots = _slot_outcomes(scenario, bids_by_slot, master_seed, round_index)
+    response_at = quantize_ms(send_time + adserver_latency)
+    return AuctionOutcome(
+        site_id=scenario.site_id,
+        round_index=round_index,
+        facet=scenario.facet,
+        slots=slots,
+        wrapper_send_time_ms=send_time,
+        ad_server_response_time_ms=response_at,
+        total_latency_ms=response_at,
+        winner_notified=any(s.filled and not s.render_failed for s in slots),
+    )
+
+
 def run_client_side(
     scenario: WebsiteScenario,
     partners: Mapping[str, DemandPartnerSpec],
@@ -221,61 +256,14 @@ def run_hybrid(
 def _run_wrapper_round(scenario, partners, master_seed, round_index, server_entity):
     responses = _client_responses(scenario, partners, master_seed, round_index)
     send_time = _effective_send_time(scenario, responses)
-    adserver_latency = sample_latency(
-        scenario.ad_server_latency,
-        RngStream(master_seed, scenario.site_id, round_index, "adserver_latency"),
-    )
-
     bids_by_slot: dict[str, list[Bid]] = {slot.slot_id: [] for slot in scenario.slots}
     for pid, (arrival, cpms) in responses.items():
-        for slot, cpm in zip(scenario.slots, cpms):
-            bids_by_slot[slot.slot_id].append(
-                Bid(
-                    partner_id=pid,
-                    slot_id=slot.slot_id,
-                    cpm=cpm,
-                    requested_at_ms=Decimal(0),
-                    arrived_at_ms=arrival,
-                    late=arrival > send_time,
-                    channel=CHANNEL_CLIENT,
-                )
-            )
+        _add_bids(bids_by_slot, scenario.slots, pid, cpms, Decimal(0), arrival, arrival > send_time,
+                  CHANNEL_CLIENT)
     if server_entity is not None:
-        stream = RngStream(
-            master_seed, scenario.site_id, round_index, f"server_bid:{server_entity.partner_id}"
-        )
-        cpms = sample_partner_bids(
-            server_entity.bid_model, stream, server_entity.response_probability, len(scenario.slots)
-        )
-        if cpms is not None:
-            for slot, cpm in zip(scenario.slots, cpms):
-                # Server-side bids materialize at the ad server; they are
-                # pinned to the handoff instant and can never be late.
-                bids_by_slot[slot.slot_id].append(
-                    Bid(
-                        partner_id=server_entity.partner_id,
-                        slot_id=slot.slot_id,
-                        cpm=cpm,
-                        requested_at_ms=send_time,
-                        arrived_at_ms=send_time,
-                        late=False,
-                        channel=CHANNEL_AD_SERVER,
-                    )
-                )
-
-    slots = _slot_outcomes(scenario, bids_by_slot, master_seed, round_index)
-    response_at = quantize_ms(send_time + adserver_latency)
-    rendered_any = any(s.filled and not s.render_failed for s in slots)
-    return AuctionOutcome(
-        site_id=scenario.site_id,
-        round_index=round_index,
-        facet=scenario.facet,
-        slots=slots,
-        wrapper_send_time_ms=send_time,
-        ad_server_response_time_ms=response_at,
-        total_latency_ms=response_at,
-        winner_notified=rendered_any,
-    )
+        # The entity's own bids are pinned to the handoff instant.
+        _add_server_bids(bids_by_slot, scenario, server_entity, master_seed, round_index, send_time)
+    return _auction_outcome(scenario, bids_by_slot, master_seed, round_index, send_time)
 
 
 def run_server_side(
@@ -292,44 +280,11 @@ def run_server_side(
             f"site {scenario.site_id!r}: server_side requires ad_server_partner_id"
         )
     _resolve(partners, scenario.ad_server_partner_id, scenario.site_id)
-
-    adserver_latency = sample_latency(
-        scenario.ad_server_latency,
-        RngStream(master_seed, scenario.site_id, round_index, "adserver_latency"),
-    )
     bids_by_slot: dict[str, list[Bid]] = {slot.slot_id: [] for slot in scenario.slots}
     for pid in scenario.partners:
         spec = _resolve(partners, pid, scenario.site_id)
-        stream = RngStream(master_seed, scenario.site_id, round_index, f"server_bid:{pid}")
-        cpms = sample_partner_bids(spec.bid_model, stream, spec.response_probability, len(scenario.slots))
-        if cpms is None:
-            continue
-        for slot, cpm in zip(scenario.slots, cpms):
-            bids_by_slot[slot.slot_id].append(
-                Bid(
-                    partner_id=pid,
-                    slot_id=slot.slot_id,
-                    cpm=cpm,
-                    requested_at_ms=Decimal(0),
-                    arrived_at_ms=Decimal(0),
-                    late=False,
-                    channel=CHANNEL_AD_SERVER,
-                )
-            )
-
-    slots = _slot_outcomes(scenario, bids_by_slot, master_seed, round_index)
-    response_at = quantize_ms(adserver_latency)
-    rendered_any = any(s.filled and not s.render_failed for s in slots)
-    return AuctionOutcome(
-        site_id=scenario.site_id,
-        round_index=round_index,
-        facet=Facet.SERVER_SIDE,
-        slots=slots,
-        wrapper_send_time_ms=Decimal(0),
-        ad_server_response_time_ms=response_at,
-        total_latency_ms=response_at,
-        winner_notified=rendered_any,
-    )
+        _add_server_bids(bids_by_slot, scenario, spec, master_seed, round_index, Decimal(0))
+    return _auction_outcome(scenario, bids_by_slot, master_seed, round_index, Decimal(0))
 
 
 def run_waterfall(

@@ -18,14 +18,15 @@ from decimal import Decimal
 
 from . import __version__
 from .analytics import REPORT_NAMES, build_report, load_records, write_report_csv, write_report_json
-from .auction import AuctionOutcome, WaterfallOutcome, run_scenario
+from .auction import run_scenario
 from .detector import extract_auction_metadata, result_row
-from .domain import ConfigurationError, Facet, PartnerDirectory, builtin_directory, decimal_str
+from .domain import HB_FACETS, ConfigurationError, PartnerDirectory, builtin_directory, decimal_str
 from .scenario import ScenarioFile, expand_sites, load_scenario_file, validate_scenario_file
 from .tracegen import (
     TraceParseError,
     emit_trace,
     file_label,
+    outcome_row,
     parse_trace_file,
     serialize_trace,
     trace_filename,
@@ -50,10 +51,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are exit code 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
-
-
-def _ts(value: Decimal) -> str:
-    return format(value, "f")
 
 
 def _sha256_file(path) -> str:
@@ -82,90 +79,6 @@ def _write_lines(path, lines) -> str:
             digest.update(data)
             fh.write(data)
     return "sha256:" + digest.hexdigest()
-
-
-def _participating_partners(scenario) -> list[str]:
-    if scenario.facet is Facet.SERVER_SIDE:
-        return [scenario.ad_server_partner_id]
-    if scenario.facet is Facet.HYBRID:
-        return list(scenario.partners) + [scenario.ad_server_partner_id]
-    return list(scenario.partners)
-
-
-def outcome_row(outcome, scenario, round_index) -> dict:
-    """Ground-truth log row; carries the scenario context analytics needs."""
-    base = {
-        "site_id": scenario.site_id,
-        "rank": scenario.rank,
-        "round_index": round_index,
-        "facet": scenario.facet.value,
-        "wrapper_policy": scenario.wrapper_policy.value,
-        "timeout_ms": scenario.timeout_ms,
-        "partner_ids": _participating_partners(scenario),
-        "slot_count": len(scenario.slots),
-    }
-    if outcome is None:
-        base.update({"partner_ids": [], "total_latency_ms": None})
-        return base
-    if isinstance(outcome, WaterfallOutcome):
-        base.update(
-            {
-                "tiers_tried": [
-                    {
-                        "partner": t.partner_id,
-                        "bid": decimal_str(t.bid) if t.bid is not None else None,
-                        "latency_ms": _ts(t.latency_ms),
-                    }
-                    for t in outcome.tiers_tried
-                ],
-                "winner": (
-                    {"partner": outcome.winner[0], "cpm": decimal_str(outcome.winner[1])}
-                    if outcome.winner
-                    else None
-                ),
-                "total_latency_ms": _ts(outcome.total_latency_ms),
-                "fallback_used": outcome.fallback_used,
-            }
-        )
-        return base
-    assert isinstance(outcome, AuctionOutcome)
-    base.update(
-        {
-            "wrapper_send_time_ms": _ts(outcome.wrapper_send_time_ms),
-            "ad_server_response_time_ms": _ts(outcome.ad_server_response_time_ms),
-            "total_latency_ms": _ts(outcome.total_latency_ms),
-            "winner_notified": outcome.winner_notified,
-            "late_bid_count": outcome.late_bid_count,
-            "slots": [
-                {
-                    "slot_id": slot.slot_id,
-                    "size": slot.size,
-                    "floor_price": decimal_str(slot.floor_price),
-                    "filled": slot.filled,
-                    "fallback_used": slot.fallback_used,
-                    "render_failed": slot.render_failed,
-                    "winner": (
-                        {"partner": slot.winner[0], "cpm": decimal_str(slot.winner[1])}
-                        if slot.winner
-                        else None
-                    ),
-                    "bids": [
-                        {
-                            "partner": bid.partner_id,
-                            "cpm": decimal_str(bid.cpm),
-                            "requested_at_ms": _ts(bid.requested_at_ms),
-                            "arrived_at_ms": _ts(bid.arrived_at_ms),
-                            "late": bid.late,
-                            "channel": bid.channel,
-                        }
-                        for bid in slot.bids
-                    ],
-                }
-                for slot in outcome.slots
-            ],
-        }
-    )
-    return base
 
 
 def _map_ordered(fn, tasks: list, jobs: int) -> list:
@@ -314,7 +227,7 @@ def _score(results: list[dict], trace_dir: str) -> None:
         if truth_row is None:
             continue
         scored += 1
-        actual_hb = truth_row["facet"] in ("client_side", "server_side", "hybrid")
+        actual_hb = truth_row["facet"] in HB_FACETS
         if failed:
             # A trace that could not be read is a miss when it held HB.
             errors += 1

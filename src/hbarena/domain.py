@@ -4,6 +4,12 @@ All prices are decimal CPM in USD and all times are decimal milliseconds.
 Values are quantized at fixed boundaries (milliseconds to 3 fractional
 digits, CPM to 6, both round-half-even) so every derived artifact is
 byte-stable for a given seed.
+
+Response times and bid prices are drawn from one distribution type,
+``Distribution``: fixed, lognormal or empirical, with one JSON schema
+(``value_<unit>``, ``samples_<unit>``).  ``LatencyModel`` (ms, strictly
+positive) and ``BidModel`` (cpm, non-negative) differ only in their noun,
+unit, quantizer and lower bound.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
+from typing import Callable, ClassVar
 from importlib import resources
 
 MS_QUANTUM = Decimal("0.001")
@@ -69,129 +76,94 @@ class WrapperPolicy(str, Enum):
 
 
 @dataclass(frozen=True)
-class LatencyModel:
-    """Sampling model for one endpoint's response time in milliseconds.
+class Distribution:
+    """Sampling model for one random quantity: a fixed value, a lognormal
+    (mu and sigma of the underlying normal, in log-units), or an empirical
+    sample list.
 
-    kind is one of fixed / lognormal / empirical; lognormal parameters are
-    the (mu, sigma) of the underlying normal in log-milliseconds.
+    Subclasses name the quantity and fix its JSON unit suffix, quantizer
+    and lower bound; the schema and the checks are shared.
     """
 
     kind: str
-    value_ms: Decimal | None = None
+    value: Decimal | None = None
     mu: float | None = None
     sigma: float | None = None
-    samples_ms: tuple[Decimal, ...] = ()
+    samples: tuple[Decimal, ...] = ()
+
+    noun: ClassVar[str]
+    unit: ClassVar[str]  # JSON key suffix: value_<unit>, samples_<unit>
+    quantize: ClassVar[Callable[[object], Decimal]]
+    minimum: ClassVar[Decimal]  # smallest value a draw may take
 
     @classmethod
-    def fixed(cls, value_ms) -> "LatencyModel":
-        return cls(kind="fixed", value_ms=quantize_ms(value_ms))
+    def fixed(cls, value):
+        return cls(kind="fixed", value=cls.quantize(value))
 
     @classmethod
-    def lognormal(cls, mu: float, sigma: float) -> "LatencyModel":
+    def lognormal(cls, mu: float, sigma: float):
         return cls(kind="lognormal", mu=float(mu), sigma=float(sigma))
 
     @classmethod
-    def empirical(cls, samples) -> "LatencyModel":
-        return cls(kind="empirical", samples_ms=tuple(quantize_ms(s) for s in samples))
+    def empirical(cls, samples):
+        return cls(kind="empirical", samples=tuple(cls.quantize(s) for s in samples))
+
+    @classmethod
+    def bound(cls) -> str:
+        return "strictly positive" if cls.minimum > 0 else "non-negative"
 
     def violations(self, where: str) -> list[str]:
-        out = []
+        noun = self.noun
         if self.kind == "fixed":
-            if self.value_ms is None or self.value_ms <= 0:
-                out.append(f"{where}: fixed latency must be strictly positive")
+            if self.value is None or self.value < self.minimum:
+                return [f"{where}: fixed {noun} must be {self.bound()}"]
         elif self.kind == "lognormal":
             if self.mu is None or self.sigma is None or self.sigma < 0:
-                out.append(f"{where}: lognormal latency needs mu and sigma >= 0")
+                return [f"{where}: lognormal {noun} needs mu and sigma >= 0"]
         elif self.kind == "empirical":
-            if not self.samples_ms:
-                out.append(f"{where}: empirical latency needs at least one sample")
-            elif any(s <= 0 for s in self.samples_ms):
-                out.append(f"{where}: empirical latency samples must be strictly positive")
+            if not self.samples:
+                return [f"{where}: empirical {noun} needs at least one sample"]
+            if any(s < self.minimum for s in self.samples):
+                return [f"{where}: empirical {noun} samples must be {self.bound()}"]
         else:
-            out.append(f"{where}: unknown latency model kind {self.kind!r}")
-        return out
+            return [f"{where}: unknown {noun} model kind {self.kind!r}"]
+        return []
 
     def to_json(self) -> dict:
         if self.kind == "fixed":
-            return {"kind": "fixed", "value_ms": decimal_str(self.value_ms)}
+            return {"kind": "fixed", f"value_{self.unit}": decimal_str(self.value)}
         if self.kind == "lognormal":
             return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
-        return {"kind": "empirical", "samples_ms": [decimal_str(s) for s in self.samples_ms]}
+        return {"kind": "empirical", f"samples_{self.unit}": [decimal_str(s) for s in self.samples]}
 
     @classmethod
-    def from_json(cls, obj: dict, where: str = "latency_model") -> "LatencyModel":
+    def from_json(cls, obj: dict, where: str | None = None):
+        where = where or f"{cls.noun}_model"
         kind = obj.get("kind")
         try:
             if kind == "fixed":
-                return cls.fixed(Decimal(str(obj["value_ms"])))
+                return cls.fixed(Decimal(str(obj[f"value_{cls.unit}"])))
             if kind == "lognormal":
                 return cls.lognormal(float(obj["mu"]), float(obj["sigma"]))
             if kind == "empirical":
-                return cls.empirical(Decimal(str(s)) for s in obj["samples_ms"])
+                return cls.empirical(Decimal(str(s)) for s in obj[f"samples_{cls.unit}"])
         except (KeyError, InvalidOperation, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{where}: bad parameters for kind {kind!r}: {exc}") from exc
         raise ConfigurationError(f"{where}: unknown kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class BidModel:
-    """Sampling model for one partner's bid price in CPM USD."""
+class LatencyModel(Distribution):
+    """One endpoint's response time in milliseconds."""
 
-    kind: str
-    value_cpm: Decimal | None = None
-    mu: float | None = None
-    sigma: float | None = None
-    samples_cpm: tuple[Decimal, ...] = ()
+    noun, unit, quantize = "latency", "ms", staticmethod(quantize_ms)
+    minimum = MS_QUANTUM  # strictly positive: values are whole quanta
 
-    @classmethod
-    def fixed(cls, value_cpm) -> "BidModel":
-        return cls(kind="fixed", value_cpm=quantize_cpm(value_cpm))
 
-    @classmethod
-    def lognormal(cls, mu: float, sigma: float) -> "BidModel":
-        return cls(kind="lognormal", mu=float(mu), sigma=float(sigma))
+class BidModel(Distribution):
+    """One partner's bid price in CPM USD."""
 
-    @classmethod
-    def empirical(cls, samples) -> "BidModel":
-        return cls(kind="empirical", samples_cpm=tuple(quantize_cpm(s) for s in samples))
-
-    def violations(self, where: str) -> list[str]:
-        out = []
-        if self.kind == "fixed":
-            if self.value_cpm is None or self.value_cpm < 0:
-                out.append(f"{where}: fixed bid must be non-negative")
-        elif self.kind == "lognormal":
-            if self.mu is None or self.sigma is None or self.sigma < 0:
-                out.append(f"{where}: lognormal bid needs mu and sigma >= 0")
-        elif self.kind == "empirical":
-            if not self.samples_cpm:
-                out.append(f"{where}: empirical bid needs at least one sample")
-            elif any(s < 0 for s in self.samples_cpm):
-                out.append(f"{where}: empirical bid samples must be non-negative")
-        else:
-            out.append(f"{where}: unknown bid model kind {self.kind!r}")
-        return out
-
-    def to_json(self) -> dict:
-        if self.kind == "fixed":
-            return {"kind": "fixed", "value_cpm": decimal_str(self.value_cpm)}
-        if self.kind == "lognormal":
-            return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma}
-        return {"kind": "empirical", "samples_cpm": [decimal_str(s) for s in self.samples_cpm]}
-
-    @classmethod
-    def from_json(cls, obj: dict, where: str = "bid_model") -> "BidModel":
-        kind = obj.get("kind")
-        try:
-            if kind == "fixed":
-                return cls.fixed(Decimal(str(obj["value_cpm"])))
-            if kind == "lognormal":
-                return cls.lognormal(float(obj["mu"]), float(obj["sigma"]))
-            if kind == "empirical":
-                return cls.empirical(Decimal(str(s)) for s in obj["samples_cpm"])
-        except (KeyError, InvalidOperation, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{where}: bad parameters for kind {kind!r}: {exc}") from exc
-        raise ConfigurationError(f"{where}: unknown kind {kind!r}")
+    noun, unit, quantize = "bid", "cpm", staticmethod(quantize_cpm)
+    minimum = Decimal(0)  # non-negative
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,7 @@ import hashlib
 import math
 from decimal import Decimal
 
-from .domain import (
-    BidModel,
-    ConfigurationError,
-    LatencyModel,
-    MS_QUANTUM,
-    quantize_cpm,
-    quantize_ms,
-)
+from .domain import BidModel, ConfigurationError, Distribution, LatencyModel
 
 _MASK64 = (1 << 64) - 1
 
@@ -70,37 +63,31 @@ class RngStream:
         return min(int(self.uniform() * n), n - 1)
 
 
+def _draw(model: Distribution, stream: RngStream) -> Decimal:
+    """One quantized draw, never below the model's minimum."""
+    kind = model.kind
+    if kind == "lognormal":
+        # A latency that rounds to zero takes the smallest positive value.
+        return max(model.quantize(math.exp(model.mu + model.sigma * stream.normal())), model.minimum)
+    if kind == "fixed":
+        value = model.value
+        if value is None or value < model.minimum:
+            raise ConfigurationError(f"fixed {model.noun} must be {model.bound()}")
+        return value
+    if kind == "empirical":
+        samples = model.samples
+        if not samples:
+            raise ConfigurationError(f"empirical {model.noun} model has no samples")
+        value = samples[stream.choice_index(len(samples))]
+        if value < model.minimum:
+            raise ConfigurationError(f"empirical {model.noun} samples must be {model.bound()}")
+        return value
+    raise ConfigurationError(f"unknown {model.noun} model kind {kind!r}")
+
+
 def sample_latency(model: LatencyModel, stream: RngStream) -> Decimal:
     """One response-time draw in canonical milliseconds, always > 0."""
-    if model.kind == "fixed":
-        if model.value_ms is None or model.value_ms <= 0:
-            raise ConfigurationError("fixed latency must be strictly positive")
-        return model.value_ms
-    if model.kind == "lognormal":
-        value = quantize_ms(math.exp(model.mu + model.sigma * stream.normal()))
-        return value if value > 0 else MS_QUANTUM
-    if model.kind == "empirical":
-        if not model.samples_ms:
-            raise ConfigurationError("empirical latency model has no samples")
-        value = model.samples_ms[stream.choice_index(len(model.samples_ms))]
-        if value <= 0:
-            raise ConfigurationError("empirical latency samples must be strictly positive")
-        return value
-    raise ConfigurationError(f"unknown latency model kind {model.kind!r}")
-
-
-def _bid_value(model: BidModel, stream: RngStream) -> Decimal:
-    if model.kind == "fixed":
-        if model.value_cpm is None or model.value_cpm < 0:
-            raise ConfigurationError("fixed bid must be non-negative")
-        return model.value_cpm
-    if model.kind == "lognormal":
-        return quantize_cpm(math.exp(model.mu + model.sigma * stream.normal()))
-    if model.kind == "empirical":
-        if not model.samples_cpm:
-            raise ConfigurationError("empirical bid model has no samples")
-        return model.samples_cpm[stream.choice_index(len(model.samples_cpm))]
-    raise ConfigurationError(f"unknown bid model kind {model.kind!r}")
+    return _draw(model, stream)
 
 
 def sample_partner_bids(
@@ -113,4 +100,4 @@ def sample_partner_bids(
     """
     if stream.uniform() >= float(response_probability):
         return None
-    return [_bid_value(model, stream) for _ in range(n_slots)]
+    return [_draw(model, stream) for _ in range(n_slots)]

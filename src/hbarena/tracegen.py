@@ -187,12 +187,7 @@ def _emit_wrapper_round(
     partners: Mapping[str, DemandPartnerSpec],
 ) -> list[TraceEvent]:
     aid = f"{outcome.site_id}:r{outcome.round_index}"
-    if scenario.ad_server_partner_id:
-        ad_host = _partner_host(partners[scenario.ad_server_partner_id])
-    else:
-        ad_host = _site_host(outcome.site_id)
     send = outcome.wrapper_send_time_ms
-    response_at = outcome.ad_server_response_time_ms
 
     events: list[TraceEvent] = []
     events.append(_dom(_ROUND_START, "auctionInit", auction_id=aid))
@@ -223,8 +218,30 @@ def _emit_wrapper_round(
             )
 
     events.append(_dom(send, "auctionEnd", auction_id=aid))
+    events += _ad_server_exchange(outcome, scenario, partners, send)
+    return events
+
+
+def _ad_server_exchange(
+    outcome: AuctionOutcome,
+    scenario: WebsiteScenario,
+    partners: Mapping[str, DemandPartnerSpec],
+    sent_at: Decimal,
+) -> list[TraceEvent]:
+    """The request to the ad server, its per-slot responses and the renders.
+
+    bidWon marks a winner that came from the browser, so a server-side
+    round, whose bids all reach the ad server directly, emits none.
+    """
+    aid = f"{outcome.site_id}:r{outcome.round_index}"
+    if scenario.ad_server_partner_id:
+        ad_host = _partner_host(partners[scenario.ad_server_partner_id])
+    else:
+        ad_host = _site_host(outcome.site_id)
     ad_url = f"https://{ad_host}/hb/auction?auction={aid}"
-    events.append(_web(send, KIND_REQUEST, ad_url, "outbound", {"hb_auction": aid}, auction_id=aid))
+    response_at = outcome.ad_server_response_time_ms
+
+    events = [_web(sent_at, KIND_REQUEST, ad_url, "outbound", {"hb_auction": aid}, auction_id=aid)]
     for slot in outcome.slots:
         params = {"hb_auction": aid}
         if slot.winner is not None:
@@ -242,31 +259,6 @@ def _emit_wrapper_round(
                      {"bidder": pid, "hb_price": decimal_str(cpm), "hb_size": slot.size},
                      auction_id=aid, slot_id=slot.slot_id)
             )
-        events.extend(_render_events(slot, response_at, aid))
-    return events
-
-
-def _emit_server_side(
-    outcome: AuctionOutcome,
-    scenario: WebsiteScenario,
-    partners: Mapping[str, DemandPartnerSpec],
-) -> list[TraceEvent]:
-    aid = f"{outcome.site_id}:r{outcome.round_index}"
-    ad_host = _partner_host(partners[scenario.ad_server_partner_id])
-    ad_url = f"https://{ad_host}/hb/auction?auction={aid}"
-    response_at = outcome.ad_server_response_time_ms
-
-    events = [_web(_ROUND_START, KIND_REQUEST, ad_url, "outbound", {"hb_auction": aid}, auction_id=aid)]
-    for slot in outcome.slots:
-        params = {"hb_auction": aid}
-        if slot.winner is not None:
-            pid, cpm = slot.winner
-            params.update({"hb_partner": pid, "hb_price": decimal_str(cpm), "hb_size": slot.size})
-        events.append(
-            _web(response_at, KIND_RESPONSE, ad_url, "inbound", params,
-                 auction_id=aid, slot_id=slot.slot_id)
-        )
-    for slot in outcome.slots:
         events.extend(_render_events(slot, response_at, aid))
     return events
 
@@ -309,7 +301,7 @@ def emit_trace(
     if isinstance(outcome, WaterfallOutcome):
         events = _emit_waterfall(outcome, scenario, partners)
     elif outcome.facet is Facet.SERVER_SIDE:
-        events = _emit_server_side(outcome, scenario, partners)
+        events = _ad_server_exchange(outcome, scenario, partners, _ROUND_START)
     else:
         events = _emit_wrapper_round(outcome, scenario, partners)
     ordered = tuple(sorted(events, key=lambda e: e.ts_ms))  # stable: ties keep emission order
@@ -350,7 +342,10 @@ def serialize_trace(trace: Trace) -> str:
 
 def _checked_ts(obj: dict, line_no: int) -> Decimal:
     try:
-        ts = Decimal(obj["ts_ms"])
+        raw = obj["ts_ms"]
+        if isinstance(raw, bool):  # Decimal(True) would be 1
+            raise TypeError("conversion from bool to Decimal is not supported")
+        ts = Decimal(raw)
     except (KeyError, TypeError, ValueError, InvalidOperation) as exc:
         raise TraceParseError(line_no, f"bad ts_ms: {exc}") from exc
     # The bound keeps every difference of two timestamps exact at
@@ -487,6 +482,10 @@ def parse_trace_file(path) -> Trace:
         return parse_trace_text(fh.read(), site_id, round_index)
 
 
+def _winner_json(winner: tuple[str, Decimal] | None) -> dict | None:
+    return {"partner": winner[0], "cpm": decimal_str(winner[1])} if winner else None
+
+
 def truth_record(
     outcome: AuctionOutcome | WaterfallOutcome | None, scenario: WebsiteScenario, round_index: int = 0
 ) -> dict:
@@ -501,32 +500,87 @@ def truth_record(
             "total_latency_ms": "0.000",
         }
     if isinstance(outcome, WaterfallOutcome):
-        winner = {
-            outcome.slot_id: (
-                {"partner": outcome.winner[0], "cpm": decimal_str(outcome.winner[1])}
-                if outcome.winner
-                else None
-            )
-        }
-        return {
-            "site_id": outcome.site_id,
-            "round_index": outcome.round_index,
-            "facet": Facet.WATERFALL_ONLY.value,
-            "winner": winner,
-            "late_bid_count": 0,
-            "total_latency_ms": _ts(outcome.total_latency_ms),
-        }
-    winner = {
-        slot.slot_id: (
-            {"partner": slot.winner[0], "cpm": decimal_str(slot.winner[1])} if slot.winner else None
-        )
-        for slot in outcome.slots
-    }
+        winner, late = {outcome.slot_id: _winner_json(outcome.winner)}, 0
+    else:
+        winner = {slot.slot_id: _winner_json(slot.winner) for slot in outcome.slots}
+        late = outcome.late_bid_count
     return {
         "site_id": outcome.site_id,
         "round_index": outcome.round_index,
         "facet": outcome.facet.value,
         "winner": winner,
-        "late_bid_count": outcome.late_bid_count,
+        "late_bid_count": late,
         "total_latency_ms": _ts(outcome.total_latency_ms),
     }
+
+
+def _participating_partners(scenario: WebsiteScenario) -> list[str]:
+    if scenario.facet is Facet.SERVER_SIDE:
+        return [scenario.ad_server_partner_id]
+    if scenario.facet is Facet.HYBRID:
+        return list(scenario.partners) + [scenario.ad_server_partner_id]
+    return list(scenario.partners)
+
+
+def outcome_row(
+    outcome: AuctionOutcome | WaterfallOutcome | None, scenario: WebsiteScenario, round_index: int
+) -> dict:
+    """Ground-truth log row; carries the scenario context analytics needs.
+
+    Times are printed with format(value, "f"), not _ts: an unquantized zero
+    stays "0" here, as every outcomes.jsonl so far has it.
+    """
+    row = {
+        "site_id": scenario.site_id,
+        "rank": scenario.rank,
+        "round_index": round_index,
+        "facet": scenario.facet.value,
+        "wrapper_policy": scenario.wrapper_policy.value,
+        "timeout_ms": scenario.timeout_ms,
+        "partner_ids": _participating_partners(scenario),
+        "slot_count": len(scenario.slots),
+    }
+    if outcome is None:
+        row.update({"partner_ids": [], "total_latency_ms": None})
+    elif isinstance(outcome, WaterfallOutcome):
+        row["tiers_tried"] = [
+            {
+                "partner": t.partner_id,
+                "bid": decimal_str(t.bid) if t.bid is not None else None,
+                "latency_ms": format(t.latency_ms, "f"),
+            }
+            for t in outcome.tiers_tried
+        ]
+        row["winner"] = _winner_json(outcome.winner)
+        row["total_latency_ms"] = format(outcome.total_latency_ms, "f")
+        row["fallback_used"] = outcome.fallback_used
+    else:
+        row["wrapper_send_time_ms"] = format(outcome.wrapper_send_time_ms, "f")
+        row["ad_server_response_time_ms"] = format(outcome.ad_server_response_time_ms, "f")
+        row["total_latency_ms"] = format(outcome.total_latency_ms, "f")
+        row["winner_notified"] = outcome.winner_notified
+        row["late_bid_count"] = outcome.late_bid_count
+        row["slots"] = [
+            {
+                "slot_id": slot.slot_id,
+                "size": slot.size,
+                "floor_price": decimal_str(slot.floor_price),
+                "filled": slot.filled,
+                "fallback_used": slot.fallback_used,
+                "render_failed": slot.render_failed,
+                "winner": _winner_json(slot.winner),
+                "bids": [
+                    {
+                        "partner": bid.partner_id,
+                        "cpm": decimal_str(bid.cpm),
+                        "requested_at_ms": format(bid.requested_at_ms, "f"),
+                        "arrived_at_ms": format(bid.arrived_at_ms, "f"),
+                        "late": bid.late,
+                        "channel": bid.channel,
+                    }
+                    for bid in slot.bids
+                ],
+            }
+            for slot in outcome.slots
+        ]
+    return row

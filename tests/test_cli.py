@@ -102,6 +102,80 @@ def test_minimal_simulate_outputs(tmp_path, capsys):
     assert manifest["facet_counts"] == {"client_side": 1}
 
 
+# One server-side and one waterfall site with fixed models, so every outcome
+# row field is known in advance.
+SERVER_AND_WATERFALL = {
+    "master_seed": 5,
+    "rounds_per_site": 1,
+    "partners": [
+        {
+            "partner_id": "alpha",
+            "domains": ["alpha.example.net"],
+            "latency_model": {"kind": "fixed", "value_ms": "120"},
+            "bid_model": {"kind": "fixed", "value_cpm": "0.35"},
+        },
+        {
+            "partner_id": "dfp",
+            "domains": ["dfp.example.net"],
+            "latency_model": {"kind": "fixed", "value_ms": "80"},
+            "bid_model": {"kind": "fixed", "value_cpm": "0.05"},
+        },
+    ],
+    "sites": [
+        {
+            "site_id": "server-site",
+            "rank": 2,
+            "facet": "server_side",
+            "slots": [{"slot_id": "slot0", "width": 728, "height": 90, "floor_price": "0.1"}],
+            "partners": ["alpha"],
+            "ad_server_partner_id": "dfp",
+            "ad_server_latency": {"kind": "fixed", "value_ms": "60"},
+        },
+        {
+            "site_id": "waterfall-site",
+            "rank": 3,
+            "facet": "waterfall_only",
+            "slots": [{"slot_id": "slot0", "width": 300, "height": 250, "floor_price": "0.1"}],
+            "partners": ["dfp", "alpha"],
+            "ad_server_latency": {"kind": "fixed", "value_ms": "60"},
+        },
+    ],
+}
+
+
+def test_outcome_rows_are_pinned_byte_for_byte(tmp_path):
+    # Outcome rows print times unquantized, so a zero time is "0" where the
+    # truth and trace files print "0.000"; the manifest digests depend on it.
+    assert main(["simulate", "--scenario", str(MINIMAL_SCENARIO), "--out", str(tmp_path / "min")]) == 0
+    assert (tmp_path / "min" / "outcomes.jsonl").read_text() == (
+        '{"site_id":"demo-site","rank":1,"round_index":0,"facet":"client_side",'
+        '"wrapper_policy":"wait_timeout","timeout_ms":3000,"partner_ids":["appnexus","criteo"],'
+        '"slot_count":1,"wrapper_send_time_ms":"200.000","ad_server_response_time_ms":"350.000",'
+        '"total_latency_ms":"350.000","winner_notified":true,"late_bid_count":0,'
+        '"slots":[{"slot_id":"slot0","size":"300x250","floor_price":"0.1","filled":true,'
+        '"fallback_used":false,"render_failed":false,"winner":{"partner":"appnexus","cpm":"0.5"},'
+        '"bids":[{"partner":"appnexus","cpm":"0.5","requested_at_ms":"0","arrived_at_ms":"100.000",'
+        '"late":false,"channel":"client"},{"partner":"criteo","cpm":"0.2","requested_at_ms":"0",'
+        '"arrived_at_ms":"200.000","late":false,"channel":"client"}]}]}\n'
+    )
+    scen = write(tmp_path, SERVER_AND_WATERFALL)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "sw")]) == 0
+    assert (tmp_path / "sw" / "outcomes.jsonl").read_text() == (
+        '{"site_id":"server-site","rank":2,"round_index":0,"facet":"server_side",'
+        '"wrapper_policy":"wait_timeout","timeout_ms":3000,"partner_ids":["dfp"],"slot_count":1,'
+        '"wrapper_send_time_ms":"0","ad_server_response_time_ms":"60.000","total_latency_ms":"60.000",'
+        '"winner_notified":true,"late_bid_count":0,"slots":[{"slot_id":"slot0","size":"728x90",'
+        '"floor_price":"0.1","filled":true,"fallback_used":false,"render_failed":false,'
+        '"winner":{"partner":"alpha","cpm":"0.35"},"bids":[{"partner":"alpha","cpm":"0.35",'
+        '"requested_at_ms":"0","arrived_at_ms":"0","late":false,"channel":"ad_server"}]}]}\n'
+        '{"site_id":"waterfall-site","rank":3,"round_index":0,"facet":"waterfall_only",'
+        '"wrapper_policy":"wait_timeout","timeout_ms":3000,"partner_ids":["dfp","alpha"],'
+        '"slot_count":1,"tiers_tried":[{"partner":"dfp","bid":"0.05","latency_ms":"80.000"},'
+        '{"partner":"alpha","bid":"0.35","latency_ms":"120.000"}],'
+        '"winner":{"partner":"alpha","cpm":"0.35"},"total_latency_ms":"200.000","fallback_used":false}\n'
+    )
+
+
 def test_simulate_twice_is_byte_identical(tmp_path):
     scen = write(tmp_path, MIXED)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -373,7 +447,7 @@ def result_rows(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-@pytest.mark.parametrize("ts", ["Infinity", "NaN", "sNaN", "1e40"])
+@pytest.mark.parametrize("ts", ["Infinity", "NaN", "sNaN", "1e40", True])
 def test_unusable_timestamp_is_an_error_row(tmp_path, ts):
     def edit(record):
         if record.get("event_name") == "auctionEnd":

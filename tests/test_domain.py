@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from conftest import make_partner, make_scenario, make_slot
 from hbarena.domain import (
+    BidModel,
+    ConfigurationError,
     Facet,
     LatencyModel,
     PartnerDirectory,
@@ -17,6 +19,7 @@ from hbarena.domain import (
     quantize_ms,
     validate_scenario,
 )
+from hbarena.netsim import RngStream, sample_latency, sample_partner_bids
 
 DIR = PartnerDirectory.from_mapping({"adnxs.com": "appnexus", "ib.adnxs.com": "appnexus-ib"})
 
@@ -128,12 +131,104 @@ def test_partner_violations():
 
 
 def test_latency_model_json_round_trip():
-    for model in (
-        LatencyModel.fixed("100"),
-        LatencyModel.lognormal(5.0, 0.5),
-        LatencyModel.empirical([Decimal("250"), Decimal("41.5")]),
+    # BidModel shares the schema under its own keys.
+    for cls, fixed_key, samples_key, value, samples in (
+        (LatencyModel, "value_ms", "samples_ms", "100", [Decimal("250"), Decimal("41.5")]),
+        (BidModel, "value_cpm", "samples_cpm", "0.35", [Decimal("1.25"), Decimal("0")]),
     ):
-        assert LatencyModel.from_json(model.to_json()) == model
+        fixed = cls.fixed(value)
+        assert fixed.to_json() == {"kind": "fixed", fixed_key: value}
+        empirical = cls.empirical(samples)
+        assert list(empirical.to_json()) == ["kind", samples_key]
+        for model in (fixed, cls.lognormal(5.0, 0.5), empirical):
+            assert cls.from_json(model.to_json()) == model
+
+
+def _draw(model):
+    """One draw through the model's public sampler."""
+    stream = RngStream(1, "s", 0, "t")
+    if isinstance(model, LatencyModel):
+        return sample_latency(model, stream)
+    return sample_partner_bids(model, stream, 1, 1)
+
+
+# Per case: the model, its violations(where) text, and the text of the
+# ConfigurationError its sampler raises (None: the draw succeeds).
+_MODEL_CONTRACT = {
+    LatencyModel: {
+        "fixed-out-of-range": (
+            LatencyModel.fixed("0"),
+            "w: fixed latency must be strictly positive",
+            "fixed latency must be strictly positive",
+        ),
+        "lognormal-negative-sigma": (
+            LatencyModel.lognormal(4.0, -0.5),
+            "w: lognormal latency needs mu and sigma >= 0",
+            None,
+        ),
+        "empirical-no-samples": (
+            LatencyModel.empirical([]),
+            "w: empirical latency needs at least one sample",
+            "empirical latency model has no samples",
+        ),
+        "empirical-out-of-range": (
+            LatencyModel.empirical(["0"]),
+            "w: empirical latency samples must be strictly positive",
+            "empirical latency samples must be strictly positive",
+        ),
+        "unknown-kind": (
+            LatencyModel(kind="gaussian"),
+            "w: unknown latency model kind 'gaussian'",
+            "unknown latency model kind 'gaussian'",
+        ),
+    },
+    BidModel: {
+        "fixed-out-of-range": (
+            BidModel.fixed("-0.1"),
+            "w: fixed bid must be non-negative",
+            "fixed bid must be non-negative",
+        ),
+        "lognormal-negative-sigma": (
+            BidModel.lognormal(-2.0, -0.5),
+            "w: lognormal bid needs mu and sigma >= 0",
+            None,
+        ),
+        "empirical-no-samples": (
+            BidModel.empirical([]),
+            "w: empirical bid needs at least one sample",
+            "empirical bid model has no samples",
+        ),
+        "empirical-out-of-range": (
+            BidModel.empirical(["-0.5"]),
+            "w: empirical bid samples must be non-negative",
+            "empirical bid samples must be non-negative",
+        ),
+        "unknown-kind": (
+            BidModel(kind="gaussian"),
+            "w: unknown bid model kind 'gaussian'",
+            "unknown bid model kind 'gaussian'",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "cls, case",
+    [
+        pytest.param(cls, case, id=f"{cls.__name__}-{case}")
+        for cls, cases in _MODEL_CONTRACT.items()
+        for case in cases
+    ],
+)
+def test_model_violations_and_sampler_errors(cls, case):
+    model, violation, sampler_error = _MODEL_CONTRACT[cls][case]
+    assert model.violations("w") == [violation]
+    if sampler_error is None:
+        _draw(model)
+    else:
+        with pytest.raises(ConfigurationError) as err:
+            _draw(model)
+        assert str(err.value) == sampler_error
 
 
 def test_quantization_policy():

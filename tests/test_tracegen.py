@@ -358,6 +358,7 @@ class TestParseErrors:
             pytest.param('{"ts_ms":NaN,"kind":"dom_event","event_name":"auctionInit"}', id="ts-json-nan"),
             pytest.param('{"ts_ms":1e400,"kind":"dom_event","event_name":"auctionInit"}', id="ts-json-inf"),
             pytest.param('{"ts_ms":[],"kind":"dom_event","event_name":"auctionInit"}', id="ts-list"),
+            pytest.param('{"ts_ms":true,"kind":"web_request","url":"https://a","direction":"outbound"}', id="ts-bool"),
             pytest.param('{"ts_ms":' + "9" * 5000 + "}", id="int-digits"),
             pytest.param("[" * 100000 + "]" * 100000, id="nesting"),
             pytest.param('{"ts_ms":"0","kind":"dom_event","event_name":"bidWon","slot_id":"\\ud800"}', id="surrogate"),
