@@ -58,53 +58,63 @@ def _dec(value) -> Decimal | None:
     return Decimal(value if isinstance(value, str) else str(value))
 
 
-def record_from_outcome_row(row: dict) -> AuctionRecord:
-    facet = row.get("facet")
+class _Shared(dict):
+    """``shared[value]`` is the first equal value seen: JSON decoding makes a
+    new ``str`` for every value, and the partner, size, channel and facet
+    strings of one file are shared through this instead."""
+
+    def __missing__(self, key):
+        self[key] = key
+        return key
+
+
+def record_from_outcome_row(row: dict, shared: dict) -> AuctionRecord:
+    facet = shared[row.get("facet")]
     bids = []
     if facet == "waterfall_only":
         for tier in row.get("tiers_tried", ()):
             if tier.get("bid") is not None:
-                bids.append(BidPoint(tier["partner"], None, _dec(tier["bid"]), _dec(tier["latency_ms"]),
+                bids.append(BidPoint(shared[tier["partner"]], None, _dec(tier["bid"]), _dec(tier["latency_ms"]),
                                      False, "client"))
     else:
         for slot in row.get("slots", ()):
-            size = slot.get("size")
+            size = shared[slot.get("size")]
             for bid in slot.get("bids", ()):
                 latency = None
                 if bid.get("channel") == "client":
                     arrived, requested = bid.get("arrived_at_ms"), bid.get("requested_at_ms")
                     if arrived is not None and requested is not None:
                         latency = _dec(arrived) - _dec(requested)
-                bids.append(BidPoint(bid["partner"], size, _dec(bid["cpm"]), latency, bool(bid.get("late")),
-                                     bid.get("channel", "client")))
+                bids.append(BidPoint(shared[bid["partner"]], size, _dec(bid["cpm"]), latency, bool(bid.get("late")),
+                                     shared[bid.get("channel", "client")]))
     return AuctionRecord(
         site_id=row["site_id"],
         round_index=int(row.get("round_index", 0)),
         facet=facet,
         is_hb=facet in HB_FACETS,
         rank=int(row["rank"]) if row.get("rank") is not None else None,
-        partner_ids=tuple(row.get("partner_ids", [])),
+        partner_ids=tuple([shared[p] for p in row.get("partner_ids", ())]),
         bids=tuple(bids),
         total_latency_ms=_dec(row.get("total_latency_ms")),
         slot_count=int(row.get("slot_count", 0)),
     )
 
 
-def record_from_result_row(row: dict, rank_by_site: dict[str, int] | None = None) -> AuctionRecord:
+def record_from_result_row(row: dict, shared: dict, rank_by_site: dict[str, int] | None = None) -> AuctionRecord:
     bids = []
     auctions = row.get("auctions", ())
     for auction in auctions:
-        size = auction.get("size")
+        size = shared[auction.get("size")]
         for bid in auction.get("bids", ()):
-            bids.append(BidPoint(bid["partner"], size, _dec(bid["cpm"]), _dec(bid.get("latency_ms")),
-                                 bool(bid.get("late")), bid.get("channel", "client")))
+            bids.append(BidPoint(shared[bid["partner"]], size, _dec(bid["cpm"]), _dec(bid.get("latency_ms")),
+                                 bool(bid.get("late")), shared[bid.get("channel", "client")]))
     return AuctionRecord(
         site_id=row["site_id"],
         round_index=int(row.get("round_index", 0)),
-        facet=row.get("facet"),
+        facet=shared[row.get("facet")],
         is_hb=bool(row.get("is_hb")),
         rank=rank_by_site.get(row["site_id"]) if rank_by_site else None,
-        partner_ids=tuple(row.get("partners", [])),
+        partner_ids=tuple([shared[p] for p in row.get("partners", ())]),
         bids=tuple(bids),
         total_latency_ms=_dec(row.get("hb_latency_ms")),
         slot_count=len(auctions),
@@ -114,6 +124,7 @@ def record_from_result_row(row: dict, rank_by_site: dict[str, int] | None = None
 def load_records(path, rank_by_site: dict[str, int] | None = None) -> list[AuctionRecord]:
     """Read an outcomes or results JSONL file; the schema is sniffed per row."""
     records = []
+    shared = _Shared()
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -122,9 +133,9 @@ def load_records(path, rank_by_site: dict[str, int] | None = None) -> list[Aucti
             if "error" in row:
                 continue
             if "is_hb" in row:
-                records.append(record_from_result_row(row, rank_by_site))
+                records.append(record_from_result_row(row, shared, rank_by_site))
             else:
-                records.append(record_from_outcome_row(row))
+                records.append(record_from_outcome_row(row, shared))
     return records
 
 

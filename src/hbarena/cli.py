@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from decimal import Decimal
+from typing import Iterator
 
 from . import __version__
 from .analytics import REPORT_NAMES, build_report, load_records, write_report_csv, write_report_json
@@ -81,14 +82,16 @@ def _write_lines(path, lines) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _map_ordered(fn, tasks: list, jobs: int) -> list:
-    """[fn(task) for task in tasks], on up to ``jobs`` worker processes but
-    never more than there are tasks; one task or job runs in this process."""
+def _map_ordered(fn, tasks: list, jobs: int) -> Iterator:
+    """Yields fn(task) for each task, in task order, as the results come in;
+    on up to ``jobs`` worker processes but never more than there are tasks,
+    and one task or job runs in this process."""
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        return [fn(task) for task in tasks]
+        yield from map(fn, tasks)
+        return
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=64))
+        yield from pool.map(fn, tasks, chunksize=64)
 
 
 def _simulate_site(task) -> tuple[str, list[tuple[str, str]], list[str]]:
@@ -148,15 +151,17 @@ def cmd_simulate(args) -> int:
     out_dir = args.out or sf.output_dir or "out"
     os.makedirs(out_dir, exist_ok=True)
 
-    tasks = [(site, sf.partners, master_seed, sf.rounds_per_site, out_dir) for site in sites]
-    results = sorted(_map_ordered(_simulate_site, tasks, args.jobs), key=lambda r: r[0])
-
+    # Sites run in site-id order, so their outcome rows are written as they come.
+    tasks = [(site, sf.partners, master_seed, sf.rounds_per_site, out_dir)
+             for site in sorted(sites, key=lambda site: site.site_id)]
     digests: dict[str, str] = {}
-    outcome_lines: list[str] = []
-    for _, written, rows in results:
-        digests.update(written)
-        outcome_lines.extend(rows)
-    digests["outcomes.jsonl"] = _write_lines(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines)
+
+    def outcome_lines():
+        for _, written, rows in _map_ordered(_simulate_site, tasks, args.jobs):
+            digests.update(written)
+            yield from rows
+
+    digests["outcomes.jsonl"] = _write_lines(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines())
     digests["directory.json"] = _write_text(
         os.path.join(out_dir, "directory.json"),
         json.dumps(sf.directory().to_json(), indent=2, sort_keys=True) + "\n",
@@ -206,8 +211,10 @@ def _load_directory(args) -> PartnerDirectory:
     return builtin_directory()
 
 
-def _score(results: list[dict], trace_dir: str) -> None:
-    truth: dict[tuple[str, int], dict] = {}
+def _score(per_trace: list[tuple], trace_dir: str) -> None:
+    """Print precision, recall and facet accuracy of (key, failed, is_hb,
+    facet) per trace against the truth sidecars."""
+    truth: dict[tuple[str, int], str] = {}
     for name in sorted(os.listdir(trace_dir)):
         if not name.endswith(".truth.jsonl"):
             continue
@@ -215,29 +222,25 @@ def _score(results: list[dict], trace_dir: str) -> None:
             for line in fh:
                 if line.strip():
                     row = json.loads(line)
-                    truth[(row["site_id"], row["round_index"])] = row
+                    truth[(row["site_id"], row["round_index"])] = row["facet"]
     tp = fp = fn = tn = 0
     scored = errors = 0
     facet_hits = facet_total = 0
-    for row in results:
-        failed = "error" in row
-        # An error row's site_id is the name of the trace file it failed on.
-        key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
-        truth_row = truth.get(key)
-        if truth_row is None:
+    for key, failed, detected_hb, facet in per_trace:
+        actual_facet = truth.get(key)
+        if actual_facet is None:
             continue
         scored += 1
-        actual_hb = truth_row["facet"] in HB_FACETS
+        actual_hb = actual_facet in HB_FACETS
         if failed:
             # A trace that could not be read is a miss when it held HB.
             errors += 1
             fn += int(actual_hb)
             continue
-        detected_hb = bool(row["is_hb"])
         if detected_hb and actual_hb:
             tp += 1
             facet_total += 1
-            facet_hits += int(row["facet"] == truth_row["facet"])
+            facet_hits += int(facet == actual_facet)
         elif detected_hb and not actual_hb:
             fp += 1
         elif actual_hb:
@@ -270,13 +273,31 @@ def cmd_detect(args) -> int:
     directory = _load_directory(args)
     trace_names = sorted(n for n in os.listdir(args.trace_dir) if n.endswith(".trace.jsonl"))
     rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
-    errors = sum("error" in row for row in rows)
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")
-    _write_text(out_path, "".join(_COMPACT_JSON.encode(row) + "\n" for row in rows))
+    # Rows are written as they come, to a file that replaces out_path only
+    # when every trace is done; --score keeps one small tuple per trace.
+    part_path = out_path + ".part"
+    per_trace: list[tuple] = []
+    errors = 0
+    try:
+        with open(part_path, "w", encoding="utf-8") as fh:
+            for row in rows:
+                failed = "error" in row
+                errors += failed
+                if args.score:
+                    # An error row's site_id is the name of the trace file it failed on.
+                    key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
+                    per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
+                fh.write(_COMPACT_JSON.encode(row) + "\n")
+        os.replace(part_path, out_path)
+    except BaseException:
+        if os.path.exists(part_path):
+            os.remove(part_path)
+        raise
     print(f"detected over {len(trace_names)} traces -> {out_path}"
           + (f" ({errors} errors)" if errors else ""))
     if args.score:
-        _score(rows, args.trace_dir)
+        _score(per_trace, args.trace_dir)
     return EXIT_PARSE_ERRORS if errors else EXIT_OK
 
 

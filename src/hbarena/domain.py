@@ -15,6 +15,7 @@ unit, quantizer and lower bound.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
@@ -120,6 +121,8 @@ class Distribution:
         elif self.kind == "lognormal":
             if self.mu is None or self.sigma is None or self.sigma < 0:
                 return [f"{where}: lognormal {noun} needs mu and sigma >= 0"]
+            if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+                return [f"{where}: lognormal {noun} needs finite mu and sigma"]
         elif self.kind == "empirical":
             if not self.samples:
                 return [f"{where}: empirical {noun} needs at least one sample"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 from .domain import BidModel, ConfigurationError, Distribution, LatencyModel
 
@@ -67,8 +67,13 @@ def _draw(model: Distribution, stream: RngStream) -> Decimal:
     """One quantized draw, never below the model's minimum."""
     kind = model.kind
     if kind == "lognormal":
-        # A latency that rounds to zero takes the smallest positive value.
-        return max(model.quantize(math.exp(model.mu + model.sigma * stream.normal())), model.minimum)
+        try:
+            # A latency that rounds to zero takes the smallest positive value.
+            return max(model.quantize(math.exp(model.mu + model.sigma * stream.normal())), model.minimum)
+        except (OverflowError, InvalidOperation) as exc:
+            raise ConfigurationError(
+                f"lognormal {model.noun} model (mu={model.mu}, sigma={model.sigma}) drew a value out of range"
+            ) from exc
     if kind == "fixed":
         value = model.value
         if value is None or value < model.minimum:

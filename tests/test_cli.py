@@ -176,6 +176,19 @@ def test_outcome_rows_are_pinned_byte_for_byte(tmp_path):
     )
 
 
+def test_outcome_rows_are_in_site_id_order(tmp_path):
+    """price_table.json lists its sites out of site-id order; outcomes.jsonl
+    holds them sorted, as the rows are written while the sites run."""
+    scenario = MINIMAL_SCENARIO.parent / "price_table.json"
+    listed = [site["site_id"] for site in json.loads(scenario.read_text())["sites"]]
+    assert listed != sorted(listed)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in (out / "outcomes.jsonl").read_text().splitlines()]
+    assert [row["site_id"] for row in rows] == sorted(row["site_id"] for row in rows)
+    assert {row["site_id"] for row in rows} == set(listed)
+
+
 def test_simulate_twice_is_byte_identical(tmp_path):
     scen = write(tmp_path, MIXED)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -626,3 +639,46 @@ def test_detect_jobs_2_matches_jobs_1_on_hostile_traces(mixed_run, tmp_path, cap
     errors = [row for row in map(json.loads, serial[2].splitlines()) if "error" in row]
     assert [row["site_id"] for row in errors] == [*names[:3], "zz\\xff__r0.trace.jsonl"]
     assert detect_outputs(run, "2", capsys) == serial
+
+
+@pytest.mark.parametrize(
+    "bid_model, expected",
+    [
+        ({"mu": float("inf"), "sigma": 0.5},
+         "invalid scenario: partner 'appnexus' bid_model: lognormal bid needs finite mu and sigma"),
+        ({"mu": -2.0, "sigma": float("nan")},
+         "invalid scenario: partner 'appnexus' bid_model: lognormal bid needs finite mu and sigma"),
+        ({"mu": 1000, "sigma": 0.5}, "error: lognormal bid model (mu=1000.0, sigma=0.5) drew a value out of range"),
+        ({"mu": 60, "sigma": 0}, "error: lognormal bid model (mu=60.0, sigma=0.0) drew a value out of range"),
+    ],
+    ids=["mu-infinity", "sigma-nan", "mu-1000", "mu-60-sigma-0"],
+)
+def test_unusable_lognormal_parameters_exit_1(tmp_path, capsys, bid_model, expected):
+    scenario = json.loads(MINIMAL_SCENARIO.read_text())
+    scenario["partners"][0]["bid_model"] = {"kind": "lognormal", **bid_model}
+    assert scenario["partners"][0]["partner_id"] == "appnexus"
+    scen = write(tmp_path, scenario)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "runtime error" not in err
+
+
+def test_aborted_detect_leaves_previous_results(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(write(tmp_path, MIXED)), "--out", str(out)]) == 0
+    assert main(["detect", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    calls = []
+
+    def result_row(result):
+        calls.append(result.site_id)
+        if len(calls) == 3:
+            raise RuntimeError("third trace")
+        return real_result_row(result)
+
+    real_result_row = cli.result_row
+    monkeypatch.setattr(cli, "result_row", result_row)
+    assert main(["detect", str(out), "--score"]) == 2
+    assert len(calls) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -23,9 +23,10 @@ exactly when the two checkouts produce the same bytes:
 
 ``--repo`` runs another checkout's ``src`` (which need not have this tool)
 on this checkout's scenarios.  ``--scenario`` and ``--seed`` pick other
-inputs.  ``--detect-jobs N`` runs ``detect`` with ``--jobs N``; the printed
-command leaves the option out, so that the output of any N can be compared
-with the default's.  Standard library only.
+inputs.  ``--simulate-jobs N`` and ``--detect-jobs N`` run ``simulate`` and
+``detect`` with ``--jobs N``; the printed commands leave the option out, so
+that the output of any N can be compared with the default's.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -67,12 +68,14 @@ def sha256(path: Path) -> str:
 
 
 def run_scenario(scenario: Path, seed: int | None, work: Path, env: dict[str, str],
-                 detect_jobs: int = 1) -> list[str]:
+                 jobs: dict[str, int]) -> list[str]:
+    """Run the commands; ``jobs`` maps a command to the N of its --jobs N."""
     name = scenario.stem
     lines = []
     for argv in commands(name, scenario, seed):
-        jobs = ["--jobs", str(detect_jobs)] if argv[0] == "detect" and detect_jobs != 1 else []
-        proc = subprocess.run([sys.executable, "-m", "hbarena.cli", *argv, *jobs], cwd=work, env=env,
+        n = jobs.get(argv[0], 1)
+        extra = ["--jobs", str(n)] if n != 1 else []
+        proc = subprocess.run([sys.executable, "-m", "hbarena.cli", *argv, *extra], cwd=work, env=env,
                               capture_output=True, text=True)
         shown = [scenario.name if arg == str(scenario) else arg for arg in argv]
         lines.append(f"$ hbarena {' '.join(shown)} -> exit {proc.returncode}")
@@ -89,14 +92,17 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", type=Path, action="append",
                         help="scenario file (repeatable; default: every scenarios/*.json)")
     parser.add_argument("--seed", type=int, default=None, help="master seed for every scenario")
+    parser.add_argument("--simulate-jobs", type=int, default=1,
+                        help="simulate --jobs N (default 1: no option passed)")
     parser.add_argument("--detect-jobs", type=int, default=1, help="detect --jobs N (default 1: no option passed)")
     args = parser.parse_args(argv)
     scenarios = [p.resolve() for p in args.scenario] if args.scenario else sorted((ROOT / "scenarios").glob("*.json"))
     env = dict(os.environ)
     env["PYTHONPATH"] = str((args.repo / "src").resolve())
+    jobs = {"simulate": args.simulate_jobs, "detect": args.detect_jobs}
     with tempfile.TemporaryDirectory(prefix="hbarena-digests-") as tmp:
         for scenario in scenarios:
-            print("\n".join(run_scenario(scenario, args.seed, Path(tmp), env, args.detect_jobs)), flush=True)
+            print("\n".join(run_scenario(scenario, args.seed, Path(tmp), env, jobs)), flush=True)
     return 0
 
 
