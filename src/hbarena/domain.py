@@ -51,6 +51,14 @@ def quantize_cpm(value) -> Decimal:
     return value.quantize(CPM_QUANTUM, rounding=ROUND_HALF_EVEN)
 
 
+def finite_decimal(value) -> Decimal:
+    """``Decimal(str(value))``; NaN and infinities raise ValueError."""
+    number = Decimal(str(value))
+    if not number.is_finite():
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
 def decimal_str(value: Decimal) -> str:
     """Fixed-point rendering with trailing zeros stripped ("0.5", "350.125")."""
     text = format(value, "f")
@@ -142,14 +150,16 @@ class Distribution:
     @classmethod
     def from_json(cls, obj: dict, where: str | None = None):
         where = where or f"{cls.noun}_model"
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"{where}: expected a JSON object, got {obj!r}")
         kind = obj.get("kind")
         try:
             if kind == "fixed":
-                return cls.fixed(Decimal(str(obj[f"value_{cls.unit}"])))
+                return cls.fixed(finite_decimal(obj[f"value_{cls.unit}"]))
             if kind == "lognormal":
                 return cls.lognormal(float(obj["mu"]), float(obj["sigma"]))
             if kind == "empirical":
-                return cls.empirical(Decimal(str(s)) for s in obj[f"samples_{cls.unit}"])
+                return cls.empirical(finite_decimal(s) for s in obj[f"samples_{cls.unit}"])
         except (KeyError, InvalidOperation, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{where}: bad parameters for kind {kind!r}: {exc}") from exc
         raise ConfigurationError(f"{where}: unknown kind {kind!r}")
@@ -179,6 +189,19 @@ class AdSlotSpec:
     @property
     def size(self) -> str:
         return f"{self.width}x{self.height}"
+
+    def violations(self, where: str, duplicate: bool = False) -> list[str]:
+        """The slot's own problems; ``duplicate`` adds that its site repeats its id."""
+        out = []
+        if not _ID_RE.match(self.slot_id or ""):
+            out.append(f"{where}: slot_id must match {_ID_RE.pattern}")
+        if duplicate:
+            out.append(f"{where}: duplicate slot_id")
+        if self.width <= 0 or self.height <= 0:
+            out.append(f"{where}: width and height must be positive")
+        if self.floor_price < 0:
+            out.append(f"{where}: floor_price must be non-negative")
+        return out
 
 
 @dataclass(frozen=True)
@@ -249,6 +272,19 @@ def validate_scenario(scenario: WebsiteScenario) -> ValidationReport:
     """
     v: list[str] = []
     w: list[str] = []
+    check_scenario(scenario, v, w, {})
+    return ValidationReport(tuple(v), tuple(w))
+
+
+def check_scenario(scenario: WebsiteScenario, v: list[str], w: list[str], checked: dict) -> None:
+    """``validate_scenario``'s checks, appended to the violations ``v`` and
+    warnings ``w``.
+
+    ``checked`` maps each slot spec and latency model seen so far to whether
+    it passed its own checks.  Sites that share them (generated sites do)
+    have each checked once, and a site's message about one is formatted
+    only when it fails.
+    """
     sid = scenario.site_id
     if not _ID_RE.match(sid or ""):
         v.append(f"site {sid!r}: site_id must match {_ID_RE.pattern}")
@@ -263,16 +299,10 @@ def validate_scenario(scenario: WebsiteScenario) -> ValidationReport:
         v.append(f"site {sid!r}: slots empty")
     seen_slots = set()
     for slot in scenario.slots:
-        where = f"site {sid!r} slot {slot.slot_id!r}"
-        if not _ID_RE.match(slot.slot_id or ""):
-            v.append(f"{where}: slot_id must match {_ID_RE.pattern}")
-        if slot.slot_id in seen_slots:
-            v.append(f"{where}: duplicate slot_id")
+        duplicate = slot.slot_id in seen_slots
         seen_slots.add(slot.slot_id)
-        if slot.width <= 0 or slot.height <= 0:
-            v.append(f"{where}: width and height must be positive")
-        if slot.floor_price < 0:
-            v.append(f"{where}: floor_price must be non-negative")
+        if duplicate or _fails(slot, checked):
+            v.extend(slot.violations(f"site {sid!r} slot {slot.slot_id!r}", duplicate))
     if len(scenario.slots) > SLOT_COUNT_WARNING_THRESHOLD:
         w.append(
             f"site {sid!r}: {len(scenario.slots)} ad slots auctioned; "
@@ -291,8 +321,16 @@ def validate_scenario(scenario: WebsiteScenario) -> ValidationReport:
         if pid in seen_partners:
             v.append(f"site {sid!r}: duplicate partner {pid!r} in roster")
         seen_partners.add(pid)
-    v.extend(scenario.ad_server_latency.violations(f"site {sid!r} ad_server_latency"))
-    return ValidationReport(tuple(v), tuple(w))
+    if _fails(scenario.ad_server_latency, checked):
+        v.extend(scenario.ad_server_latency.violations(f"site {sid!r} ad_server_latency"))
+
+
+def _fails(part, checked: dict) -> bool:
+    """Whether a slot spec or latency model fails its own checks, memoized in ``checked``."""
+    ok = checked.get(part)
+    if ok is None:
+        ok = checked[part] = not part.violations("")
+    return not ok
 
 
 @dataclass(frozen=True)

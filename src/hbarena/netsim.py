@@ -28,13 +28,9 @@ def _stream_seed(master_seed: int, site_id: str, round_index: int, purpose: str)
 class RngStream:
     """One deterministic sample stream for a (site, round, purpose) key."""
 
-    __slots__ = ("master_seed", "site_id", "round_index", "purpose", "_state")
+    __slots__ = ("_state",)
 
     def __init__(self, master_seed: int, site_id: str, round_index: int, purpose: str):
-        self.master_seed = master_seed
-        self.site_id = site_id
-        self.round_index = round_index
-        self.purpose = purpose
         self._state = _stream_seed(master_seed, site_id, round_index, purpose)
 
     def next_u64(self) -> int:

@@ -12,13 +12,17 @@ Generator block fields, all optional unless noted:
   slot_count_weights, slot_sizes, floor_price, wrapper_policy_weights,
   timeout_ms, ad_server_partner, ad_server_latency, waterfall_tiers,
   server_backend_count, render_fail_probability
+
+A field of the wrong type or out of range is a ConfigurationError naming it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from itertools import accumulate
 
 from .domain import (
     AdSlotSpec,
@@ -31,7 +35,8 @@ from .domain import (
     ValidationReport,
     WebsiteScenario,
     WrapperPolicy,
-    validate_scenario,
+    check_scenario,
+    finite_decimal,
 )
 from .netsim import RngStream
 
@@ -69,61 +74,96 @@ class ScenarioFile:
         return PartnerDirectory.from_mapping(entries)
 
 
-def _parse_partner(obj: dict) -> DemandPartnerSpec:
+def _number(value, where: str) -> Decimal:
+    """A finite decimal: a JSON number or a string holding one."""
+    try:
+        return finite_decimal(value)
+    except (InvalidOperation, ValueError):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}") from None
+
+
+def _integer(value, where: str) -> int:
+    """An integer: a JSON integer, an integral JSON number, or a string holding one."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, Decimal) and value.is_finite() and value == value.to_integral_value():
+        return int(value)
+    raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+
+
+def _typed(value, kind, where: str, noun: str):
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{where} must be {noun}, got {value!r}")
+    return value
+
+
+def _strings(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigurationError(f"{where} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _parse_partner(obj) -> DemandPartnerSpec:
+    obj = _typed(obj, dict, "partner entry", "a JSON object")
+    where = f"partner {obj.get('partner_id')!r}"
     try:
         return DemandPartnerSpec(
-            partner_id=obj["partner_id"],
-            domains=tuple(obj["domains"]),
-            latency_model=LatencyModel.from_json(obj["latency_model"], f"partner {obj.get('partner_id')!r} latency_model"),
-            bid_model=BidModel.from_json(obj["bid_model"], f"partner {obj.get('partner_id')!r} bid_model"),
-            response_probability=Decimal(str(obj.get("response_probability", 1))),
+            partner_id=_typed(obj["partner_id"], str, "partner_id", "a string"),
+            domains=_strings(obj["domains"], f"{where} domains"),
+            latency_model=LatencyModel.from_json(obj["latency_model"], f"{where} latency_model"),
+            bid_model=BidModel.from_json(obj["bid_model"], f"{where} bid_model"),
+            response_probability=_number(obj.get("response_probability", 1), f"{where} response_probability"),
         )
     except KeyError as exc:
         raise ConfigurationError(f"partner entry missing field {exc}") from exc
-    except InvalidOperation as exc:
-        raise ConfigurationError(f"partner {obj.get('partner_id')!r}: bad decimal value: {exc}") from exc
 
 
-def _parse_slot(obj: dict, site_id: str) -> AdSlotSpec:
+def _parse_slot(obj, site_id: str) -> AdSlotSpec:
+    where = f"site {site_id!r} slot"
+    obj = _typed(obj, dict, where, "a JSON object")
     try:
         return AdSlotSpec(
-            slot_id=obj["slot_id"],
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-            floor_price=Decimal(str(obj["floor_price"])),
+            slot_id=_typed(obj["slot_id"], str, f"{where} slot_id", "a string"),
+            width=_integer(obj["width"], f"{where} width"),
+            height=_integer(obj["height"], f"{where} height"),
+            floor_price=_number(obj["floor_price"], f"{where} floor_price"),
         )
     except KeyError as exc:
         raise ConfigurationError(f"site {site_id!r}: slot missing field {exc}") from exc
-    except (InvalidOperation, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"site {site_id!r}: bad slot value: {exc}") from exc
 
 
-def _parse_site(obj: dict) -> WebsiteScenario:
+def _parse_site(obj) -> WebsiteScenario:
+    obj = _typed(obj, dict, "site entry", "a JSON object")
     site_id = obj.get("site_id", "<missing>")
+    where = f"site {site_id!r}"
     try:
         facet = Facet(obj["facet"])
         policy = WrapperPolicy(obj.get("wrapper_policy", "wait_timeout"))
     except (KeyError, ValueError) as exc:
-        raise ConfigurationError(f"site {site_id!r}: bad facet or wrapper_policy: {exc}") from exc
+        raise ConfigurationError(f"{where}: bad facet or wrapper_policy: {exc}") from exc
     try:
         return WebsiteScenario(
-            site_id=obj["site_id"],
-            rank=int(obj.get("rank", 1)),
+            site_id=_typed(obj["site_id"], str, "site_id", "a string"),
+            rank=_integer(obj.get("rank", 1), f"{where} rank"),
             facet=facet,
-            slots=tuple(_parse_slot(s, site_id) for s in obj.get("slots", [])),
-            partners=tuple(obj.get("partners", [])),
+            slots=tuple(_parse_slot(s, site_id)
+                        for s in _typed(obj.get("slots", []), list, f"{where} slots", "a list")),
+            partners=_strings(obj.get("partners", []), f"{where} partners"),
             wrapper_policy=policy,
-            ad_server_latency=LatencyModel.from_json(
-                obj["ad_server_latency"], f"site {site_id!r} ad_server_latency"
-            ),
-            timeout_ms=int(obj.get("timeout_ms", 3000)),
-            ad_server_partner_id=obj.get("ad_server_partner_id"),
-            render_fail_probability=Decimal(str(obj.get("render_fail_probability", 0))),
+            ad_server_latency=LatencyModel.from_json(obj["ad_server_latency"], f"{where} ad_server_latency"),
+            timeout_ms=_integer(obj.get("timeout_ms", 3000), f"{where} timeout_ms"),
+            ad_server_partner_id=_typed(obj.get("ad_server_partner_id"), (str, type(None)),
+                                        f"{where} ad_server_partner_id", "a string"),
+            render_fail_probability=_number(obj.get("render_fail_probability", 0),
+                                            f"{where} render_fail_probability"),
         )
     except KeyError as exc:
-        raise ConfigurationError(f"site {site_id!r}: missing field {exc}") from exc
-    except (InvalidOperation, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"site {site_id!r}: bad value: {exc}") from exc
+        raise ConfigurationError(f"{where}: missing field {exc}") from exc
 
 
 def load_scenario_file(path) -> ScenarioFile:
@@ -139,13 +179,13 @@ def load_scenario_file(path) -> ScenarioFile:
         raise ConfigurationError(f"{path}: scenario file must be a JSON object")
 
     partners: dict[str, DemandPartnerSpec] = {}
-    for entry in data.get("partners", []):
+    for entry in _typed(data.get("partners", []), list, "partners", "a list"):
         spec = _parse_partner(entry)
         if spec.partner_id in partners:
             raise ConfigurationError(f"duplicate partner {spec.partner_id!r}")
         partners[spec.partner_id] = spec
 
-    sites = tuple(_parse_site(entry) for entry in data.get("sites", []))
+    sites = tuple(_parse_site(entry) for entry in _typed(data.get("sites", []), list, "sites", "a list"))
     generator = data.get("generator")
     if generator is not None and not isinstance(generator, dict):
         raise ConfigurationError("generator block must be a JSON object")
@@ -154,11 +194,10 @@ def load_scenario_file(path) -> ScenarioFile:
 
     master_seed = data.get("master_seed")
     if master_seed is not None:
-        master_seed = int(master_seed)
-    rounds = int(data.get("rounds_per_site", 1))
+        master_seed = _integer(master_seed, "master_seed")
     return ScenarioFile(
         master_seed=master_seed,
-        rounds_per_site=rounds,
+        rounds_per_site=_integer(data.get("rounds_per_site", 1), "rounds_per_site"),
         output_dir=data.get("output_dir"),
         partners=partners,
         sites=sites,
@@ -171,7 +210,7 @@ def _weights(obj, where: str) -> list[tuple[str, Decimal]]:
         raise ConfigurationError(f"{where}: expected a non-empty weight map")
     out = []
     for key in sorted(obj):
-        weight = Decimal(str(obj[key]))
+        weight = _number(obj[key], f"{where} weight for {key!r}")
         if weight < 0:
             raise ConfigurationError(f"{where}: negative weight for {key!r}")
         if weight > 0:
@@ -193,21 +232,36 @@ def _quota_counts(weights: list[tuple[str, Decimal]], n: int) -> dict[str, int]:
     return counts
 
 
-def _weighted_choice(stream: RngStream, weights: list[tuple[str, Decimal]]) -> str:
-    total = float(sum(w for _, w in weights))
-    threshold = stream.uniform() * total
-    acc = 0.0
-    for key, weight in weights:
-        acc += float(weight)
-        if threshold < acc:
-            return key
-    return weights[-1][0]
+def _member(enum, key: str, unknown: str):
+    member = enum._value2member_map_.get(key)
+    if member is None:
+        raise ConfigurationError(f"{unknown} {key!r}")
+    return member
+
+
+def _table(weights: list[tuple[str, Decimal]], value) -> tuple[tuple, list[float], float]:
+    """A weight map compiled for ``_pick``: ``value(key)`` of each key, the
+    running float sums of the weights and the float of their exact total.
+
+    The values end with the last one again: no running sum exceeds a draw of
+    an infinite or NaN total, and such a draw takes the last key.
+    """
+    values = tuple(value(key) for key, _ in weights)
+    thresholds = list(accumulate(float(w) for _, w in weights))
+    return values + values[-1:], thresholds, float(sum(w for _, w in weights))
+
+
+def _pick(table: tuple[tuple, list[float], float], u: float):
+    """The value of the first key whose running weight exceeds u * total."""
+    values, thresholds, total = table
+    return values[bisect_right(thresholds, u * total)]
 
 
 def _shuffle(stream: RngStream, items: list) -> list:
     out = list(items)
+    uniform = stream.uniform
     for i in range(len(out) - 1, 0, -1):
-        j = stream.choice_index(i + 1)
+        j = min(int(uniform() * (i + 1)), i)  # stream.choice_index(i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -223,71 +277,80 @@ def expand_sites(sf: ScenarioFile, master_seed: int) -> tuple[WebsiteScenario, .
 def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[WebsiteScenario]:
     cfg = dict(_GENERATOR_DEFAULTS)
     cfg.update(gen)
-    try:
-        num_sites = int(cfg["num_sites"])
-    except KeyError as exc:
-        raise ConfigurationError("generator block needs num_sites") from exc
+    if "num_sites" not in cfg:
+        raise ConfigurationError("generator block needs num_sites")
+    num_sites = _integer(cfg["num_sites"], "generator num_sites")
     if num_sites <= 0:
         raise ConfigurationError("generator num_sites must be positive")
 
-    facet_weights = _weights(cfg["facet_weights"], "generator facet_weights")
-    for facet, _ in facet_weights:
-        if facet not in Facet._value2member_map_:
-            raise ConfigurationError(f"generator facet_weights: unknown facet {facet!r}")
-    policy_weights = _weights(cfg["wrapper_policy_weights"], "generator wrapper_policy_weights")
-    for policy, _ in policy_weights:
-        if policy not in WrapperPolicy._value2member_map_:
-            raise ConfigurationError(f"generator wrapper_policy_weights: unknown policy {policy!r}")
-    slot_count_weights = _weights(cfg["slot_count_weights"], "generator slot_count_weights")
-    size_weights = _weights(cfg["slot_sizes"], "generator slot_sizes")
-    partner_count_weights = _weights(cfg["partner_count_weights"], "generator partner_count_weights")
+    def size(key):
+        width, x, height = key.partition("x")
+        if not x:
+            raise ConfigurationError(f"generator slot_sizes: size {key!r} is not WIDTHxHEIGHT")
+        return (_integer(width, f"generator slot_sizes {key!r} width"),
+                _integer(height, f"generator slot_sizes {key!r} height"))
 
-    ad_server = cfg.get("ad_server_partner")
-    needs_entity = any(f in ("server_side", "hybrid") for f, _ in facet_weights)
-    if needs_entity and not ad_server:
+    facet_weights = _weights(cfg["facet_weights"], "generator facet_weights")
+    facets = [_member(Facet, key, "generator facet_weights: unknown facet") for key, _ in facet_weights]
+    policies = _table(_weights(cfg["wrapper_policy_weights"], "generator wrapper_policy_weights"),
+                      lambda key: _member(WrapperPolicy, key, "generator wrapper_policy_weights: unknown policy"))
+    slot_counts = _table(_weights(cfg["slot_count_weights"], "generator slot_count_weights"),
+                         lambda key: _integer(key, "generator slot_count_weights key"))
+    slot_sizes = _table(_weights(cfg["slot_sizes"], "generator slot_sizes"), size)
+
+    ad_server = _typed(cfg.get("ad_server_partner"), (str, type(None)), "generator ad_server_partner", "a string")
+    if not ad_server and any(f in (Facet.SERVER_SIDE, Facet.HYBRID) for f in facets):
         raise ConfigurationError("generator needs ad_server_partner for server_side/hybrid sites")
     if ad_server and ad_server not in sf.partners:
         raise ConfigurationError(f"generator ad_server_partner {ad_server!r} is not a defined partner")
 
-    pool = list(cfg.get("partner_pool") or [pid for pid in sf.partners if pid != ad_server])
+    pool = _strings(cfg.get("partner_pool") or [pid for pid in sf.partners if pid != ad_server],
+                    "generator partner_pool")
     for pid in pool:
         if pid not in sf.partners:
             raise ConfigurationError(f"generator partner_pool references undefined partner {pid!r}")
-    if not pool and any(f != "no_ads" for f, _ in facet_weights):
+    if not pool and any(f is not Facet.NO_ADS for f in facets):
         raise ConfigurationError("generator partner pool is empty")
 
-    ad_server_latency = cfg.get("ad_server_latency")
-    if isinstance(ad_server_latency, dict):
-        ad_server_latency = LatencyModel.from_json(ad_server_latency, "generator ad_server_latency")
-    elif ad_server_latency is None:
-        ad_server_latency = LatencyModel.fixed(Decimal(50))
+    def roster_size(value, where):
+        """A roster length of at least 1, cut to the pool."""
+        n = _integer(value, f"generator {where}")
+        if n < 1:
+            raise ConfigurationError(f"generator {where} must be >= 1, got {n}")
+        return min(n, len(pool))
 
-    floor = Decimal(str(cfg["floor_price"]))
-    timeout_ms = int(cfg["timeout_ms"])
-    waterfall_tiers = int(cfg["waterfall_tiers"])
-    backend_count = int(cfg["server_backend_count"])
+    partner_counts = _table(_weights(cfg["partner_count_weights"], "generator partner_count_weights"),
+                            lambda key: roster_size(key, "partner_count_weights key"))
+    waterfall_tiers = roster_size(cfg["waterfall_tiers"], "waterfall_tiers")
+    backend_count = roster_size(cfg["server_backend_count"], "server_backend_count")
+
+    ad_server_latency = cfg.get("ad_server_latency")
+    if ad_server_latency is None:
+        ad_server_latency = LatencyModel.fixed(Decimal(50))
+    else:
+        ad_server_latency = LatencyModel.from_json(ad_server_latency, "generator ad_server_latency")
+
+    floor = _number(cfg["floor_price"], "generator floor_price")
+    timeout_ms = _integer(cfg["timeout_ms"], "generator timeout_ms")
     roster_order = cfg["roster_order"]
     if roster_order not in ("shuffle", "pool"):
         raise ConfigurationError("generator roster_order must be 'shuffle' or 'pool'")
-    render_fail = Decimal(str(cfg["render_fail_probability"]))
+    render_fail = _number(cfg["render_fail_probability"], "generator render_fail_probability")
     prefix = cfg["site_prefix"]
-    rank_start = int(cfg["rank_start"])
+    rank_start = _integer(cfg["rank_start"], "generator rank_start")
 
     counts = _quota_counts(facet_weights, num_sites)
-    facet_list: list[str] = []
-    for facet, _ in facet_weights:
-        facet_list.extend([facet] * counts[facet])
+    facet_list: list[Facet] = []
+    for facet, (key, _) in zip(facets, facet_weights):
+        facet_list.extend([facet] * counts[key])
     facet_list = _shuffle(RngStream(master_seed, "__generator__", 0, "facet_shuffle"), facet_list)
 
+    # One frozen spec per (slot index, size), shared by every site that has it.
+    slot_specs: list[dict[tuple[int, int], AdSlotSpec]] = []
     sites = []
-    for idx, facet_name in enumerate(facet_list):
-        facet = Facet(facet_name)
+    for idx, facet in enumerate(facet_list):
         site_id = f"{prefix}{idx:05d}"
         rank = rank_start + idx
-
-        def stream(purpose):
-            return RngStream(master_seed, site_id, 0, f"gen:{purpose}")
-
         if facet is Facet.NO_ADS:
             sites.append(
                 WebsiteScenario(
@@ -298,40 +361,38 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
             )
             continue
 
-        n_slots = int(_weighted_choice(stream("slot_count"), slot_count_weights))
-        slots = []
-        size_stream = stream("slot_sizes")
-        for s in range(n_slots):
-            width, height = _weighted_choice(size_stream, size_weights).split("x")
-            slots.append(
-                AdSlotSpec(slot_id=f"slot{s}", width=int(width), height=int(height), floor_price=floor)
-            )
+        n_slots = _pick(slot_counts, RngStream(master_seed, site_id, 0, "gen:slot_count").uniform())
+        while len(slot_specs) < n_slots:
+            s = len(slot_specs)
+            slot_specs.append({wh: AdSlotSpec(f"slot{s}", *wh, floor) for wh in slot_sizes[0]})
+        size_draw = RngStream(master_seed, site_id, 0, "gen:slot_sizes").uniform
+        slots = tuple(slot_specs[s][_pick(slot_sizes, size_draw())] for s in range(n_slots))
 
         if roster_order == "shuffle":
-            ordered_pool = _shuffle(stream("roster"), pool)
+            ordered_pool = _shuffle(RngStream(master_seed, site_id, 0, "gen:roster"), pool)
         else:
-            ordered_pool = list(pool)
+            ordered_pool = pool
 
         if facet is Facet.WATERFALL_ONLY:
-            roster = tuple(ordered_pool[: max(1, min(waterfall_tiers, len(ordered_pool)))])
+            roster = tuple(ordered_pool[:waterfall_tiers])
             entity = None
             policy = WrapperPolicy.WAIT_TIMEOUT
         elif facet is Facet.SERVER_SIDE:
-            roster = tuple(ordered_pool[: max(1, min(backend_count, len(ordered_pool)))])
+            roster = tuple(ordered_pool[:backend_count])
             entity = ad_server
             policy = WrapperPolicy.WAIT_TIMEOUT
         else:
-            k = int(_weighted_choice(stream("partner_count"), partner_count_weights))
-            roster = tuple(ordered_pool[: max(1, min(k, len(ordered_pool)))])
+            k = _pick(partner_counts, RngStream(master_seed, site_id, 0, "gen:partner_count").uniform())
+            roster = tuple(ordered_pool[:k])
             entity = ad_server if facet is Facet.HYBRID else None
-            policy = WrapperPolicy(_weighted_choice(stream("wrapper_policy"), policy_weights))
+            policy = _pick(policies, RngStream(master_seed, site_id, 0, "gen:wrapper_policy").uniform())
 
         sites.append(
             WebsiteScenario(
                 site_id=site_id,
                 rank=rank,
                 facet=facet,
-                slots=tuple(slots),
+                slots=slots,
                 partners=roster,
                 wrapper_policy=policy,
                 ad_server_latency=ad_server_latency,
@@ -353,14 +414,13 @@ def validate_scenario_file(
         violations.append("rounds_per_site must be >= 1")
     for spec in sf.partners.values():
         violations.extend(spec.violations())
+    checked: dict = {}  # slot specs and latency models, each checked once
     seen = set()
     for site in sites:
         if site.site_id in seen:
             violations.append(f"duplicate site_id {site.site_id!r}")
         seen.add(site.site_id)
-        report = validate_scenario(site)
-        violations.extend(report.violations)
-        warnings.extend(report.warnings)
+        check_scenario(site, violations, warnings, checked)
         for pid in site.partners:
             if pid not in sf.partners:
                 violations.append(f"site {site.site_id!r}: unknown partner {pid!r}")

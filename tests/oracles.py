@@ -315,3 +315,154 @@ def string_timestamp(text, line_no):
     if not ts.is_finite() or abs(ts) >= Decimal("1e15"):
         return ("error", f"line {line_no}: bad ts_ms: out of range: {text!r}")
     return ("ok", str(ts.quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)))
+
+
+# Reference corpus generator, written out the plain way: each weighted draw
+# re-sums the Decimal weights and walks them as floats, and every slot, facet
+# and policy is built per site.  scenario.expand_sites must give the same sites.
+
+def _generator_weights(obj, where):
+    from hbarena.domain import ConfigurationError
+
+    if not isinstance(obj, dict) or not obj:
+        raise ConfigurationError(f"{where}: expected a non-empty weight map")
+    out = []
+    for key in sorted(obj):
+        weight = Decimal(str(obj[key]))
+        if weight < 0:
+            raise ConfigurationError(f"{where}: negative weight for {key!r}")
+        if weight > 0:
+            out.append((key, weight))
+    if not out:
+        raise ConfigurationError(f"{where}: all weights are zero")
+    return out
+
+
+def _quota_counts(weights, n):
+    total = sum(w for _, w in weights)
+    shares = [(key, Decimal(n) * w / total) for key, w in weights]
+    counts = {key: int(share) for key, share in shares}
+    remainder = n - sum(counts.values())
+    by_fraction = sorted(shares, key=lambda kv: (kv[1] - int(kv[1]), kv[0]), reverse=True)
+    for key, _ in by_fraction[:remainder]:
+        counts[key] += 1
+    return counts
+
+
+def weighted_choice(stream, weights):
+    total = float(sum(w for _, w in weights))
+    threshold = stream.uniform() * total
+    acc = 0.0
+    for key, weight in weights:
+        acc += float(weight)
+        if threshold < acc:
+            return key
+    return weights[-1][0]
+
+
+def shuffle(stream, items):
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = stream.choice_index(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+_GENERATOR_DEFAULTS = {
+    "site_prefix": "site",
+    "rank_start": 1,
+    "facet_weights": {"server_side": Decimal(48), "hybrid": Decimal("34.7"), "client_side": Decimal("17.3")},
+    "roster_order": "shuffle",
+    "partner_count_weights": {"1": Decimal(52), "2": Decimal(18), "3": Decimal(12), "5": Decimal(10), "10": Decimal(8)},
+    "slot_count_weights": {"1": Decimal(25), "2": Decimal(25), "3": Decimal(20), "4": Decimal(15), "5": Decimal(10), "6": Decimal(5)},
+    "slot_sizes": {"300x250": Decimal(45), "728x90": Decimal(25), "300x600": Decimal(15), "160x600": Decimal(10), "320x50": Decimal(5)},
+    "floor_price": Decimal("0.01"),
+    "wrapper_policy_weights": {"wait_timeout": Decimal(1)},
+    "timeout_ms": 3000,
+    "waterfall_tiers": 2,
+    "server_backend_count": 3,
+    "render_fail_probability": Decimal(0),
+}
+
+
+def generate_sites(partners, gen, master_seed):
+    """The generated sites of a generator block over a partner_id -> spec map;
+    well-formed blocks only (the library's checks are not repeated)."""
+    from hbarena.domain import AdSlotSpec, Facet, LatencyModel, WebsiteScenario, WrapperPolicy
+    from hbarena.netsim import RngStream
+
+    cfg = dict(_GENERATOR_DEFAULTS)
+    cfg.update(gen)
+    num_sites = int(cfg["num_sites"])
+    facet_weights = _generator_weights(cfg["facet_weights"], "facet_weights")
+    policy_weights = _generator_weights(cfg["wrapper_policy_weights"], "wrapper_policy_weights")
+    slot_count_weights = _generator_weights(cfg["slot_count_weights"], "slot_count_weights")
+    size_weights = _generator_weights(cfg["slot_sizes"], "slot_sizes")
+    partner_count_weights = _generator_weights(cfg["partner_count_weights"], "partner_count_weights")
+    ad_server = cfg.get("ad_server_partner")
+    pool = list(cfg.get("partner_pool") or [pid for pid in partners if pid != ad_server])
+    ad_server_latency = cfg.get("ad_server_latency")
+    if isinstance(ad_server_latency, dict):
+        ad_server_latency = LatencyModel.from_json(ad_server_latency)
+    elif ad_server_latency is None:
+        ad_server_latency = LatencyModel.fixed(Decimal(50))
+    floor = Decimal(str(cfg["floor_price"]))
+    timeout_ms = int(cfg["timeout_ms"])
+    waterfall_tiers = int(cfg["waterfall_tiers"])
+    backend_count = int(cfg["server_backend_count"])
+    roster_order = cfg["roster_order"]
+    render_fail = Decimal(str(cfg["render_fail_probability"]))
+    prefix = cfg["site_prefix"]
+    rank_start = int(cfg["rank_start"])
+
+    counts = _quota_counts(facet_weights, num_sites)
+    facet_list = []
+    for facet, _ in facet_weights:
+        facet_list.extend([facet] * counts[facet])
+    facet_list = shuffle(RngStream(master_seed, "__generator__", 0, "facet_shuffle"), facet_list)
+
+    sites = []
+    for idx, facet_name in enumerate(facet_list):
+        facet = Facet(facet_name)
+        site_id = f"{prefix}{idx:05d}"
+        rank = rank_start + idx
+
+        def stream(purpose):
+            return RngStream(master_seed, site_id, 0, f"gen:{purpose}")
+
+        if facet is Facet.NO_ADS:
+            sites.append(WebsiteScenario(
+                site_id=site_id, rank=rank, facet=facet, slots=(), partners=(),
+                wrapper_policy=WrapperPolicy.WAIT_TIMEOUT,
+                ad_server_latency=ad_server_latency, timeout_ms=timeout_ms,
+            ))
+            continue
+
+        n_slots = int(weighted_choice(stream("slot_count"), slot_count_weights))
+        slots = []
+        size_stream = stream("slot_sizes")
+        for s in range(n_slots):
+            width, height = weighted_choice(size_stream, size_weights).split("x")
+            slots.append(AdSlotSpec(slot_id=f"slot{s}", width=int(width), height=int(height), floor_price=floor))
+
+        ordered_pool = shuffle(stream("roster"), pool) if roster_order == "shuffle" else list(pool)
+        if facet is Facet.WATERFALL_ONLY:
+            roster = tuple(ordered_pool[: max(1, min(waterfall_tiers, len(ordered_pool)))])
+            entity = None
+            policy = WrapperPolicy.WAIT_TIMEOUT
+        elif facet is Facet.SERVER_SIDE:
+            roster = tuple(ordered_pool[: max(1, min(backend_count, len(ordered_pool)))])
+            entity = ad_server
+            policy = WrapperPolicy.WAIT_TIMEOUT
+        else:
+            k = int(weighted_choice(stream("partner_count"), partner_count_weights))
+            roster = tuple(ordered_pool[: max(1, min(k, len(ordered_pool)))])
+            entity = ad_server if facet is Facet.HYBRID else None
+            policy = WrapperPolicy(weighted_choice(stream("wrapper_policy"), policy_weights))
+
+        sites.append(WebsiteScenario(
+            site_id=site_id, rank=rank, facet=facet, slots=tuple(slots), partners=roster,
+            wrapper_policy=policy, ad_server_latency=ad_server_latency, timeout_ms=timeout_ms,
+            ad_server_partner_id=entity, render_fail_probability=render_fail,
+        ))
+    return sites

@@ -682,3 +682,75 @@ def test_aborted_detect_leaves_previous_results(tmp_path, monkeypatch):
     assert main(["detect", str(out), "--score"]) == 2
     assert len(calls) == 3
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _set(path, value):
+    """A mutation of a scenario dict: the value at a key path, or appended
+    to a list when the last key is "+"."""
+    def apply(scenario):
+        *parents, last = path
+        target = scenario
+        for key in parents:
+            target = target[key]
+        if last == "+":
+            target.append(value)
+        else:
+            target[last] = value
+    return apply
+
+
+NAN, INF = float("nan"), float("inf")
+GEN = ("generator",)
+
+
+@pytest.mark.parametrize(
+    "base, mutate, field",
+    [
+        ("market_mix", _set(GEN + ("facet_weights", "hybrid"), NAN), "facet_weights"),
+        ("market_mix", _set(GEN + ("slot_sizes", "728x90"), INF), "slot_sizes"),
+        ("market_mix", _set(GEN + ("partner_count_weights", "2"), NAN), "partner_count_weights"),
+        ("market_mix", _set(GEN + ("slot_count_weights", "3"), -INF), "slot_count_weights"),
+        ("market_mix", _set(GEN + ("wrapper_policy_weights",), {"immediate": NAN}), "wrapper_policy_weights"),
+        ("market_mix", _set(GEN + ("slot_count_weights", "x"), 5), "slot_count_weights"),
+        ("market_mix", _set(GEN + ("partner_count_weights", "x"), 5), "partner_count_weights"),
+        ("market_mix", _set(GEN + ("slot_sizes", "300"), 5), "slot_sizes"),
+        ("market_mix", _set(GEN + ("num_sites",), "abc"), "num_sites"),
+        ("market_mix", _set(GEN + ("timeout_ms",), "abc"), "timeout_ms"),
+        ("market_mix", _set(GEN + ("rank_start",), "x"), "rank_start"),
+        ("market_mix", _set(GEN + ("server_backend_count",), "x"), "server_backend_count"),
+        ("market_mix", _set(GEN + ("floor_price",), "abc"), "floor_price"),
+        ("market_mix", _set(GEN + ("floor_price",), "NaN"), "floor_price"),
+        ("market_mix", _set(GEN + ("render_fail_probability",), "abc"), "render_fail_probability"),
+        ("market_mix", _set(GEN + ("num_sites",), 2.5), "num_sites"),
+        ("market_mix", _set(GEN + ("waterfall_tiers",), -1), "waterfall_tiers"),
+        ("market_mix", _set(("rounds_per_site",), "x"), "rounds_per_site"),
+        ("market_mix", _set(("master_seed",), "x"), "master_seed"),
+        ("market_mix", _set(("partners", "+"), "oops"), "partner entry"),
+        ("minimal", _set(("sites", 0, "slots", 0, "floor_price"), NAN), "floor_price"),
+        ("minimal", _set(("partners", 0, "response_probability"), NAN), "response_probability"),
+        ("minimal", _set(("sites", 0, "render_fail_probability"), NAN), "render_fail_probability"),
+        ("minimal", _set(("partners", 0, "domains"), "abc"), "domains"),
+    ],
+    ids=[
+        "nan-facet-weight", "inf-slot-size-weight", "nan-partner-count-weight", "negative-inf-slot-count-weight",
+        "nan-policy-weight", "slot-count-key-x", "partner-count-key-x", "slot-size-key-300", "num-sites-abc",
+        "timeout-abc", "rank-start-x", "backend-count-x", "floor-abc", "floor-nan-string", "render-fail-abc",
+        "num-sites-2.5", "waterfall-tiers-minus-1", "rounds-x", "master-seed-x", "partner-not-object",
+        "slot-floor-nan", "response-probability-nan", "site-render-fail-nan", "domains-string",
+    ],
+)
+def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field):
+    """A malformed field is a configuration error that names it (exit 1), not
+    a runtime error (exit 2) nor a silently changed run (exit 0)."""
+    if base == "market_mix":
+        scenario = json.loads((MINIMAL_SCENARIO.parent / "market_mix_5000.json").read_text())
+        scenario["generator"]["num_sites"] = 20
+    else:
+        scenario = json.loads(MINIMAL_SCENARIO.read_text())
+    mutate(scenario)
+    scen = write(tmp_path, scenario)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert field in err
+    assert "runtime error" not in err
+    assert not (tmp_path / "run").exists()

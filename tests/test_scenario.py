@@ -2,11 +2,18 @@
 
 import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from conftest import make_partner
+from golden.make_expand_golden import canonical_json, cases, digest
 from hbarena.domain import ConfigurationError, Facet
-from hbarena.scenario import expand_sites, load_scenario_file, validate_scenario_file
+from hbarena.scenario import ScenarioFile, expand_sites, load_scenario_file, validate_scenario_file
+
+EXPAND_GOLDEN = json.loads((Path(__file__).parent / "golden" / "expand_golden.json").read_text())["cases"]
 
 PARTNERS = [
     {
@@ -146,3 +153,63 @@ def test_directory_covers_all_partner_domains(tmp_path):
     directory = sf.directory()
     assert directory.lookup("alpha.example.net") == "alpha"
     assert directory.lookup("cdn.delta.example.net") == "delta"
+
+
+def test_expansion_matches_golden_digests(tmp_path):
+    """Every field of every site of the canned scenarios at their own seed and
+    of the benchmark workloads at seed 4242, pinned by digest."""
+    seen = {}
+    for name, sf, seed in cases(tmp_path):
+        sites = expand_sites(sf, seed)
+        seen[name] = {"seed": seed, "sites": len(sites), "digest": digest(sites)}
+    assert seen == EXPAND_GOLDEN
+
+
+# Weights as a scenario file may give them: integers, decimals, strings of
+# tiny and huge magnitudes (1E-400 is 0.0 as a float, 1E+400 is inf) and zeros,
+# which the generator drops.
+WEIGHTS = st.one_of(
+    st.integers(min_value=0, max_value=100),
+    st.decimals(min_value=0, max_value=1000, places=3),
+    st.sampled_from(["0", "1E-30", "1E-400", "0.000001", "1E+400"]),
+)
+
+
+def weight_map(keys):
+    return st.dictionaries(st.sampled_from(keys), WEIGHTS, min_size=1).filter(
+        lambda m: any(Decimal(str(w)) > 0 for w in m.values())
+    )
+
+
+@st.composite
+def generator_blocks(draw):
+    n_partners = draw(st.integers(min_value=1, max_value=12))
+    partners = {pid: make_partner(pid) for pid in [f"p{i}" for i in range(n_partners)] + ["entity"]}
+    gen = {
+        "num_sites": draw(st.integers(min_value=1, max_value=40)),
+        "facet_weights": draw(weight_map([f.value for f in Facet])),
+        "ad_server_partner": "entity",
+        "roster_order": draw(st.sampled_from(["shuffle", "pool"])),
+        "partner_count_weights": draw(weight_map([str(k) for k in range(1, 15)])),
+        "slot_count_weights": draw(weight_map([str(k) for k in range(0, 9)])),
+        "slot_sizes": draw(weight_map(["300x250", "728x90", "300x600", "1x1", "320x50"])),
+        "wrapper_policy_weights": draw(weight_map(["wait_all", "wait_timeout", "immediate"])),
+        "waterfall_tiers": draw(st.integers(min_value=1, max_value=14)),
+        "server_backend_count": draw(st.integers(min_value=1, max_value=14)),
+        "floor_price": draw(st.sampled_from(["0", "0.01", "0.010", "2.5"])),
+        "render_fail_probability": draw(st.sampled_from(["0", "0.05"])),
+        "rank_start": draw(st.integers(min_value=1, max_value=10**6)),
+    }
+    if draw(st.booleans()):
+        pool = [pid for pid in partners if pid != "entity"]
+        gen["partner_pool"] = draw(st.permutations(pool))[: draw(st.integers(min_value=1, max_value=len(pool)))]
+    return partners, gen
+
+
+@settings(max_examples=80, deadline=None)
+@given(block=generator_blocks(), seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_expansion_equals_generator_oracle(block, seed):
+    partners, gen = block
+    sf = ScenarioFile(master_seed=None, rounds_per_site=1, output_dir=None, partners=partners,
+                      sites=(), generator=gen)
+    assert canonical_json(expand_sites(sf, seed)) == canonical_json(oracles.generate_sites(partners, gen, seed))
