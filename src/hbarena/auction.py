@@ -124,13 +124,6 @@ def _resolve(partners: Mapping[str, DemandPartnerSpec], pid: str, site_id: str) 
     return spec
 
 
-def _require_facet(scenario: WebsiteScenario, facet: Facet) -> None:
-    if scenario.facet is not facet:
-        raise ConfigurationError(
-            f"site {scenario.site_id!r}: expected facet {facet.value}, got {scenario.facet.value}"
-        )
-
-
 def _client_responses(scenario, partners, master_seed, round_index):
     """Sample (arrival, per-slot cpms) for each responding roster partner."""
     responses: dict[str, tuple[Decimal, list[Decimal]]] = {}
@@ -226,34 +219,34 @@ def _auction_outcome(scenario, bids_by_slot, master_seed, round_index, send_time
     )
 
 
-def run_client_side(
+def run_scenario(
     scenario: WebsiteScenario,
     partners: Mapping[str, DemandPartnerSpec],
     master_seed: int,
     round_index: int = 0,
-) -> AuctionOutcome:
-    """Browser-hosted auction: parallel bid requests at t=0, wrapper handoff,
-    then the publisher's ad server picks per-slot winners from on-time bids."""
-    _require_facet(scenario, Facet.CLIENT_SIDE)
-    return _run_wrapper_round(scenario, partners, master_seed, round_index, server_entity=None)
+) -> AuctionOutcome | WaterfallOutcome | None:
+    """One round of the site's protocol, dispatched on its facet; no_ads
+    sites produce no auction at all."""
+    facet = scenario.facet
+    if facet is Facet.WATERFALL_ONLY:
+        return _waterfall_round(scenario, partners, master_seed, round_index)
+    if facet is Facet.NO_ADS:
+        return None
+    entity = None
+    if facet is not Facet.CLIENT_SIDE:
+        if not scenario.ad_server_partner_id:
+            raise ConfigurationError(f"site {scenario.site_id!r}: {facet.value} requires ad_server_partner_id")
+        entity = _resolve(partners, scenario.ad_server_partner_id, scenario.site_id)
+    if facet is Facet.SERVER_SIDE:
+        return _server_round(scenario, partners, master_seed, round_index)
+    return _wrapper_round(scenario, partners, master_seed, round_index, entity)
 
 
-def run_hybrid(
-    scenario: WebsiteScenario,
-    partners: Mapping[str, DemandPartnerSpec],
-    master_seed: int,
-    round_index: int = 0,
-) -> AuctionOutcome:
-    """Client phase as in client-side; the ad-server entity then merges its
-    own bid (its internal auction's result) with the on-time client bids."""
-    _require_facet(scenario, Facet.HYBRID)
-    if not scenario.ad_server_partner_id:
-        raise ConfigurationError(f"site {scenario.site_id!r}: hybrid requires ad_server_partner_id")
-    entity = _resolve(partners, scenario.ad_server_partner_id, scenario.site_id)
-    return _run_wrapper_round(scenario, partners, master_seed, round_index, server_entity=entity)
-
-
-def _run_wrapper_round(scenario, partners, master_seed, round_index, server_entity):
+def _wrapper_round(scenario, partners, master_seed, round_index, server_entity):
+    """Client-side, and hybrid with ``server_entity``: parallel bid requests
+    at t=0, wrapper handoff, then the ad server picks per-slot winners from
+    the on-time bids.  A hybrid's entity merges its own bid (its internal
+    auction's result) with them."""
     responses = _client_responses(scenario, partners, master_seed, round_index)
     send_time = _effective_send_time(scenario, responses)
     bids_by_slot: dict[str, list[Bid]] = {slot.slot_id: [] for slot in scenario.slots}
@@ -266,20 +259,9 @@ def _run_wrapper_round(scenario, partners, master_seed, round_index, server_enti
     return _auction_outcome(scenario, bids_by_slot, master_seed, round_index, send_time)
 
 
-def run_server_side(
-    scenario: WebsiteScenario,
-    partners: Mapping[str, DemandPartnerSpec],
-    master_seed: int,
-    round_index: int = 0,
-) -> AuctionOutcome:
+def _server_round(scenario, partners, master_seed, round_index) -> AuctionOutcome:
     """Single round trip to the ad-server entity, which auctions the
     scenario's partner roster internally and returns only winner metadata."""
-    _require_facet(scenario, Facet.SERVER_SIDE)
-    if not scenario.ad_server_partner_id:
-        raise ConfigurationError(
-            f"site {scenario.site_id!r}: server_side requires ad_server_partner_id"
-        )
-    _resolve(partners, scenario.ad_server_partner_id, scenario.site_id)
     bids_by_slot: dict[str, list[Bid]] = {slot.slot_id: [] for slot in scenario.slots}
     for pid in scenario.partners:
         spec = _resolve(partners, pid, scenario.site_id)
@@ -287,15 +269,9 @@ def run_server_side(
     return _auction_outcome(scenario, bids_by_slot, master_seed, round_index, Decimal(0))
 
 
-def run_waterfall(
-    scenario: WebsiteScenario,
-    partners: Mapping[str, DemandPartnerSpec],
-    master_seed: int,
-    round_index: int = 0,
-) -> WaterfallOutcome:
+def _waterfall_round(scenario, partners, master_seed, round_index) -> WaterfallOutcome:
     """Sequential tier trial for the site's primary slot: each tier costs its
     full response time, and the first floor-meeting bid stops the cascade."""
-    _require_facet(scenario, Facet.WATERFALL_ONLY)
     if not scenario.partners:
         raise ConfigurationError(f"site {scenario.site_id!r}: waterfall needs at least one tier")
     if not scenario.slots:
@@ -333,20 +309,3 @@ def run_waterfall(
         fallback_used=winner is None,
     )
 
-
-def run_scenario(
-    scenario: WebsiteScenario,
-    partners: Mapping[str, DemandPartnerSpec],
-    master_seed: int,
-    round_index: int = 0,
-) -> AuctionOutcome | WaterfallOutcome | None:
-    """Dispatch on facet; no_ads sites produce no auction at all."""
-    if scenario.facet is Facet.CLIENT_SIDE:
-        return run_client_side(scenario, partners, master_seed, round_index)
-    if scenario.facet is Facet.SERVER_SIDE:
-        return run_server_side(scenario, partners, master_seed, round_index)
-    if scenario.facet is Facet.HYBRID:
-        return run_hybrid(scenario, partners, master_seed, round_index)
-    if scenario.facet is Facet.WATERFALL_ONLY:
-        return run_waterfall(scenario, partners, master_seed, round_index)
-    return None

@@ -62,21 +62,13 @@ def _sha256_file(path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _write_text(path, text: str) -> str:
-    """Write text as UTF-8; returns the "sha256:" digest of the bytes written."""
-    data = text.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _write_lines(path, lines) -> str:
-    """Write each line and a newline as UTF-8, one at a time rather than as
-    one joined copy; returns the "sha256:" digest of the bytes written."""
+def _write(path, chunks) -> str:
+    """Write each text chunk as UTF-8, one at a time rather than as one
+    joined copy; returns the "sha256:" digest of the bytes written."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for line in lines:
-            data = line.encode("utf-8") + b"\n"
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
             digest.update(data)
             fh.write(data)
     return "sha256:" + digest.hexdigest()
@@ -97,8 +89,8 @@ def _map_ordered(fn, tasks: list, jobs: int) -> Iterator:
 def _simulate_site(task) -> tuple[str, list[tuple[str, str]], list[str]]:
     """Run all rounds for one site and write its trace/truth files.
 
-    Returns (site_id, (file name, digest) of each file written, outcome row
-    JSON lines).
+    Returns (site_id, (file name, digest) of each file written, outcome rows
+    as JSON lines with their newlines).
     """
     scenario, partners, master_seed, rounds, out_dir = task
     written: list[tuple[str, str]] = []
@@ -107,13 +99,11 @@ def _simulate_site(task) -> tuple[str, list[tuple[str, str]], list[str]]:
         outcome = run_scenario(scenario, partners, master_seed, round_index)
         trace = emit_trace(outcome, scenario, partners, round_index)
         t_name = trace_filename(scenario.site_id, round_index)
-        written.append((t_name, _write_text(os.path.join(out_dir, t_name), serialize_trace(trace))))
+        written.append((t_name, _write(os.path.join(out_dir, t_name), [serialize_trace(trace)])))
         s_name = truth_filename(scenario.site_id, round_index)
         record = truth_record(outcome, scenario, round_index)
-        written.append(
-            (s_name, _write_text(os.path.join(out_dir, s_name), _COMPACT_JSON.encode(record) + "\n"))
-        )
-        rows.append(_COMPACT_JSON.encode(outcome_row(outcome, scenario, round_index)))
+        written.append((s_name, _write(os.path.join(out_dir, s_name), [_COMPACT_JSON.encode(record) + "\n"])))
+        rows.append(_COMPACT_JSON.encode(outcome_row(outcome, scenario, round_index)) + "\n")
     return scenario.site_id, written, rows
 
 
@@ -161,11 +151,9 @@ def cmd_simulate(args) -> int:
             digests.update(written)
             yield from rows
 
-    digests["outcomes.jsonl"] = _write_lines(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines())
-    digests["directory.json"] = _write_text(
-        os.path.join(out_dir, "directory.json"),
-        json.dumps(sf.directory().to_json(), indent=2, sort_keys=True) + "\n",
-    )
+    digests["outcomes.jsonl"] = _write(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines())
+    directory = json.dumps(sf.directory().to_json(), indent=2, sort_keys=True)
+    digests["directory.json"] = _write(os.path.join(out_dir, "directory.json"), [directory, "\n"])
 
     facet_counts: dict[str, int] = {}
     for site in sites:
@@ -183,7 +171,7 @@ def cmd_simulate(args) -> int:
         },
         "files": digests,  # sorted once, by sort_keys
     }
-    _write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(os.path.join(out_dir, "manifest.json"), [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     stale = sorted(
         name for name in os.listdir(out_dir) if name.endswith(_CORPUS_SUFFIXES) and name not in digests
     )

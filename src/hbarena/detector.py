@@ -40,16 +40,10 @@ WRAPPER_DOM_EVENTS = frozenset(
 )
 
 
-class DetectorContractError(RuntimeError):
-    """classify_facet was called on a trace without HB activity."""
-
-
 @dataclass(frozen=True)
 class DetectedBid:
     partner: str
     cpm: Decimal
-    slot_id: str | None
-    size: str | None
     latency_ms: Decimal | None
     late: bool
     channel: str
@@ -183,19 +177,6 @@ class _Facts:
         return Facet.HYBRID if host and self.lookup(host) else Facet.CLIENT_SIDE
 
 
-def detect_hb(trace: Trace, directory: PartnerDirectory) -> bool:
-    """True iff the trace shows header-bidding activity."""
-    return _Facts(trace, directory).is_hb
-
-
-def classify_facet(trace: Trace, directory: PartnerDirectory) -> Facet:
-    """Assign one of the three HB facets to a trace known to contain HB."""
-    facts = _Facts(trace, directory)
-    if not facts.is_hb:
-        raise DetectorContractError(f"trace {trace.site_id} r{trace.round_index} shows no HB activity")
-    return facts.facet()
-
-
 def extract_auction_metadata(trace: Trace, directory: PartnerDirectory) -> DetectionResult:
     """Pull partners, per-slot bids, winners, late counts, and the HB latency
     (first outbound bid request to ad-server response) out of one trace."""
@@ -225,20 +206,11 @@ def extract_auction_metadata(trace: Trace, directory: PartnerDirectory) -> Detec
             warnings += 1
             continue
         bidder = event.params.get("bidder", "")
-        size = event.params.get("hb_size")
-        note_slot(event.slot_id, size)
+        note_slot(event.slot_id, event.params.get("hb_size"))
         late = auction_end is not None and event.ts_ms > auction_end
         late_count += late
         latency = event.ts_ms - facts.request_ts.get(bidder, Decimal(0))
-        bid = DetectedBid(
-            partner=bidder or "unknown:",
-            cpm=cpm,
-            slot_id=event.slot_id,
-            size=size,
-            latency_ms=quantize_ms(latency),
-            late=late,
-            channel="client",
-        )
+        bid = DetectedBid(bidder or "unknown:", cpm, quantize_ms(latency), late, "client")
         slot_bids.setdefault(event.slot_id or "", []).append(bid)
 
     for event in facts.slot_events:
@@ -272,23 +244,14 @@ def extract_auction_metadata(trace: Trace, directory: PartnerDirectory) -> Detec
             if cpm is None:
                 warnings += 1
                 continue
-            size = response.params.get("hb_size")
-            note_slot(response.slot_id, size)
+            note_slot(response.slot_id, response.params.get("hb_size"))
             if response.slot_id not in slot_winner:
                 slot_winner[response.slot_id or ""] = (named, cpm)
             if named not in facts.client_bidders:
                 # New information only: a server-side price the client flow
                 # never showed.  Client winners echoed back are not re-added.
                 slot_bids.setdefault(response.slot_id or "", []).append(
-                    DetectedBid(
-                        partner=named,
-                        cpm=cpm,
-                        slot_id=response.slot_id,
-                        size=size,
-                        latency_ms=None,
-                        late=False,
-                        channel="ad_server",
-                    )
+                    DetectedBid(named, cpm, None, False, "ad_server")
                 )
 
     auctions = []

@@ -157,12 +157,19 @@ class Distribution:
             if kind == "fixed":
                 return cls.fixed(finite_decimal(obj[f"value_{cls.unit}"]))
             if kind == "lognormal":
-                return cls.lognormal(float(obj["mu"]), float(obj["sigma"]))
+                return cls.lognormal(_real(obj, "mu"), _real(obj, "sigma"))
             if kind == "empirical":
                 return cls.empirical(finite_decimal(s) for s in obj[f"samples_{cls.unit}"])
         except (KeyError, InvalidOperation, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{where}: bad parameters for kind {kind!r}: {exc}") from exc
         raise ConfigurationError(f"{where}: unknown kind {kind!r}")
+
+
+def _real(obj: dict, key: str) -> float:
+    value = obj[key]
+    if isinstance(value, bool):  # float(True) is 1.0
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 class LatencyModel(Distribution):
@@ -225,6 +232,8 @@ class DemandPartnerSpec:
             out.append(f"{where}: partner_id must match {_ID_RE.pattern}")
         if not self.domains:
             out.append(f"{where}: domains must be non-empty")
+        if not all(map(_host_suffix, self.domains)):
+            out.append(f"{where}: domains must not hold an empty entry")
         if not (0 <= self.response_probability <= 1):
             out.append(f"{where}: response_probability must be in [0, 1]")
         out.extend(self.latency_model.violations(f"{where} latency_model"))
@@ -333,6 +342,11 @@ def _fails(part, checked: dict) -> bool:
     return not ok
 
 
+def _host_suffix(domain: str) -> str:
+    """A directory entry's key: lower case, without surrounding blanks or dots."""
+    return domain.lower().strip().strip(".")
+
+
 @dataclass(frozen=True)
 class PartnerDirectory:
     """Hostname-suffix to partner-id map used for request attribution.
@@ -345,10 +359,7 @@ class PartnerDirectory:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "PartnerDirectory":
-        entries = {}
-        for suffix, pid in mapping.items():
-            entries[suffix.lower().strip().strip(".")] = pid
-        return cls(entries)
+        return cls({_host_suffix(suffix): pid for suffix, pid in mapping.items()})
 
     @classmethod
     def from_file(cls, path) -> "PartnerDirectory":
@@ -362,9 +373,6 @@ class PartnerDirectory:
 
     def to_json(self) -> dict[str, str]:
         return dict(sorted(self.entries.items()))
-
-    def lookup(self, host: str) -> str | None:
-        return lookup_partner(host, self)
 
 
 def lookup_partner(host: str, directory: PartnerDirectory) -> str | None:

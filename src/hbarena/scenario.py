@@ -275,6 +275,8 @@ def expand_sites(sf: ScenarioFile, master_seed: int) -> tuple[WebsiteScenario, .
 
 
 def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[WebsiteScenario]:
+    # Fields every generated site inherits are checked here, once, rather
+    # than by validation once per site.
     cfg = dict(_GENERATOR_DEFAULTS)
     cfg.update(gen)
     if "num_sites" not in cfg:
@@ -287,8 +289,11 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
         width, x, height = key.partition("x")
         if not x:
             raise ConfigurationError(f"generator slot_sizes: size {key!r} is not WIDTHxHEIGHT")
-        return (_integer(width, f"generator slot_sizes {key!r} width"),
-                _integer(height, f"generator slot_sizes {key!r} height"))
+        wh = (_integer(width, f"generator slot_sizes {key!r} width"),
+              _integer(height, f"generator slot_sizes {key!r} height"))
+        if min(wh) <= 0:
+            raise ConfigurationError(f"generator slot_sizes: size {key!r} needs a positive width and height")
+        return wh
 
     facet_weights = _weights(cfg["facet_weights"], "generator facet_weights")
     facets = [_member(Facet, key, "generator facet_weights: unknown facet") for key, _ in facet_weights]
@@ -329,15 +334,25 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
         ad_server_latency = LatencyModel.fixed(Decimal(50))
     else:
         ad_server_latency = LatencyModel.from_json(ad_server_latency, "generator ad_server_latency")
+        if problems := ad_server_latency.violations("generator ad_server_latency"):
+            raise ConfigurationError("; ".join(problems))
 
     floor = _number(cfg["floor_price"], "generator floor_price")
+    if floor < 0:
+        raise ConfigurationError(f"generator floor_price must be non-negative, got {floor}")
     timeout_ms = _integer(cfg["timeout_ms"], "generator timeout_ms")
+    if timeout_ms <= 0:
+        raise ConfigurationError(f"generator timeout_ms must be positive, got {timeout_ms}")
     roster_order = cfg["roster_order"]
     if roster_order not in ("shuffle", "pool"):
         raise ConfigurationError("generator roster_order must be 'shuffle' or 'pool'")
     render_fail = _number(cfg["render_fail_probability"], "generator render_fail_probability")
+    if not 0 <= render_fail <= 1:
+        raise ConfigurationError(f"generator render_fail_probability must be in [0, 1], got {render_fail}")
     prefix = cfg["site_prefix"]
     rank_start = _integer(cfg["rank_start"], "generator rank_start")
+    if rank_start < 1:
+        raise ConfigurationError(f"generator rank_start must be >= 1, got {rank_start}")
 
     counts = _quota_counts(facet_weights, num_sites)
     facet_list: list[Facet] = []

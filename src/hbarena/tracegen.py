@@ -107,10 +107,6 @@ class TraceEvent:
     auction_id: str | None = None
     slot_id: str | None = None
 
-    @property
-    def host(self) -> str | None:
-        return url_host(self.url)
-
 
 @dataclass(frozen=True)
 class Trace:

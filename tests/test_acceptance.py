@@ -19,7 +19,7 @@ import pytest
 
 import oracles
 from hbarena.analytics import late_bid_stats, load_records, percentile, price_stats
-from hbarena.auction import Bid, run_client_side, run_hybrid, run_scenario, select_winner
+from hbarena.auction import Bid, run_scenario, select_winner
 from hbarena.cli import main
 from hbarena.detector import extract_auction_metadata
 from hbarena.domain import (
@@ -156,8 +156,7 @@ def test_criterion_02_late_bid_correctness():
     runs = violations = 0
     for i in range(10_000):
         scenario, roster = _random_wrapper_scenario(rng, i)
-        run = run_hybrid if scenario.facet is Facet.HYBRID else run_client_side
-        outcome = run(scenario, roster, master_seed=i)
+        outcome = run_scenario(scenario, roster, master_seed=i)
         runs += 1
         send = outcome.wrapper_send_time_ms
         for slot in outcome.slots:

@@ -10,10 +10,7 @@ from conftest import make_partner, make_scenario, make_slot
 from hbarena.auction import (
     Bid,
     compute_send_time,
-    run_client_side,
-    run_hybrid,
-    run_server_side,
-    run_waterfall,
+    run_scenario,
     select_winner,
 )
 from hbarena.domain import (
@@ -91,7 +88,7 @@ class TestComputeSendTime:
 class TestClientSide:
     def test_two_partner_fixture_matches_hand_trace(self, two_partner_roster):
         scenario = make_scenario(partners=("p1", "p2"))
-        outcome = run_client_side(scenario, two_partner_roster, master_seed=1)
+        outcome = run_scenario(scenario, two_partner_roster, master_seed=1)
         send, response, total, late = oracles.client_side_totals(
             [D(100), D(200)], D(150), "wait_timeout", 3000
         )
@@ -105,7 +102,7 @@ class TestClientSide:
 
     def test_immediate_policy_loses_every_bid(self, two_partner_roster):
         scenario = make_scenario(partners=("p1", "p2"), policy=WrapperPolicy.IMMEDIATE)
-        outcome = run_client_side(scenario, two_partner_roster, master_seed=1)
+        outcome = run_scenario(scenario, two_partner_roster, master_seed=1)
         assert outcome.wrapper_send_time_ms == D(0)
         assert outcome.late_bid_count == 2
         assert all(b.late for s in outcome.slots for b in s.bids)
@@ -117,7 +114,7 @@ class TestClientSide:
     def test_silent_partner_yields_no_bids(self):
         roster = {"p1": make_partner("p1", response_probability="0")}
         scenario = make_scenario(partners=("p1",))
-        outcome = run_client_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         assert outcome.slots[0].bids == ()
         assert not outcome.slots[0].filled
 
@@ -127,7 +124,7 @@ class TestClientSide:
             "p2": make_partner("p2", response_probability="0"),
         }
         scenario = make_scenario(partners=("p1", "p2"))
-        outcome = run_client_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         assert outcome.wrapper_send_time_ms == D(3000)
 
     def test_arrival_at_send_time_is_on_time(self):
@@ -136,21 +133,21 @@ class TestClientSide:
             "p2": make_partner("p2", latency_ms="200", bid_cpm="0.3"),
         }
         scenario = make_scenario(partners=("p1", "p2"))
-        outcome = run_client_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         assert outcome.wrapper_send_time_ms == D(200)
         assert outcome.late_bid_count == 0
 
     def test_unresolved_partner_is_config_error(self, two_partner_roster):
         scenario = make_scenario(partners=("p1", "ghost"))
         with pytest.raises(ConfigurationError):
-            run_client_side(scenario, two_partner_roster, master_seed=1)
+            run_scenario(scenario, two_partner_roster, master_seed=1)
 
     def test_multi_slot_partner_bids_every_slot(self, two_partner_roster):
         scenario = make_scenario(
             partners=("p1", "p2"),
             slots=[make_slot("slot0"), make_slot("slot1", 728, 90)],
         )
-        outcome = run_client_side(scenario, two_partner_roster, master_seed=1)
+        outcome = run_scenario(scenario, two_partner_roster, master_seed=1)
         assert [len(s.bids) for s in outcome.slots] == [2, 2]
 
 
@@ -167,7 +164,7 @@ class TestServerSide:
             ad_server_partner_id="adserve",
             ad_server_latency_ms="250",
         )
-        outcome = run_server_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         assert outcome.total_latency_ms == D(250)
         assert outcome.wrapper_send_time_ms == D(0)
         assert outcome.slots[0].winner == ("b2", D("0.6"))
@@ -182,17 +179,17 @@ class TestServerSide:
         scenario = make_scenario(
             facet=Facet.SERVER_SIDE, partners=("b1",), ad_server_partner_id="adserve"
         )
-        outcome = run_server_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         assert outcome.slots[0].winner is None
         assert outcome.slots[0].fallback_used
 
     def test_timeout_never_applies_to_single_request(self):
         roster = {"b1": make_partner("b1"), "adserve": make_partner("adserve")}
         base = dict(facet=Facet.SERVER_SIDE, partners=("b1",), ad_server_partner_id="adserve")
-        wait_timeout = run_server_side(
+        wait_timeout = run_scenario(
             make_scenario(policy=WrapperPolicy.WAIT_TIMEOUT, **base), roster, master_seed=1
         )
-        wait_all = run_server_side(
+        wait_all = run_scenario(
             make_scenario(policy=WrapperPolicy.WAIT_ALL, **base), roster, master_seed=1
         )
         assert wait_timeout == wait_all
@@ -201,7 +198,7 @@ class TestServerSide:
         roster = {"b1": make_partner("b1")}
         scenario = make_scenario(facet=Facet.SERVER_SIDE, partners=("b1",))
         with pytest.raises(ConfigurationError):
-            run_server_side(scenario, roster, master_seed=1)
+            run_scenario(scenario, roster, master_seed=1)
 
 
 class TestHybrid:
@@ -213,12 +210,12 @@ class TestHybrid:
 
     def test_server_bid_wins_union(self):
         scenario = make_scenario(facet=Facet.HYBRID, partners=("A",), ad_server_partner_id="srv")
-        outcome = run_hybrid(scenario, self._roster("0.3", "0.5"), master_seed=1)
+        outcome = run_scenario(scenario, self._roster("0.3", "0.5"), master_seed=1)
         assert outcome.slots[0].winner == ("srv", D("0.5"))
 
     def test_client_bid_wins_union(self):
         scenario = make_scenario(facet=Facet.HYBRID, partners=("A",), ad_server_partner_id="srv")
-        outcome = run_hybrid(scenario, self._roster("0.7", "0.5"), master_seed=1)
+        outcome = run_scenario(scenario, self._roster("0.7", "0.5"), master_seed=1)
         assert outcome.slots[0].winner == ("A", D("0.7"))
 
     def test_union_degenerates_to_server_bid_when_clients_late(self):
@@ -229,13 +226,13 @@ class TestHybrid:
             ad_server_partner_id="srv",
             policy=WrapperPolicy.IMMEDIATE,
         )
-        outcome = run_hybrid(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         assert outcome.slots[0].winner == ("srv", D("0.2"))
         assert outcome.slots[0].filled
 
     def test_total_latency_is_send_plus_ad_server(self):
         scenario = make_scenario(facet=Facet.HYBRID, partners=("A",), ad_server_partner_id="srv")
-        outcome = run_hybrid(scenario, self._roster("0.3", "0.5"), master_seed=1)
+        outcome = run_scenario(scenario, self._roster("0.3", "0.5"), master_seed=1)
         assert outcome.total_latency_ms == D(100) + D(150)
 
 
@@ -246,7 +243,7 @@ class TestWaterfall:
             "B": make_partner("B", latency_ms="180", bid_cpm="0.3"),
         }
         scenario = make_scenario(facet=Facet.WATERFALL_ONLY, partners=("A", "B"))
-        outcome = run_waterfall(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         tried, winner, total = oracles.waterfall_totals(
             [("A", None, D(150)), ("B", D("0.3"), D(180))], D("0.1")
         )
@@ -260,7 +257,7 @@ class TestWaterfall:
             "B": make_partner("B", latency_ms="180", bid_cpm="0.9"),
         }
         scenario = make_scenario(facet=Facet.WATERFALL_ONLY, partners=("A", "B"))
-        outcome = run_waterfall(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         assert outcome.winner == ("A", D("0.4"))
         assert len(outcome.tiers_tried) == 1
         assert outcome.total_latency_ms == D(150)
@@ -271,7 +268,7 @@ class TestWaterfall:
             "B": make_partner("B", bid_cpm="0.01"),
         }
         scenario = make_scenario(facet=Facet.WATERFALL_ONLY, partners=("A", "B"))
-        outcome = run_waterfall(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         assert outcome.winner is None
         assert outcome.fallback_used
         assert len(outcome.tiers_tried) == 2
@@ -292,14 +289,14 @@ class TestWaterfall:
         scenario = make_scenario(
             facet=Facet.WATERFALL_ONLY, partners=tuple(roster), slots=[make_slot(floor="0.2")]
         )
-        outcome = run_waterfall(scenario, roster, master_seed=seed)
+        outcome = run_scenario(scenario, roster, master_seed=seed)
         assert outcome.total_latency_ms == sum(t.latency_ms for t in outcome.tiers_tried)
         assert outcome.total_latency_ms.as_tuple().exponent == -3
 
     def test_empty_tiers_config_error(self):
         scenario = make_scenario(facet=Facet.WATERFALL_ONLY, partners=())
         with pytest.raises(ConfigurationError):
-            run_waterfall(scenario, {}, master_seed=1)
+            run_scenario(scenario, {}, master_seed=1)
 
 
 _cpms = st.decimals(min_value=0, max_value=10, places=4)
@@ -355,7 +352,7 @@ def test_wait_all_send_time_identity(latencies, seed):
         f"p{i}": make_partner(f"p{i}", latency_ms=str(ms)) for i, ms in enumerate(latencies)
     }
     scenario = make_scenario(partners=tuple(roster), policy=WrapperPolicy.WAIT_ALL)
-    outcome = run_client_side(scenario, roster, master_seed=seed)
+    outcome = run_scenario(scenario, roster, master_seed=seed)
     assert outcome.wrapper_send_time_ms == max(D(ms) for ms in latencies)
 
 
@@ -364,10 +361,10 @@ def test_wait_all_send_time_identity(latencies, seed):
 def test_wait_all_adding_partner_never_reduces_send_time(latencies):
     roster = {f"p{i}": make_partner(f"p{i}", latency_ms=str(ms)) for i, ms in enumerate(latencies)}
     scenario = make_scenario(partners=tuple(roster), policy=WrapperPolicy.WAIT_ALL)
-    base = run_client_side(scenario, roster, master_seed=3).wrapper_send_time_ms
+    base = run_scenario(scenario, roster, master_seed=3).wrapper_send_time_ms
     roster["extra"] = make_partner("extra", latency_ms="777")
     grown = make_scenario(partners=tuple(roster), policy=WrapperPolicy.WAIT_ALL)
-    assert run_client_side(grown, roster, master_seed=3).wrapper_send_time_ms >= base
+    assert run_scenario(grown, roster, master_seed=3).wrapper_send_time_ms >= base
 
 
 def test_hb_beats_waterfall_structurally():
@@ -380,7 +377,7 @@ def test_hb_beats_waterfall_structurally():
     }
     hb_scenario = make_scenario(partners=("A", "B"), ad_server_latency_ms="200")
     wf_scenario = make_scenario(facet=Facet.WATERFALL_ONLY, partners=("A", "B"))
-    hb = run_client_side(hb_scenario, roster, master_seed=5)
-    wf = run_waterfall(wf_scenario, roster, master_seed=5)
+    hb = run_scenario(hb_scenario, roster, master_seed=5)
+    wf = run_scenario(wf_scenario, roster, master_seed=5)
     assert len(wf.tiers_tried) == 2
     assert hb.total_latency_ms <= wf.total_latency_ms

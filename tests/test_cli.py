@@ -730,6 +730,10 @@ GEN = ("generator",)
         ("minimal", _set(("partners", 0, "response_probability"), NAN), "response_probability"),
         ("minimal", _set(("sites", 0, "render_fail_probability"), NAN), "render_fail_probability"),
         ("minimal", _set(("partners", 0, "domains"), "abc"), "domains"),
+        ("minimal", _set(("partners", 0, "latency_model"), {"kind": "lognormal", "mu": True, "sigma": 0.5}), "mu"),
+        ("minimal", _set(("partners", 0, "bid_model"), {"kind": "lognormal", "mu": 0.1, "sigma": True}), "sigma"),
+        ("minimal", _set(("partners", 0, "domains"), ["", "adnxs.com"]), "partner 'appnexus': domains"),
+        ("minimal", _set(("partners", 0, "domains"), [" . "]), "partner 'appnexus': domains"),
     ],
     ids=[
         "nan-facet-weight", "inf-slot-size-weight", "nan-partner-count-weight", "negative-inf-slot-count-weight",
@@ -737,6 +741,7 @@ GEN = ("generator",)
         "timeout-abc", "rank-start-x", "backend-count-x", "floor-abc", "floor-nan-string", "render-fail-abc",
         "num-sites-2.5", "waterfall-tiers-minus-1", "rounds-x", "master-seed-x", "partner-not-object",
         "slot-floor-nan", "response-probability-nan", "site-render-fail-nan", "domains-string",
+        "lognormal-mu-true", "lognormal-sigma-true", "domains-empty-entry", "domains-dot-entry",
     ],
 )
 def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field):
@@ -754,3 +759,29 @@ def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field)
     assert field in err
     assert "runtime error" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout_ms", 0),
+        ("render_fail_probability", "1.5"),
+        ("floor_price", "-1"),
+        ("rank_start", -3),
+        ("slot_sizes", {"0x250": 1}),
+        ("ad_server_latency", {"kind": "fixed", "value_ms": "0"}),
+    ],
+    ids=["timeout-0", "render-fail-1.5", "floor-minus-1", "rank-start-minus-3", "slot-size-0x250",
+         "ad-server-latency-0"],
+)
+def test_generator_field_out_of_range_is_one_error(tmp_path, capsys, field, value):
+    """A generator field every generated site would inherit is reported once,
+    naming the field, not once per site."""
+    scenario = json.loads((MINIMAL_SCENARIO.parent / "market_mix_5000.json").read_text())
+    scenario["generator"]["num_sites"] = 20
+    scenario["generator"][field] = value
+    scen = write(tmp_path, scenario)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert f"generator {field}" in err[0]

@@ -11,14 +11,8 @@ from decimal import Decimal
 import pytest
 
 from conftest import make_partner, make_scenario, make_slot
-from hbarena.auction import run_client_side, run_hybrid, run_server_side, run_waterfall
-from hbarena.detector import (
-    DetectorContractError,
-    classify_facet,
-    detect_hb,
-    extract_auction_metadata,
-    result_row,
-)
+from hbarena.auction import run_scenario
+from hbarena.detector import extract_auction_metadata, result_row
 from hbarena.domain import Facet, PartnerDirectory, WrapperPolicy
 from hbarena.tracegen import KIND_DOM, KIND_REQUEST, KIND_RESPONSE, Trace, TraceEvent, emit_trace
 
@@ -41,7 +35,7 @@ DIRECTORY = PartnerDirectory.from_mapping(
 @pytest.fixture
 def client_fixture(two_partner_roster):
     scenario = make_scenario(partners=("p1", "p2"))
-    outcome = run_client_side(scenario, two_partner_roster, master_seed=1)
+    outcome = run_scenario(scenario, two_partner_roster, master_seed=1)
     return emit_trace(outcome, scenario, two_partner_roster), outcome
 
 
@@ -58,7 +52,7 @@ def server_fixture():
         ad_server_partner_id="adserve",
         ad_server_latency_ms="250",
     )
-    outcome = run_server_side(scenario, roster, master_seed=1)
+    outcome = run_scenario(scenario, roster, master_seed=1)
     return emit_trace(outcome, scenario, roster), outcome
 
 
@@ -69,7 +63,7 @@ def waterfall_fixture():
         "B": make_partner("B", bid_cpm="0.3"),
     }
     scenario = make_scenario(facet=Facet.WATERFALL_ONLY, partners=("A", "B"))
-    outcome = run_waterfall(scenario, roster, master_seed=1)
+    outcome = run_scenario(scenario, roster, master_seed=1)
     return emit_trace(outcome, scenario, roster), outcome
 
 
@@ -79,19 +73,19 @@ def hybrid_fixture(client_cpm, server_cpm):
         "srv": make_partner("srv", "srv.example.net", bid_cpm=server_cpm),
     }
     scenario = make_scenario(facet=Facet.HYBRID, partners=("A",), ad_server_partner_id="srv")
-    outcome = run_hybrid(scenario, roster, master_seed=1)
+    outcome = run_scenario(scenario, roster, master_seed=1)
     return emit_trace(outcome, scenario, roster), outcome
 
 
 class TestDetectHB:
     def test_client_side_detected(self, client_fixture):
-        assert detect_hb(client_fixture[0], DIRECTORY) is True
+        assert extract_auction_metadata(client_fixture[0], DIRECTORY).is_hb is True
 
     def test_waterfall_not_detected(self, waterfall_fixture):
-        assert detect_hb(waterfall_fixture[0], DIRECTORY) is False
+        assert extract_auction_metadata(waterfall_fixture[0], DIRECTORY).is_hb is False
 
     def test_empty_trace_not_detected(self):
-        assert detect_hb(Trace("s", 0, ()), DIRECTORY) is False
+        assert extract_auction_metadata(Trace("s", 0, ()), DIRECTORY).is_hb is False
 
     def test_server_side_detected_even_unfilled(self):
         roster = {
@@ -101,26 +95,26 @@ class TestDetectHB:
         scenario = make_scenario(
             facet=Facet.SERVER_SIDE, partners=("b1",), ad_server_partner_id="adserve"
         )
-        outcome = run_server_side(scenario, roster, master_seed=1)
-        assert detect_hb(emit_trace(outcome, scenario, roster), DIRECTORY) is True
+        outcome = run_scenario(scenario, roster, master_seed=1)
+        assert extract_auction_metadata(emit_trace(outcome, scenario, roster), DIRECTORY).is_hb is True
 
 
 class TestClassifyFacet:
     def test_server_side(self, server_fixture):
-        assert classify_facet(server_fixture[0], DIRECTORY) is Facet.SERVER_SIDE
+        assert extract_auction_metadata(server_fixture[0], DIRECTORY).facet is Facet.SERVER_SIDE
 
     def test_client_side(self, client_fixture):
-        assert classify_facet(client_fixture[0], DIRECTORY) is Facet.CLIENT_SIDE
+        assert extract_auction_metadata(client_fixture[0], DIRECTORY).facet is Facet.CLIENT_SIDE
 
     def test_hybrid_with_server_winner(self):
         trace, _ = hybrid_fixture("0.3", "0.5")
-        assert classify_facet(trace, DIRECTORY) is Facet.HYBRID
+        assert extract_auction_metadata(trace, DIRECTORY).facet is Facet.HYBRID
 
     def test_hybrid_with_client_winner_still_hybrid_via_known_host(self):
         # The server entity lost, so no new bidder is named; the known
         # ad-server host is what gives the facet away.
         trace, _ = hybrid_fixture("0.7", "0.5")
-        assert classify_facet(trace, DIRECTORY) is Facet.HYBRID
+        assert extract_auction_metadata(trace, DIRECTORY).facet is Facet.HYBRID
 
     def test_ambiguous_corner_client_site_with_partner_hosted_ad_server(self, two_partner_roster):
         # Documented corner: a client-side wrapper pointed at an ad server on
@@ -128,13 +122,12 @@ class TestClassifyFacet:
         roster = dict(two_partner_roster)
         roster["adserve"] = make_partner("adserve", "adserve.example.org")
         scenario = make_scenario(partners=("p1", "p2"), ad_server_partner_id="adserve")
-        outcome = run_client_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         trace = emit_trace(outcome, scenario, roster)
-        assert classify_facet(trace, DIRECTORY) is Facet.HYBRID
+        assert extract_auction_metadata(trace, DIRECTORY).facet is Facet.HYBRID
 
     def test_contract_violation_on_non_hb_trace(self, waterfall_fixture):
-        with pytest.raises(DetectorContractError):
-            classify_facet(waterfall_fixture[0], DIRECTORY)
+        assert extract_auction_metadata(waterfall_fixture[0], DIRECTORY).facet is None
 
 
 class TestExtraction:
@@ -157,7 +150,7 @@ class TestExtraction:
             "p2": make_partner("p2", "p2.example.net", latency_ms="4000"),
         }
         scenario = make_scenario(partners=("p1", "p2"))
-        outcome = run_client_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         trace = emit_trace(outcome, scenario, roster)
         result = extract_auction_metadata(trace, DIRECTORY)
         assert outcome.wrapper_send_time_ms == D(3000)
@@ -185,7 +178,7 @@ class TestExtraction:
     def test_unknown_host_with_hb_params_attributed(self):
         roster = {"px": make_partner("px", "unlisted.example.io")}
         scenario = make_scenario(partners=("px",))
-        outcome = run_client_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         trace = emit_trace(outcome, scenario, roster)
         result = extract_auction_metadata(trace, PartnerDirectory.from_mapping({}))
         assert result.is_hb
@@ -217,7 +210,7 @@ def late_bid_trace():
         "p2": make_partner("p2", latency_ms="4000", bid_cpm="0.9"),
     }
     scenario = make_scenario(partners=("p1", "p2"))
-    return emit_trace(run_client_side(scenario, roster, master_seed=1), scenario, roster)
+    return emit_trace(run_scenario(scenario, roster, master_seed=1), scenario, roster)
 
 
 def _bid(partner, cpm, latency, late):
@@ -326,8 +319,6 @@ class TestSidecarIsolation:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", spy_open)
-        detect_hb(trace, DIRECTORY)
-        classify_facet(trace, DIRECTORY)
         extract_auction_metadata(trace, DIRECTORY)
         assert opened == []
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import make_partner
 from golden.make_expand_golden import canonical_json, cases, digest
-from hbarena.domain import ConfigurationError, Facet
+from hbarena.domain import ConfigurationError, Facet, lookup_partner
 from hbarena.scenario import ScenarioFile, expand_sites, load_scenario_file, validate_scenario_file
 
 EXPAND_GOLDEN = json.loads((Path(__file__).parent / "golden" / "expand_golden.json").read_text())["cases"]
@@ -151,8 +151,8 @@ def test_unknown_partner_reference_is_violation(tmp_path):
 def test_directory_covers_all_partner_domains(tmp_path):
     sf = load_scenario_file(write_scenario(tmp_path, generator_payload()))
     directory = sf.directory()
-    assert directory.lookup("alpha.example.net") == "alpha"
-    assert directory.lookup("cdn.delta.example.net") == "delta"
+    assert lookup_partner("alpha.example.net", directory) == "alpha"
+    assert lookup_partner("cdn.delta.example.net", directory) == "delta"
 
 
 def test_expansion_matches_golden_digests(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_partner, make_scenario, make_slot
-from hbarena.auction import run_client_side, run_hybrid, run_scenario, run_server_side, run_waterfall
+from hbarena.auction import run_scenario
 from hbarena.domain import Facet, WrapperPolicy, builtin_directory, decimal_str, lookup_partner
 from hbarena import tracegen
 from hbarena.tracegen import (
@@ -45,7 +45,7 @@ def hb_params_present(trace):
 @pytest.fixture
 def client_trace(two_partner_roster):
     scenario = make_scenario(partners=("p1", "p2"))
-    outcome = run_client_side(scenario, two_partner_roster, master_seed=1)
+    outcome = run_scenario(scenario, two_partner_roster, master_seed=1)
     return emit_trace(outcome, scenario, two_partner_roster), outcome
 
 
@@ -106,7 +106,7 @@ class TestClientTrace:
 
     def test_late_bids_appear_after_auction_end(self, two_partner_roster):
         scenario = make_scenario(partners=("p1", "p2"), policy=WrapperPolicy.IMMEDIATE)
-        outcome = run_client_side(scenario, two_partner_roster, master_seed=1)
+        outcome = run_scenario(scenario, two_partner_roster, master_seed=1)
         trace = emit_trace(outcome, scenario, two_partner_roster)
         end_ts = next(
             e.ts_ms for e in trace.events if e.kind == KIND_DOM and e.event_name == "auctionEnd"
@@ -138,7 +138,7 @@ class TestServerTrace:
             ad_server_partner_id="adserve",
             ad_server_latency_ms="250",
         )
-        outcome = run_server_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         return emit_trace(outcome, scenario, roster)
 
     def test_no_bid_flow_dom_events(self, server_trace):
@@ -150,7 +150,7 @@ class TestServerTrace:
     def test_single_outbound_request(self, server_trace):
         outbound = [e for e in server_trace.events if e.kind == KIND_REQUEST]
         assert len(outbound) == 1
-        assert outbound[0].host == "adserve.example.org"
+        assert url_host(outbound[0].url) == "adserve.example.org"
         # Host attribution drops userinfo, port, query and fragment; only
         # http(s) URLs have a host, and a malformed one has none.
         hosts = {
@@ -167,9 +167,9 @@ class TestServerTrace:
             "": None,
         }
         for url, host in hosts.items():
-            assert TraceEvent(D(0), KIND_REQUEST, url=url, direction="outbound").host == host, url
+            assert url_host(url) == host, url
         event = TraceEvent(D(0), KIND_REQUEST, url="https://u@adnxs.com:443/x", direction="outbound")
-        assert lookup_partner(event.host, builtin_directory()) == "appnexus"
+        assert lookup_partner(url_host(event.url), builtin_directory()) == "appnexus"
 
     def test_response_carries_winner_params(self, server_trace):
         responses = [e for e in server_trace.events if e.kind == KIND_RESPONSE]
@@ -184,7 +184,7 @@ class TestServerTrace:
         scenario = make_scenario(
             facet=Facet.SERVER_SIDE, partners=("b1",), ad_server_partner_id="adserve"
         )
-        outcome = run_server_side(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         trace = emit_trace(outcome, scenario, roster)
         assert hb_params_present(trace)
         assert not any(e.kind == KIND_DOM for e in trace.events)
@@ -197,7 +197,7 @@ class TestHybridTrace:
             "srv": make_partner("srv", "adserve.example.org", bid_cpm="0.5"),
         }
         scenario = make_scenario(facet=Facet.HYBRID, partners=("A",), ad_server_partner_id="srv")
-        outcome = run_hybrid(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         trace = emit_trace(outcome, scenario, roster)
         winner_params = [
             e.params for e in trace.events if e.kind == KIND_RESPONSE and "hb_partner" in e.params
@@ -213,7 +213,7 @@ class TestHybridTrace:
             "srv": make_partner("srv", "adserve.example.org", bid_cpm="0.5"),
         }
         scenario = make_scenario(facet=Facet.HYBRID, partners=("A",), ad_server_partner_id="srv")
-        outcome = run_hybrid(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         trace = emit_trace(outcome, scenario, roster)
         assert "bidWon" in dom_names(trace)
 
@@ -225,7 +225,7 @@ class TestWaterfallTrace:
             "B": make_partner("B", bid_cpm="0.3"),
         }
         scenario = make_scenario(facet=Facet.WATERFALL_ONLY, partners=("A", "B"))
-        outcome = run_waterfall(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         trace = emit_trace(outcome, scenario, roster)
         assert not any(e.kind == KIND_DOM for e in trace.events)
         assert not hb_params_present(trace)
@@ -237,7 +237,7 @@ class TestWaterfallTrace:
             "B": make_partner("B", latency_ms="180", bid_cpm="0.3"),
         }
         scenario = make_scenario(facet=Facet.WATERFALL_ONLY, partners=("A", "B"))
-        outcome = run_waterfall(scenario, roster, master_seed=1)
+        outcome = run_scenario(scenario, roster, master_seed=1)
         trace = emit_trace(outcome, scenario, roster)
         times = [(e.kind, e.ts_ms) for e in trace.events]
         assert times == [
@@ -394,7 +394,7 @@ def test_truth_record_shape(client_trace, two_partner_roster):
 def test_render_failure_emits_ad_render_failed():
     roster = {"p1": make_partner("p1")}
     scenario = make_scenario(partners=("p1",), render_fail_probability="1")
-    outcome = run_client_side(scenario, roster, master_seed=1)
+    outcome = run_scenario(scenario, roster, master_seed=1)
     trace = emit_trace(outcome, scenario, roster)
     names = dom_names(trace)
     assert "adRenderFailed" in names
