@@ -1,6 +1,10 @@
 """Aggregates ground-truth outcome rows or detector result rows into the
-measurement dimensions used in reporting: latency distributions, late-bid
-shares, bid prices, facet breakdown, and partner popularity.
+paper's reports, each one grouping of the records.
+
+A distribution report groups exact values (latencies, late-bid fractions,
+bid prices) and gives each group's percentiles and mean.  A share report
+counts HB sites per group, and every cell of its row is that count over all
+HB sites.
 
 Percentiles use linear interpolation between closest ranks, computed in
 Decimal so grouped reports are exact and byte-stable.  Rank bins are 500
@@ -11,18 +15,14 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable
 
-from .domain import HB_FACETS, decimal_str, quantize_cpm
+from .domain import HB_FACETS, decimal_str, indented_json, quantize_cpm
 
 RANK_BIN_WIDTH = 500
 POPULARITY_BIN_WIDTH = 10
-
-LATENCY_GROUPS = ("site", "partner", "partner_count", "slot_count", "rank_bin")
-PRICE_GROUPS = ("slot_size", "facet", "partner_popularity_bin")
 
 CSV_COLUMNS = ("group", "count", "p5", "p25", "p50", "p75", "p95", "mean")
 
@@ -139,7 +139,7 @@ def load_records(path, rank_by_site: dict[str, int] | None = None) -> list[Aucti
     return records
 
 
-def _percentile_of_sorted(data: list, q_pct: int) -> Decimal:
+def _sorted_percentile(data: list, q_pct: int) -> Decimal:
     n = len(data)
     if n == 1:
         return data[0]
@@ -155,7 +155,7 @@ def percentile(values, q_pct: int) -> Decimal:
     data = sorted(values)
     if not data:
         raise ValueError("percentile of empty data")
-    return _percentile_of_sorted(data, q_pct)
+    return _sorted_percentile(data, q_pct)
 
 
 @dataclass(frozen=True)
@@ -173,108 +173,118 @@ class StatsSummary:
         data = sorted(values)
         if not data:
             raise ValueError("cannot summarize empty data")
-        return cls._of_sorted(data, sum(data, Decimal(0)))
-
-    @classmethod
-    def _of_sorted(cls, data: list, total: Decimal) -> "StatsSummary":
-        """Summary of non-empty, already sorted values whose sum is ``total``."""
-        pct = _percentile_of_sorted
+        pct = _sorted_percentile
         return cls(len(data), pct(data, 5), pct(data, 25), pct(data, 50), pct(data, 75), pct(data, 95),
-                   total / Decimal(len(data)))
+                   sum(data, Decimal(0)) / Decimal(len(data)))
 
 
-def _summarize_groups(groups: dict[str, list[Decimal]]) -> dict[str, StatsSummary]:
-    return {key: StatsSummary.of(vals) for key, vals in groups.items() if vals}
+def _bin_label(index: int, width: int) -> str:
+    """The label of the ``width``-wide bin of 1-based positions that holds 0-based ``index``."""
+    lo = index // width * width + 1
+    return f"{lo}-{lo + width - 1}"
 
 
 def rank_bin_label(rank: int) -> str:
-    lo = ((rank - 1) // RANK_BIN_WIDTH) * RANK_BIN_WIDTH + 1
-    return f"{lo}-{lo + RANK_BIN_WIDTH - 1}"
+    return _bin_label(rank - 1, RANK_BIN_WIDTH)
 
 
-# Per-auction latency groupings: the record's group key, or None to leave it out.
-_AUCTION_KEYS = {
-    "site": lambda rec: rec.site_id,
-    "partner_count": lambda rec: str(len(rec.partner_ids)),
-    "slot_count": lambda rec: str(rec.slot_count),
-    "rank_bin": lambda rec: None if rec.rank is None else rank_bin_label(rec.rank),
-}
+# Distribution groupings: (records, include_zero_bid_auctions) -> {group: exact values}.
 
-
-def latency_stats(
-    records: Iterable[AuctionRecord],
-    group_by: str,
-    include_zero_bid_auctions: bool = True,
-) -> dict[str, StatsSummary]:
-    """Latency distributions grouped one of five ways.
-
-    Per-auction groupings use the auction's total latency; the partner
-    grouping uses per-bid response times.  Auctions that drew no bids can be
-    filtered out, since a wrapper waiting on silence measures only its
-    timeout.
-    """
-    if group_by not in LATENCY_GROUPS:
-        raise ValueError(f"unknown latency grouping {group_by!r}; expected one of {LATENCY_GROUPS}")
-    groups: dict[str, list[Decimal]] = defaultdict(list)
-    if group_by == "partner":
+def _total_latency_by(key_of):
+    """Each auction's total latency under ``key_of(record)``; a None key
+    leaves the auction out.  Auctions that drew no bids can be left out too,
+    since a wrapper waiting on silence measures only its timeout."""
+    def grouping(records, include_zero_bid_auctions):
+        groups = defaultdict(list)
         for rec in records:
-            for bid in rec.bids:
-                if bid.latency_ms is not None:
-                    groups[bid.partner].append(bid.latency_ms)
-        return _summarize_groups(groups)
-    key_of = _AUCTION_KEYS[group_by]
+            if rec.total_latency_ms is not None and (include_zero_bid_auctions or rec.bids):
+                key = key_of(rec)
+                if key is not None:
+                    groups[key].append(rec.total_latency_ms)
+        return groups
+    return grouping
+
+
+def _bid_latency_by_partner(records, _):
+    groups = defaultdict(list)
     for rec in records:
-        if rec.total_latency_ms is None or not (include_zero_bid_auctions or rec.bids):
-            continue
-        key = key_of(rec)
-        if key is not None:
-            groups[key].append(rec.total_latency_ms)
-    return _summarize_groups(groups)
+        for bid in rec.bids:
+            if bid.latency_ms is not None:
+                groups[bid.partner].append(bid.latency_ms)
+    return groups
 
 
-@dataclass(frozen=True)
-class LateBidStats:
-    per_auction: StatsSummary | None
-    per_auction_with_late: StatsSummary | None
-    per_partner: dict[str, tuple[int, int, Decimal]]  # partner -> (bids, late, fraction)
-
-
-def late_bid_stats(records: Iterable[AuctionRecord]) -> LateBidStats:
-    """Late-bid shares: per-auction fraction distribution (auctions with no
-    bids are excluded to avoid 0/0) and per-partner late percentage."""
-    fractions: list[Decimal] = []
-    with_late: list[Decimal] = []
-    partner_totals: dict[str, list[int]] = {}
+def _late_fractions(records, _):
+    """Each auction's late share of its client bids; auctions without client
+    bids are left out, to avoid 0/0."""
+    groups = defaultdict(list)
     for rec in records:
         n_client = late = 0
         for bid in rec.bids:
-            if bid.channel != "client":
-                continue
-            n_client += 1
-            tally = partner_totals.get(bid.partner)
-            if tally is None:
-                tally = partner_totals[bid.partner] = [0, 0]
-            tally[0] += 1
-            if bid.late:
-                late += 1
-                tally[1] += 1
+            if bid.channel == "client":
+                n_client += 1
+                late += bid.late
         if n_client:
             fraction = Decimal(late) / Decimal(n_client)
-            fractions.append(fraction)
+            groups["all_auctions"].append(fraction)
             if late:
-                with_late.append(fraction)
-    per_partner = {
-        pid: (total, late, Decimal(late) / Decimal(total))
-        for pid, (total, late) in partner_totals.items()
-    }
-    return LateBidStats(
-        per_auction=StatsSummary.of(fractions) if fractions else None,
-        per_auction_with_late=StatsSummary.of(with_late) if with_late else None,
-        per_partner=per_partner,
-    )
+                groups["auctions_with_late_bids"].append(fraction)
+    return groups
 
 
-def _hb_partners_by_site(records: Iterable[AuctionRecord]) -> dict[str, set[str]]:
+_ZERO, _ONE = Decimal(0), Decimal(1)
+
+
+def _late_by_partner(records, _):
+    """Each partner's client bids as 0/1 late indicators."""
+    groups = defaultdict(list)
+    for rec in records:
+        for bid in rec.bids:
+            if bid.channel == "client":
+                groups[bid.partner].append(_ONE if bid.late else _ZERO)
+    return groups
+
+
+def _price_by_slot_size(records, _):
+    groups = defaultdict(list)
+    for rec in records:
+        for bid in rec.bids:
+            if bid.size is not None:
+                groups[bid.size].append(bid.cpm)
+    return groups
+
+
+def _price_by_facet(records, _):
+    groups = defaultdict(list)
+    for rec in records:
+        if rec.facet is not None and rec.bids:
+            groups[rec.facet].extend([bid.cpm for bid in rec.bids])
+    return groups
+
+
+def _price_by_popularity_bin(records, _):
+    """Partners ranked by HB-site presence, 10 to a bin."""
+    presence = _partner_shares(records)[0]
+    order = sorted(presence, key=lambda pid: (-presence[pid], pid))
+    bin_of = {pid: _bin_label(i, POPULARITY_BIN_WIDTH) for i, pid in enumerate(order)}
+    groups = defaultdict(list)
+    for rec in records:
+        for bid in rec.bids:
+            key = bin_of.get(bid.partner)
+            if key is not None:
+                groups[key].append(bid.cpm)
+    return groups
+
+
+# Share groupings: records -> ({group: HB sites}, all HB sites).
+
+def _facet_shares(records):
+    """HB sites per facet, each site counted under the facet of its last HB round."""
+    facet_by_site = {rec.site_id: rec.facet for rec in records if rec.is_hb and rec.facet}
+    return Counter(facet_by_site.values()), len(facet_by_site)
+
+
+def _hb_partners_by_site(records) -> dict[str, set[str]]:
     """Every partner seen on each HB site, over all its HB rounds."""
     partners_by_site: dict[str, set[str]] = {}
     for rec in records:
@@ -283,93 +293,16 @@ def _hb_partners_by_site(records: Iterable[AuctionRecord]) -> dict[str, set[str]
     return partners_by_site
 
 
-def _site_presence(partners_by_site: dict[str, set[str]]) -> dict[str, int]:
-    presence: dict[str, int] = {}
-    for pids in partners_by_site.values():
-        for pid in pids:
-            presence[pid] = presence.get(pid, 0) + 1
-    return presence
-
-
-def _popularity_bins(records: Iterable[AuctionRecord]) -> dict[str, str]:
-    """Partner -> its popularity bin, partners ranked by HB site presence."""
-    presence = _site_presence(_hb_partners_by_site(records))
-    order = sorted(presence, key=lambda pid: (-presence[pid], pid))
-    bins = {}
-    for i, pid in enumerate(order):
-        lo = (i // POPULARITY_BIN_WIDTH) * POPULARITY_BIN_WIDTH + 1
-        bins[pid] = f"{lo}-{lo + POPULARITY_BIN_WIDTH - 1}"
-    return bins
-
-
-def price_stats(records: Iterable[AuctionRecord], group_by: str) -> dict[str, StatsSummary]:
-    """Bid-price distributions by slot size ("WxH"), facet, or partner
-    popularity bin (partners ranked by site presence, 10 per bin)."""
-    if group_by not in PRICE_GROUPS:
-        raise ValueError(f"unknown price grouping {group_by!r}; expected one of {PRICE_GROUPS}")
-    groups: dict[str, list[Decimal]] = defaultdict(list)
-    if group_by == "slot_size":
-        for rec in records:
-            for bid in rec.bids:
-                if bid.size is not None:
-                    groups[bid.size].append(bid.cpm)
-    elif group_by == "facet":
-        for rec in records:
-            if rec.facet is not None and rec.bids:
-                groups[rec.facet].extend([bid.cpm for bid in rec.bids])
-    else:
-        records = list(records)
-        bin_of = _popularity_bins(records)
-        for rec in records:
-            for bid in rec.bids:
-                key = bin_of.get(bid.partner)
-                if key is not None:
-                    groups[key].append(bid.cpm)
-    return _summarize_groups(groups)
-
-
-def _hb_facet_counts(records: Iterable[AuctionRecord]) -> dict[str, int]:
-    """HB sites per facet, each site counted under the facet of its last HB round."""
-    facet_by_site: dict[str, str] = {}
-    for rec in records:
-        if rec.is_hb and rec.facet:
-            facet_by_site[rec.site_id] = rec.facet
-    counts: dict[str, int] = {}
-    for facet in facet_by_site.values():
-        counts[facet] = counts.get(facet, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def facet_breakdown(records: Iterable[AuctionRecord]) -> dict[str, Decimal]:
-    """Proportion of each HB facet among sites detected as HB."""
-    counts = _hb_facet_counts(records)
-    total = Decimal(sum(counts.values()))
-    return {facet: Decimal(n) / total for facet, n in counts.items()}
-
-
-@dataclass(frozen=True)
-class PopularityReport:
-    hb_sites: int
-    presence: dict[str, tuple[int, Decimal]]  # partner -> (sites, fraction)
-    combinations: list[tuple[str, int, Decimal]]  # sorted most frequent first
-
-
-def partner_popularity_and_combinations(records: Iterable[AuctionRecord]) -> PopularityReport:
-    """Per-partner site presence and the frequency-ranked exact partner sets."""
+def _partner_shares(records):
+    """HB sites per partner seen on them."""
     partners_by_site = _hb_partners_by_site(records)
-    total = len(partners_by_site)
-    combo_counts: dict[str, int] = {}
-    for pids in partners_by_site.values():
-        combo = "+".join(sorted(pids))
-        combo_counts[combo] = combo_counts.get(combo, 0) + 1
-    presence = {
-        pid: (n, Decimal(n) / Decimal(total)) for pid, n in _site_presence(partners_by_site).items()
-    }
-    combinations = [
-        (combo, n, Decimal(n) / Decimal(total))
-        for combo, n in sorted(combo_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
-    return PopularityReport(hb_sites=total, presence=presence, combinations=combinations)
+    return Counter(pid for pids in partners_by_site.values() for pid in pids), len(partners_by_site)
+
+
+def _combination_shares(records):
+    """HB sites per exact partner set, its partners sorted and joined by "+"."""
+    partners_by_site = _hb_partners_by_site(records)
+    return Counter("+".join(sorted(pids)) for pids in partners_by_site.values()), len(partners_by_site)
 
 
 def _fmt(value: Decimal) -> str:
@@ -383,57 +316,9 @@ def _stats_row(group: str, s: StatsSummary) -> dict:
             "p75": text[s.p75], "p95": text[s.p95], "mean": text[s.mean]}
 
 
-def _flat_row(group: str, count: int, value: Decimal) -> dict:
-    text = _fmt(value)
-    return {"group": group, "count": count, "p5": text, "p25": text, "p50": text,
-            "p75": text, "p95": text, "mean": text}
-
-
-_ZERO, _ONE = Decimal(0), Decimal(1)
-
-
-def _latency_rows(group_by: str):
-    return lambda records, include_zero: [
-        _stats_row(k, s) for k, s in latency_stats(records, group_by, include_zero).items()
-    ]
-
-
-def _price_rows(group_by: str):
-    return lambda records, _: [_stats_row(k, s) for k, s in price_stats(records, group_by).items()]
-
-
-def _late_fraction_rows(records, _) -> list[dict]:
-    late = late_bid_stats(records)
-    rows = []
-    if late.per_auction:
-        rows.append(_stats_row("all_auctions", late.per_auction))
-    if late.per_auction_with_late:
-        rows.append(_stats_row("auctions_with_late_bids", late.per_auction_with_late))
-    return rows
-
-
-def _late_partner_rows(records, _) -> list[dict]:
-    # Each partner's bids as 0/1 late indicators, already sorted: the zeros first.
-    return [
-        _stats_row(pid, StatsSummary._of_sorted([_ZERO] * (total - late) + [_ONE] * late, Decimal(late)))
-        for pid, (total, late, _fraction) in late_bid_stats(records).per_partner.items()
-    ]
-
-
-def _facet_rows(records, _) -> list[dict]:
-    counts = _hb_facet_counts(records)
-    total = Decimal(sum(counts.values()))
-    return [_flat_row(facet, n, Decimal(n) / total) for facet, n in counts.items()]
-
-
-def _popularity_rows(records, _) -> list[dict]:
-    presence = partner_popularity_and_combinations(records).presence
-    return [_flat_row(pid, sites, fraction) for pid, (sites, fraction) in presence.items()]
-
-
-def _combination_rows(records, _) -> list[dict]:
-    combinations = partner_popularity_and_combinations(records).combinations
-    return [_flat_row(combo, n, fraction) for combo, n, fraction in combinations]
+def _share_row(group: str, count: int, total: int) -> dict:
+    text = _fmt(Decimal(count) / Decimal(total))
+    return {"group": group, "count": count, **dict.fromkeys(CSV_COLUMNS[2:], text)}
 
 
 def _by_group(row: dict):
@@ -452,24 +337,45 @@ def _most_first(row: dict):
     return (-row["count"], row["group"])
 
 
-# Report name -> (rows builder(records, include_zero_bid_auctions), row order).
-_REPORTS = {
-    "latency_by_site": (_latency_rows("site"), _by_group),
-    "latency_by_partner": (_latency_rows("partner"), _by_group),
-    "latency_by_partner_count": (_latency_rows("partner_count"), _by_number),
-    "latency_by_slot_count": (_latency_rows("slot_count"), _by_number),
-    "latency_by_rank_bin": (_latency_rows("rank_bin"), _by_bin_start),
-    "late_bid_fractions": (_late_fraction_rows, _by_group),
-    "late_by_partner": (_late_partner_rows, _by_group),
-    "prices_by_slot_size": (_price_rows("slot_size"), _by_group),
-    "prices_by_facet": (_price_rows("facet"), _by_group),
-    "prices_by_popularity_bin": (_price_rows("partner_popularity_bin"), _by_bin_start),
-    "facet_breakdown": (_facet_rows, _by_group),
-    "partner_popularity": (_popularity_rows, _most_first),
-    "partner_combinations": (_combination_rows, _most_first),
+_DISTRIBUTIONS = {
+    "latency_by_site": (_total_latency_by(lambda rec: rec.site_id), _by_group),
+    "latency_by_partner": (_bid_latency_by_partner, _by_group),
+    "latency_by_partner_count": (_total_latency_by(lambda rec: str(len(rec.partner_ids))), _by_number),
+    "latency_by_slot_count": (_total_latency_by(lambda rec: str(rec.slot_count)), _by_number),
+    "latency_by_rank_bin": (_total_latency_by(lambda rec: None if rec.rank is None else rank_bin_label(rec.rank)),
+                            _by_bin_start),
+    "late_bid_fractions": (_late_fractions, _by_group),
+    "late_by_partner": (_late_by_partner, _by_group),
+    "prices_by_slot_size": (_price_by_slot_size, _by_group),
+    "prices_by_facet": (_price_by_facet, _by_group),
+    "prices_by_popularity_bin": (_price_by_popularity_bin, _by_bin_start),
 }
+_SHARES = {
+    "facet_breakdown": (_facet_shares, _by_group),
+    "partner_popularity": (_partner_shares, _most_first),
+    "partner_combinations": (_combination_shares, _most_first),
+}
+# Report name -> (grouping, row order): the one table every report is read through.
+_REPORTS = {**_DISTRIBUTIONS, **_SHARES}
 
 REPORT_NAMES = tuple(_REPORTS)
+
+
+def _lookup(table: dict, name: str):
+    if name not in table:
+        raise ValueError(f"unknown report {name!r}; valid names: {', '.join(table)}")
+    return table[name]
+
+
+def report_values(name: str, records: list[AuctionRecord], include_zero_bid_auctions: bool = True) -> dict:
+    """The exact values behind each row of a distribution report, by group."""
+    return dict(_lookup(_DISTRIBUTIONS, name)[0](records, include_zero_bid_auctions))
+
+
+def report_shares(name: str, records: list[AuctionRecord]) -> tuple[dict[str, int], int]:
+    """The HB-site count behind each row of a share report, by group, and the
+    count of all HB sites it is a share of."""
+    return _lookup(_SHARES, name)[0](records)
 
 
 def build_report(
@@ -478,10 +384,14 @@ def build_report(
     include_zero_bid_auctions: bool = True,
 ) -> list[dict]:
     """Rows for one named report, in the fixed CSV column schema."""
-    if name not in _REPORTS:
-        raise ValueError(f"unknown report {name!r}; valid names: {', '.join(REPORT_NAMES)}")
-    rows_of, order = _REPORTS[name]
-    return sorted(rows_of(records, include_zero_bid_auctions), key=order)
+    order = _lookup(_REPORTS, name)[1]
+    if name in _SHARES:
+        counts, total = report_shares(name, records)
+        rows = [_share_row(group, count, total) for group, count in counts.items()]
+    else:
+        groups = report_values(name, records, include_zero_bid_auctions)
+        rows = [_stats_row(group, StatsSummary.of(values)) for group, values in groups.items()]
+    return sorted(rows, key=order)
 
 
 def write_report_csv(path, rows: list[dict]) -> None:
@@ -491,24 +401,7 @@ def write_report_csv(path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-# json.dump's indent= falls back to the pure-Python encoder; the C one writes
-# each flat row, and this separator puts every key after the first on its own
-# line at the row's indent.
-_ROW_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": "))
-
-
-def _json_row(row: dict) -> str:
-    text = _ROW_JSON.encode(row)
-    return "      {\n        " + text[1:-1] + "\n      }" if row else "      {}"
-
-
 def write_report_json(path, reports: dict[str, list[dict]]) -> None:
-    """The text of ``json.dump({"reports": reports}, indent=2, sort_keys=True)``
-    and a newline; every row is a flat map of scalars."""
-    entries = [
-        f"    {_ROW_JSON.encode(name)}: " + ("[\n" + ",\n".join(map(_json_row, rows)) + "\n    ]" if rows else "[]")
-        for name, rows in sorted(reports.items())
-    ]
-    body = "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
+    """The text of ``json.dump({"reports": reports}, indent=2, sort_keys=True)`` and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "reports": ' + body + "\n}\n")
+        fh.write(indented_json({"reports": reports}) + "\n")

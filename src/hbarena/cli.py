@@ -21,8 +21,9 @@ from . import __version__
 from .analytics import REPORT_NAMES, build_report, load_records, write_report_csv, write_report_json
 from .auction import run_scenario
 from .detector import extract_auction_metadata, result_row
-from .domain import HB_FACETS, ConfigurationError, PartnerDirectory, builtin_directory, decimal_str
-from .scenario import ScenarioFile, expand_sites, load_scenario_file, validate_scenario_file
+from .domain import (HB_FACETS, ConfigurationError, PartnerDirectory, builtin_directory, decimal_str,
+                     indented_json)
+from .scenario import expand_sites, load_scenario_file, validate_scenario_file
 from .tracegen import (
     TraceParseError,
     emit_trace,
@@ -152,7 +153,7 @@ def cmd_simulate(args) -> int:
             yield from rows
 
     digests["outcomes.jsonl"] = _write(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines())
-    directory = json.dumps(sf.directory().to_json(), indent=2, sort_keys=True)
+    directory = indented_json(sf.directory().to_json())
     digests["directory.json"] = _write(os.path.join(out_dir, "directory.json"), [directory, "\n"])
 
     facet_counts: dict[str, int] = {}
@@ -171,7 +172,7 @@ def cmd_simulate(args) -> int:
         },
         "files": digests,  # sorted once, by sort_keys
     }
-    _write(os.path.join(out_dir, "manifest.json"), [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+    _write(os.path.join(out_dir, "manifest.json"), [indented_json(manifest), "\n"])
     stale = sorted(
         name for name in os.listdir(out_dir) if name.endswith(_CORPUS_SUFFIXES) and name not in digests
     )

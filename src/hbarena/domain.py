@@ -14,6 +14,7 @@ unit, quantizer and lower bound.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -65,6 +66,35 @@ def decimal_str(value: Decimal) -> str:
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text or "0"
+
+
+# json.dumps(indent=...) falls back to the pure-Python encoder.  The C encoder
+# writes each container of scalars, with every item after the first on a line
+# of its own at ``indent``: encoded JSON holds no other newline.
+@functools.cache
+def _items_json(indent: str) -> Callable[[object], str]:
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": ")).encode
+
+
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def indented_json(value, indent: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for plain
+    dicts with string keys, lists, tuples and scalars, nested at ``indent``."""
+    kind = type(value)
+    if kind not in _CONTAINERS or not value:
+        return _items_json("")(value)
+    inner = indent + "  "
+    items = value.values() if kind is dict else value
+    if _CONTAINERS.isdisjoint(map(type, items)):
+        body = _items_json(inner)(value)[1:-1]
+    elif kind is dict:
+        key = _items_json("")
+        body = (",\n" + inner).join([f"{key(k)}: {indented_json(v, inner)}" for k, v in sorted(value.items())])
+    else:
+        body = (",\n" + inner).join([indented_json(v, inner) for v in value])
+    return ("{\n" if kind is dict else "[\n") + inner + body + "\n" + indent + ("}" if kind is dict else "]")
 
 
 class Facet(str, Enum):

@@ -35,6 +35,8 @@ from .domain import (
     ValidationReport,
     WebsiteScenario,
     WrapperPolicy,
+    _host_suffix,
+    _ID_RE,
     check_scenario,
     finite_decimal,
 )
@@ -316,6 +318,9 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
             raise ConfigurationError(f"generator partner_pool references undefined partner {pid!r}")
     if not pool and any(f is not Facet.NO_ADS for f in facets):
         raise ConfigurationError("generator partner pool is empty")
+    if ad_server in pool and Facet.HYBRID in facets:
+        raise ConfigurationError(f"generator partner_pool holds ad_server_partner {ad_server!r}, "
+                                 "which hybrid sites must not also have as a client bidder")
 
     def roster_size(value, where):
         """A roster length of at least 1, cut to the pool."""
@@ -349,7 +354,9 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
     render_fail = _number(cfg["render_fail_probability"], "generator render_fail_probability")
     if not 0 <= render_fail <= 1:
         raise ConfigurationError(f"generator render_fail_probability must be in [0, 1], got {render_fail}")
-    prefix = cfg["site_prefix"]
+    prefix = _typed(cfg["site_prefix"], str, "generator site_prefix", "a string")
+    if not _ID_RE.match(prefix + "0"):
+        raise ConfigurationError(f"generator site_prefix {prefix!r} gives site ids not matching {_ID_RE.pattern}")
     rank_start = _integer(cfg["rank_start"], "generator rank_start")
     if rank_start < 1:
         raise ConfigurationError(f"generator rank_start must be >= 1, got {rank_start}")
@@ -427,8 +434,13 @@ def validate_scenario_file(
     warnings: list[str] = []
     if sf.rounds_per_site < 1:
         violations.append("rounds_per_site must be >= 1")
+    owners: dict[str, str] = {}  # normalised domain -> the first partner that lists it
     for spec in sf.partners.values():
         violations.extend(spec.violations())
+        for domain in map(_host_suffix, spec.domains):
+            owner = owners.setdefault(domain, spec.partner_id)
+            if owner != spec.partner_id:
+                violations.append(f"domain {domain!r} is listed by partners {owner!r} and {spec.partner_id!r}")
     checked: dict = {}  # slot specs and latency models, each checked once
     seen = set()
     for site in sites:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from hbarena.analytics import late_bid_stats, load_records, percentile, price_stats
+from hbarena.analytics import StatsSummary, load_records, percentile, report_values
 from hbarena.auction import Bid, run_scenario, select_winner
 from hbarena.cli import main
 from hbarena.detector import extract_auction_metadata
@@ -299,14 +299,19 @@ def test_criterion_07_late_bid_distribution_shape(tmp_path):
         ["simulate", "--scenario", str(SCENARIOS / "misconfigured_wrappers.json"), "--out", str(out)]
     ) == 0
     records = load_records(out / "outcomes.jsonl")
-    stats = late_bid_stats(records)
-    median = stats.per_auction_with_late.p50
+    stats = StatsSummary.of(report_values("late_bid_fractions", records)["auctions_with_late_bids"])
+    median = stats.p50
     criterion(
         7,
         "median late fraction (auctions with late bids) = 0.5 +/- 0.15",
         D("0.35") <= median <= D("0.65"),
-        f"median={median} over {stats.per_auction_with_late.count} auctions",
+        f"median={median} over {stats.count} auctions",
     )
+
+
+def slot_size_summaries(path):
+    return {size: StatsSummary.of(cpms)
+            for size, cpms in report_values("prices_by_slot_size", load_records(path)).items()}
 
 
 def test_criterion_08_price_table_reproduction(tmp_path):
@@ -314,9 +319,9 @@ def test_criterion_08_price_table_reproduction(tmp_path):
     assert main(
         ["simulate", "--scenario", str(SCENARIOS / "price_table.json"), "--out", str(out)]
     ) == 0
-    truth_stats = price_stats(load_records(out / "outcomes.jsonl"), "slot_size")
+    truth_stats = slot_size_summaries(out / "outcomes.jsonl")
     assert main(["detect", str(out)]) == 0
-    result_stats = price_stats(load_records(out / "results.jsonl"), "slot_size")
+    result_stats = slot_size_summaries(out / "results.jsonl")
     expected = {"300x250": D("0.031"), "120x600": D("0.096"), "300x50": D("0.00084")}
     exact = all(
         truth_stats[size].p50 == cpm and result_stats[size].p50 == cpm

@@ -16,18 +16,32 @@ from hbarena.analytics import (
     StatsSummary,
     REPORT_NAMES,
     build_report,
-    facet_breakdown,
-    late_bid_stats,
-    latency_stats,
     load_records,
-    partner_popularity_and_combinations,
     percentile,
-    price_stats,
     rank_bin_label,
+    report_shares,
+    report_values,
     write_report_json,
 )
+from hbarena.domain import indented_json
 
 D = Decimal
+
+
+def summaries(name, records, include_zero=True):
+    """Each group's StatsSummary of a distribution report's exact values."""
+    return {group: StatsSummary.of(values) for group, values in report_values(name, records, include_zero).items()}
+
+
+def shares(name, records):
+    """Each group's share of all HB sites, most sites first, as (group, sites, share)."""
+    counts, total = report_shares(name, records)
+    return [(group, n, D(n) / D(total)) for group, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+
+
+def facet_shares(records):
+    """Each HB facet's share of all HB sites."""
+    return {facet: share for facet, _, share in shares("facet_breakdown", records)}
 
 
 def record(
@@ -96,36 +110,40 @@ class TestPercentile:
 class TestLatencyStats:
     def test_group_by_site(self):
         records = [record(site="a", total="100"), record(site="a", total="300", round_index=1)]
-        stats = latency_stats(records, "site")
+        stats = summaries("latency_by_site", records)
         assert stats["a"].p50 == D(200)
 
     def test_group_by_partner_uses_bid_latencies(self):
         records = [
             record(bids=[bid(partner="x", latency="100"), bid(partner="y", latency="250")]),
         ]
-        stats = latency_stats(records, "partner")
+        stats = summaries("latency_by_partner", records)
         assert stats["x"].p50 == D(100)
         assert stats["y"].p50 == D(250)
 
     def test_zero_bid_filter(self):
         records = [record(total="3000", bids=[]), record(total="100", bids=[bid()], round_index=1)]
-        assert latency_stats(records, "site")["s1"].count == 2
-        assert latency_stats(records, "site", include_zero_bid_auctions=False)["s1"].count == 1
+        assert summaries("latency_by_site", records)["s1"].count == 2
+        assert summaries("latency_by_site", records, include_zero=False)["s1"].count == 1
 
     def test_rank_bins_of_500(self):
         assert rank_bin_label(1) == "1-500"
         assert rank_bin_label(500) == "1-500"
         assert rank_bin_label(501) == "501-1000"
         records = [record(rank=10, total="100"), record(site="s2", rank=700, total="900")]
-        stats = latency_stats(records, "rank_bin")
+        stats = summaries("latency_by_rank_bin", records)
         assert set(stats) == {"1-500", "501-1000"}
 
     def test_unknown_grouping_rejected(self):
         with pytest.raises(ValueError):
-            latency_stats([], "nope")
+            report_values("latency_by_nope", [])
+        with pytest.raises(ValueError):
+            report_values("facet_breakdown", [])
+        with pytest.raises(ValueError):
+            report_shares("latency_by_site", [])
 
     def test_empty_input_empty_map(self):
-        assert latency_stats([], "site") == {}
+        assert report_values("latency_by_site", []) == {}
 
     def test_grouped_counts_sum_to_total(self):
         records = [
@@ -136,7 +154,7 @@ class TestLatencyStats:
             )
             for i in range(30)
         ]
-        stats = latency_stats(records, "partner_count")
+        stats = summaries("latency_by_partner_count", records)
         assert sum(s.count for s in stats.values()) == len(records)
 
 
@@ -145,24 +163,23 @@ class TestLateBids:
         records = [
             record(bids=[bid(late=True), bid(late=True), bid(), bid()]),
         ]
-        stats = late_bid_stats(records)
-        assert stats.per_auction.p50 == D("0.5")
+        stats = summaries("late_bid_fractions", records)
+        assert stats["all_auctions"].p50 == D("0.5")
 
     def test_partner_always_late_is_100_percent(self):
         records = [record(bids=[bid(partner="slowpoke", late=True)]) for _ in range(5)]
-        stats = late_bid_stats(records)
-        total, late, fraction = stats.per_partner["slowpoke"]
-        assert (total, late, fraction) == (5, 5, D(1))
+        indicators = report_values("late_by_partner", records)["slowpoke"]
+        stats = StatsSummary.of(indicators)
+        assert (stats.count, sum(indicators), stats.mean) == (5, 5, D(1))
 
     def test_zero_bid_auctions_excluded(self):
         records = [record(bids=[])]
-        stats = late_bid_stats(records)
-        assert stats.per_auction is None
+        assert "all_auctions" not in report_values("late_bid_fractions", records)
 
     def test_server_channel_bids_do_not_dilute(self):
         records = [record(bids=[bid(late=True), bid(channel="ad_server", latency=None)])]
-        stats = late_bid_stats(records)
-        assert stats.per_auction.p50 == D(1)
+        stats = summaries("late_bid_fractions", records)
+        assert stats["all_auctions"].p50 == D(1)
 
 
 class TestPriceStats:
@@ -172,7 +189,7 @@ class TestPriceStats:
             record(site="s2", bids=[bid(size="120x600", cpm="0.096")]),
             record(site="s3", bids=[bid(size="300x50", cpm="0.00084")]),
         ]
-        stats = price_stats(records, "slot_size")
+        stats = summaries("prices_by_slot_size", records)
         assert stats["300x250"].p50 == D("0.031")
         assert stats["120x600"].p50 == D("0.096")
         assert stats["300x50"].p50 == D("0.00084")
@@ -182,7 +199,7 @@ class TestPriceStats:
 
     def test_constant_bids_flat_percentiles(self):
         records = [record(bids=[bid(cpm="0.25") for _ in range(7)])]
-        s = price_stats(records, "slot_size")["300x250"]
+        s = summaries("prices_by_slot_size", records)["300x250"]
         assert s.p5 == s.p25 == s.p50 == s.p75 == s.p95 == s.mean == D("0.25")
 
     def test_popularity_bins_of_ten(self):
@@ -196,7 +213,7 @@ class TestPriceStats:
                     bids=[bid(partner="p00", cpm="0.1"), bid(partner=f"q{i:02d}", cpm="0.9")],
                 )
             )
-        stats = price_stats(records, "partner_popularity_bin")
+        stats = summaries("prices_by_popularity_bin", records)
         assert set(stats) == {"1-10", "11-20"}
         assert stats["1-10"].count > stats["11-20"].count
 
@@ -208,7 +225,7 @@ class TestBreakdownAndPopularity:
             + [record(site=f"s{i}", facet="server_side") for i in range(48)]
             + [record(site=f"h{i}", facet="hybrid") for i in range(35)]
         )
-        breakdown = facet_breakdown(records)
+        breakdown = facet_shares(records)
         assert breakdown["client_side"] == D("0.17")
         assert breakdown["server_side"] == D("0.48")
         assert breakdown["hybrid"] == D("0.35")
@@ -216,10 +233,11 @@ class TestBreakdownAndPopularity:
 
     def test_all_client(self):
         records = [record(site=f"c{i}") for i in range(5)]
-        assert facet_breakdown(records) == {"client_side": D(1)}
+        assert facet_shares(records) == {"client_side": D(1)}
 
     def test_empty_breakdown(self):
-        assert facet_breakdown([record(facet="waterfall_only")]) == {}
+        assert facet_shares([record(facet="waterfall_only")]) == {}
+        assert report_shares("facet_breakdown", [record(facet="waterfall_only")]) == ({}, 0)
 
     def test_breakdown_counts_each_site_by_its_last_round(self):
         records = [
@@ -232,13 +250,12 @@ class TestBreakdownAndPopularity:
             ("client_side", 1, "0.5"),
             ("hybrid", 1, "0.5"),
         ]
-        assert facet_breakdown(records) == {"client_side": D("0.5"), "hybrid": D("0.5")}
+        assert facet_shares(records) == {"client_side": D("0.5"), "hybrid": D("0.5")}
 
     def test_popularity_presence(self):
         records = [record(site=f"s{i}", partners=("x",) if i < 8 else ("y",)) for i in range(10)]
-        report = partner_popularity_and_combinations(records)
-        assert report.presence["x"] == (8, D("0.8"))
-        assert report.combinations[0] == ("x", 8, D("0.8"))
+        assert shares("partner_popularity", records)[0] == ("x", 8, D("0.8"))
+        assert shares("partner_combinations", records)[0] == ("x", 8, D("0.8"))
 
     def test_combinations_keyed_by_exact_set(self):
         records = [
@@ -246,9 +263,9 @@ class TestBreakdownAndPopularity:
             record(site="b", partners=("dfp",)),
             record(site="c", partners=("dfp", "criteo")),
         ]
-        report = partner_popularity_and_combinations(records)
-        assert report.combinations[0][0] == "dfp"
-        assert ("criteo+dfp", 1, D(1) / D(3)) == report.combinations[1]
+        combinations = shares("partner_combinations", records)
+        assert combinations[0][0] == "dfp"
+        assert ("criteo+dfp", 1, D(1) / D(3)) == combinations[1]
 
 
 class TestReports:
@@ -340,3 +357,15 @@ def test_report_json_equals_indented_json_dump(tmp_path_factory, reports):
     path = tmp_path_factory.mktemp("report") / "report.json"
     write_report_json(path, reports)
     assert path.read_text(encoding="utf-8") == json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    _ROW_VALUES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_ROW_TEXT, inner, max_size=4), max_leaves=30
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES | st.dictionaries(_ROW_TEXT, st.dictionaries(_ROW_TEXT, _ROW_VALUES, max_size=3), max_size=4))
+def test_indented_json_equals_indented_json_dump(value):
+    """Nested values, such as the manifest's map of flat site maps, and empty containers."""
+    assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -734,6 +734,9 @@ GEN = ("generator",)
         ("minimal", _set(("partners", 0, "bid_model"), {"kind": "lognormal", "mu": 0.1, "sigma": True}), "sigma"),
         ("minimal", _set(("partners", 0, "domains"), ["", "adnxs.com"]), "partner 'appnexus': domains"),
         ("minimal", _set(("partners", 0, "domains"), [" . "]), "partner 'appnexus': domains"),
+        ("minimal", _set(("partners", 1, "domains"), ["ADNXS.com."]),
+         "domain 'adnxs.com' is listed by partners 'appnexus' and 'criteo'"),
+        ("market_mix", _set(GEN + ("site_prefix",), 7), "site_prefix"),
     ],
     ids=[
         "nan-facet-weight", "inf-slot-size-weight", "nan-partner-count-weight", "negative-inf-slot-count-weight",
@@ -742,6 +745,7 @@ GEN = ("generator",)
         "num-sites-2.5", "waterfall-tiers-minus-1", "rounds-x", "master-seed-x", "partner-not-object",
         "slot-floor-nan", "response-probability-nan", "site-render-fail-nan", "domains-string",
         "lognormal-mu-true", "lognormal-sigma-true", "domains-empty-entry", "domains-dot-entry",
+        "domain-of-two-partners", "site-prefix-7",
     ],
 )
 def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field):
@@ -770,9 +774,12 @@ def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field)
         ("rank_start", -3),
         ("slot_sizes", {"0x250": 1}),
         ("ad_server_latency", {"kind": "fixed", "value_ms": "0"}),
+        ("site_prefix", "-x"),
+        ("site_prefix", "a b"),
+        ("partner_pool", ["dfp", "appnexus", "rubicon"]),
     ],
     ids=["timeout-0", "render-fail-1.5", "floor-minus-1", "rank-start-minus-3", "slot-size-0x250",
-         "ad-server-latency-0"],
+         "ad-server-latency-0", "site-prefix-dash", "site-prefix-blank", "partner-pool-holds-ad-server"],
 )
 def test_generator_field_out_of_range_is_one_error(tmp_path, capsys, field, value):
     """A generator field every generated site would inherit is reported once,

@@ -10,10 +10,10 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import make_partner, make_scenario, make_slot
+from conftest import make_partner, make_scenario
 from hbarena.auction import run_scenario
 from hbarena.detector import extract_auction_metadata, result_row
-from hbarena.domain import Facet, PartnerDirectory, WrapperPolicy
+from hbarena.domain import Facet, PartnerDirectory
 from hbarena.tracegen import KIND_DOM, KIND_REQUEST, KIND_RESPONSE, Trace, TraceEvent, emit_trace
 
 D = Decimal
