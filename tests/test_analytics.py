@@ -174,7 +174,7 @@ class TestLateBids:
 
     def test_zero_bid_auctions_excluded(self):
         records = [record(bids=[])]
-        assert "all_auctions" not in report_values("late_bid_fractions", records)
+        assert report_values("late_bid_fractions", records) == {}
 
     def test_server_channel_bids_do_not_dilute(self):
         records = [record(bids=[bid(late=True), bid(channel="ad_server", latency=None)])]

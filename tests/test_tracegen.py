@@ -436,11 +436,17 @@ def _decode_like_parse(line):
     return json.loads(line) if obj is tracegen._UNSCANNED else obj
 
 
+def _decode_plain(line):
+    # json.loads one frame down, as in _decode_like_parse: a line nested right
+    # at the recursion limit then fails or decodes alike on both sides.
+    return json.loads(line)
+
+
 @settings(max_examples=400, deadline=None)
 @given(line=_LINES)
 def test_line_decode_equals_json_loads(line):
     """The value, or the exception type and message, of json.loads."""
-    assert oracles.json_outcome(_decode_like_parse, line) == oracles.json_outcome(json.loads, line)
+    assert oracles.json_outcome(_decode_like_parse, line) == oracles.json_outcome(_decode_plain, line)
 
 
 def test_many_brackets_skip_the_scanner(monkeypatch):
