@@ -1,141 +1,276 @@
 """Aggregates ground-truth outcome rows or detector result rows into the
-paper's reports, each one grouping of the records.
+paper's reports, each one grouping of the auctions.
 
-A distribution report groups exact values (latencies, late-bid fractions,
-bid prices) and gives each group's percentiles and mean.  A share report
-counts HB sites per group, and every cell of its row is that count over all
-HB sites.
+``load_records`` reads a file once into integer columns: every time becomes
+a whole number of µs and every price a whole number of micro-CPM, appended
+to the column of the keys it can be grouped by.  A distribution report
+merges the columns of each group and gives the group's percentiles and
+mean.  A share report counts HB sites per group from facts kept per site,
+and every cell of its row is that count over all HB sites.
 
-Percentiles use linear interpolation between closest ranks, computed in
-Decimal so grouped reports are exact and byte-stable.  Rank bins are 500
-sites wide, partner-popularity bins group 10 partners at a time.
+Percentiles use linear interpolation between closest ranks, and each cell
+becomes one exact ``Decimal``, so grouped reports are exact and byte-stable.
+Rank bins are 500 sites wide, partner-popularity bins group 10 partners at a
+time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import chain
+from typing import NamedTuple
 
-from .domain import HB_FACETS, decimal_str, indented_json, quantize_cpm
+from .domain import HB_FACETS, ConfigurationError, decimal_str, json_chunks, quantize_cpm
 
 RANK_BIN_WIDTH = 500
 POPULARITY_BIN_WIDTH = 10
 
 CSV_COLUMNS = ("group", "count", "p5", "p25", "p50", "p75", "p95", "mean")
 
-
-@dataclass(slots=True)
-class BidPoint:
-    partner: str
-    size: str | None
-    cpm: Decimal
-    latency_ms: Decimal | None
-    late: bool
-    channel: str
+MS_SCALE = 3  # a time is kept as whole µs
+CPM_SCALE = 6  # a price is kept as whole micro-CPM
+_POW10 = tuple(10 ** k for k in range(19))
 
 
-@dataclass(slots=True)
-class AuctionRecord:
-    """One auction round, normalized from either input schema."""
+def _scaled(value, scale: int):
+    """A JSON time or price as a whole number of ``10**-scale`` units, or as
+    its exact ``Decimal`` where it is not one that fits in 64 bits: more
+    fraction digits, a negative zero, NaN or infinity, or a huge value."""
+    text = value if type(value) is str else str(value)
+    whole, _, fraction = text.partition(".")
+    digits = whole + fraction
+    if digits.isdecimal() and len(fraction) <= scale and len(whole) <= 18 - scale:
+        return int(digits) * _POW10[scale - len(fraction)]
+    number = Decimal(text)
+    sign, coefficient, exponent = number.as_tuple()
+    if type(exponent) is int and -scale <= exponent <= 18:
+        units = int("".join(map(str, coefficient))) * 10 ** (exponent + scale)
+        if units < 2 ** 63 and (units or not sign):
+            return -units if sign else units
+    return number
 
-    site_id: str
-    round_index: int
-    facet: str | None
-    is_hb: bool
-    rank: int | None
-    partner_ids: tuple[str, ...]
-    bids: tuple[BidPoint, ...]
-    total_latency_ms: Decimal | None
-    slot_count: int
+
+def _ms(value, memo: dict):
+    """``_scaled(value, MS_SCALE)``; a string's is kept in ``memo``, since a
+    partner's times repeat in each slot of a row."""
+    if type(value) is not str:
+        return None if value is None else _scaled(value, MS_SCALE)
+    units = memo.get(value)
+    if units is None:
+        units = memo[value] = _scaled(value, MS_SCALE)
+    return units
 
 
-def _dec(value) -> Decimal | None:
-    if value is None:
-        return None
-    return Decimal(value if isinstance(value, str) else str(value))
+def _difference(a, b):
+    """``a - b`` of two ``_ms`` values, as ``_scaled`` would give it."""
+    if type(a) is int and type(b) is int and -2 ** 63 <= a - b < 2 ** 63:
+        return a - b
+    return _exact(a, MS_SCALE) - _exact(b, MS_SCALE)
+
+
+def _exact(value, scale: int) -> Decimal:
+    return value if type(value) is Decimal else Decimal(value).scaleb(-scale)
+
+
+class _Columns(dict):
+    """Key -> the values filed under it, in ``10**-scale`` units: an
+    ``array('q')`` while every value is a whole unit (see ``_scaled``), after
+    the first one that is not a list.  Once loaded each column is sorted, a
+    list as Decimals."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, key):
+        column = self[key] = array("q")
+        return column
+
+    def add(self, key, value) -> None:
+        try:
+            self[key].append(value)
+        except TypeError:  # a Decimal
+            self[key] = [*self[key], value]
+
+    def sort(self) -> None:
+        for key, column in self.items():
+            if type(column) is array:
+                self[key] = array("q", sorted(column))
+            else:
+                self[key] = sorted([_exact(value, self.scale) for value in column])
+
+
+class Auction(NamedTuple):
+    """One auction as ``Records`` iterates it: its bids as positions only."""
+
+    bids: range
+
+
+class Records:
+    """What ``report`` keeps of an outcomes or results file: columns of
+    exact values keyed by what they are grouped by, and facts per HB site.
+    Its length is the number of auctions read."""
+
+    def __init__(self):
+        # Each auction's total latency in µs, keyed (partner count, slot
+        # count, rank bin or None, drew bids), and keyed by site, in one
+        # table per "drew no bids" and "drew bids".
+        self.total_latency = _Columns(MS_SCALE)
+        self.site_latency = (_Columns(MS_SCALE), _Columns(MS_SCALE))
+        self.bid_latency = _Columns(MS_SCALE)  # µs, keyed by partner
+        self.cpm = _Columns(CPM_SCALE)  # micro-CPM, keyed (partner, slot size, auction facet)
+        self.client_bids: dict[str, list[int]] = {}  # partner -> [client bids, late ones]
+        # (late client bids, client bids) -> auctions, over auctions with client bids
+        self.late_counts: Counter = Counter()
+        # HB site -> (facet of its last HB round that names one, partners of all its HB rounds)
+        self.hb_sites: dict = {}
+        self.bid_counts = array("I")
+
+    def __len__(self) -> int:
+        return len(self.bid_counts)
+
+    def __iter__(self):
+        return (Auction(range(n)) for n in self.bid_counts)
+
+
+def _bin_label(index: int, width: int) -> str:
+    """The label of the ``width``-wide bin of 1-based positions that holds 0-based ``index``."""
+    lo = index // width * width + 1
+    return f"{lo}-{lo + width - 1}"
+
+
+def rank_bin_label(rank: int) -> str:
+    return _bin_label(rank - 1, RANK_BIN_WIDTH)
 
 
 class _Shared(dict):
     """``shared[value]`` is the first equal value seen: JSON decoding makes a
-    new ``str`` for every value, and the partner, size, channel and facet
-    strings of one file are shared through this instead."""
+    new ``str`` for every value, and equal strings, keys and partner sets of
+    one file are shared through this instead."""
 
     def __missing__(self, key):
         self[key] = key
         return key
 
 
-def record_from_outcome_row(row: dict, shared: dict) -> AuctionRecord:
-    facet = shared[row.get("facet")]
-    bids = []
-    if facet == "waterfall_only":
-        for tier in row.get("tiers_tried", ()):
-            if tier.get("bid") is not None:
-                bids.append(BidPoint(shared[tier["partner"]], None, _dec(tier["bid"]), _dec(tier["latency_ms"]),
-                                     False, "client"))
-    else:
+class _Loader:
+    """Files one row at a time into ``Records``.  ``one(value)`` is the
+    first equal value seen, so each partner, size, facet, key and partner
+    set of a file is stored once."""
+
+    def __init__(self, records: Records):
+        self.records = records
+        self.one = _Shared().__getitem__
+
+    def auction(self, site_id, facet, is_hb, partners, total, slot_count, rank, bids) -> None:
+        """``bids`` yields (partner, size, cpm, latency or None, late, channel)."""
+        rec, one = self.records, self.one
+        add_cpm, add_latency, client_bids = rec.cpm.add, rec.bid_latency.add, rec.client_bids
+        n_bids = n_client = n_late = 0
+        for partner, size, cpm, latency, late, channel in bids:
+            partner = one(partner)
+            n_bids += 1
+            add_cpm((partner, size, facet), _scaled(cpm, CPM_SCALE))
+            if latency is not None:
+                add_latency(partner, latency)
+            if channel == "client":
+                n_client += 1
+                n_late += late
+                tally = client_bids.get(partner)
+                if tally is None:
+                    tally = client_bids[partner] = [0, 0]
+                tally[0] += 1
+                tally[1] += late
+        rec.bid_counts.append(n_bids)
+        if n_client:
+            rec.late_counts[(n_late, n_client)] += 1
+        if total is not None:
+            total = _scaled(total, MS_SCALE)
+            rank_bin = None if rank is None else rank_bin_label(rank)
+            rec.total_latency.add(one((str(len(partners)), str(slot_count), rank_bin, n_bids > 0)), total)
+            rec.site_latency[n_bids > 0].add(site_id, total)
+        if is_hb:
+            last_facet, seen = rec.hb_sites.get(site_id, (None, frozenset()))
+            rec.hb_sites[site_id] = one((facet or last_facet, one(seen.union(map(one, partners)))))
+
+    def outcome_row(self, row: dict) -> None:
+        facet = self.one(row.get("facet"))
+        if facet == "waterfall_only":
+            bids = ((tier["partner"], None, tier["bid"], _ms(tier["latency_ms"], {}), False, "client")
+                    for tier in row.get("tiers_tried", ()) if tier.get("bid") is not None)
+        else:
+            bids = self._slot_bids(row)
+        rank = row.get("rank")
+        self.auction(row["site_id"], facet, facet in HB_FACETS, row.get("partner_ids", ()),
+                     row.get("total_latency_ms"), int(row.get("slot_count", 0)),
+                     None if rank is None else int(rank), bids)
+
+    def _slot_bids(self, row: dict):
+        memo = {}
         for slot in row.get("slots", ()):
-            size = shared[slot.get("size")]
+            size = self.one(slot.get("size"))
             for bid in slot.get("bids", ()):
                 latency = None
-                if bid.get("channel") == "client":
+                channel = bid.get("channel", "client")
+                if channel == "client":
                     arrived, requested = bid.get("arrived_at_ms"), bid.get("requested_at_ms")
                     if arrived is not None and requested is not None:
-                        latency = _dec(arrived) - _dec(requested)
-                bids.append(BidPoint(shared[bid["partner"]], size, _dec(bid["cpm"]), latency, bool(bid.get("late")),
-                                     shared[bid.get("channel", "client")]))
-    return AuctionRecord(
-        site_id=row["site_id"],
-        round_index=int(row.get("round_index", 0)),
-        facet=facet,
-        is_hb=facet in HB_FACETS,
-        rank=int(row["rank"]) if row.get("rank") is not None else None,
-        partner_ids=tuple([shared[p] for p in row.get("partner_ids", ())]),
-        bids=tuple(bids),
-        total_latency_ms=_dec(row.get("total_latency_ms")),
-        slot_count=int(row.get("slot_count", 0)),
-    )
+                        latency = _difference(_ms(arrived, memo), _ms(requested, memo))
+                yield bid["partner"], size, bid["cpm"], latency, bool(bid.get("late")), channel
+
+    def result_row(self, row: dict, rank_by_site: dict[str, int] | None) -> None:
+        site_id = row["site_id"]
+        self.auction(site_id, self.one(row.get("facet")), bool(row.get("is_hb")), row.get("partners", ()),
+                     row.get("hb_latency_ms"), len(row.get("auctions", ())),
+                     rank_by_site.get(site_id) if rank_by_site else None, self._result_bids(row))
+
+    def _result_bids(self, row: dict):
+        memo = {}
+        for auction in row.get("auctions", ()):
+            size = self.one(auction.get("size"))
+            for bid in auction.get("bids", ()):
+                yield (bid["partner"], size, bid["cpm"], _ms(bid.get("latency_ms"), memo), bool(bid.get("late")),
+                       bid.get("channel", "client"))
 
 
-def record_from_result_row(row: dict, shared: dict, rank_by_site: dict[str, int] | None = None) -> AuctionRecord:
-    bids = []
-    auctions = row.get("auctions", ())
-    for auction in auctions:
-        size = shared[auction.get("size")]
-        for bid in auction.get("bids", ()):
-            bids.append(BidPoint(shared[bid["partner"]], size, _dec(bid["cpm"]), _dec(bid.get("latency_ms")),
-                                 bool(bid.get("late")), shared[bid.get("channel", "client")]))
-    return AuctionRecord(
-        site_id=row["site_id"],
-        round_index=int(row.get("round_index", 0)),
-        facet=shared[row.get("facet")],
-        is_hb=bool(row.get("is_hb")),
-        rank=rank_by_site.get(row["site_id"]) if rank_by_site else None,
-        partner_ids=tuple([shared[p] for p in row.get("partners", ())]),
-        bids=tuple(bids),
-        total_latency_ms=_dec(row.get("hb_latency_ms")),
-        slot_count=len(auctions),
-    )
-
-
-def load_records(path, rank_by_site: dict[str, int] | None = None) -> list[AuctionRecord]:
-    """Read an outcomes or results JSONL file; the schema is sniffed per row."""
-    records = []
-    shared = _Shared()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+def load_records(path, rank_by_site: dict[str, int] | None = None) -> Records:
+    """Read an outcomes or results JSONL file; the schema is sniffed per row.
+    Error rows are skipped; a line that is not a JSON object with a string
+    ``site_id`` raises ``ConfigurationError``."""
+    records = Records()
+    loader = _Loader(records)
+    # Undecodable bytes are kept as surrogates, so that the line holding them can be named.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ConfigurationError(f"{path}:{line_no}: not UTF-8 text") from None
+            try:
+                row = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ConfigurationError(f"{path}:{line_no}: not JSON ({exc})") from None
+            if not isinstance(row, dict):
+                raise ConfigurationError(f"{path}:{line_no}: not a JSON object")
             if "error" in row:
                 continue
+            if not isinstance(row.get("site_id"), str):
+                raise ConfigurationError(f"{path}:{line_no}: no string site_id")
             if "is_hb" in row:
-                records.append(record_from_result_row(row, shared, rank_by_site))
+                loader.result_row(row, rank_by_site)
             else:
-                records.append(record_from_outcome_row(row, shared))
+                loader.outcome_row(row)
+    for columns in (records.total_latency, *records.site_latency, records.bid_latency, records.cpm):
+        columns.sort()
     return records
 
 
@@ -158,6 +293,9 @@ def percentile(values, q_pct: int) -> Decimal:
     return _sorted_percentile(data, q_pct)
 
 
+_PERCENTILES = (5, 25, 50, 75, 95)
+
+
 @dataclass(frozen=True)
 class StatsSummary:
     count: int
@@ -173,93 +311,90 @@ class StatsSummary:
         data = sorted(values)
         if not data:
             raise ValueError("cannot summarize empty data")
-        pct = _sorted_percentile
-        return cls(len(data), pct(data, 5), pct(data, 25), pct(data, 50), pct(data, 75), pct(data, 95),
+        return cls(len(data), *[_sorted_percentile(data, q) for q in _PERCENTILES],
                    sum(data, Decimal(0)) / Decimal(len(data)))
 
+    @classmethod
+    def of_units(cls, data: list[int], scale: int) -> "StatsSummary":
+        """The summary of sorted whole ``10**-scale`` units, equal to ``of``
+        over their Decimals: an interpolated percentile ``k_i + Δk·rem/100``
+        is exact in units of ``10**-(scale + 2)``, and the mean is the same
+        one division of the exact sum.  Fewer than 10**9 values of 64 bits
+        keep every sum below 28 digits, where ``of``'s sum is exact too."""
+        n = len(data)
+        cells = []
+        for q in _PERCENTILES:
+            i, rem = divmod(q * (n - 1), 100)
+            if rem:
+                cells.append(Decimal(100 * data[i] + (data[i + 1] - data[i]) * rem).scaleb(-scale - 2))
+            else:
+                cells.append(Decimal(data[i]).scaleb(-scale))
+        return cls(n, *cells, Decimal(sum(data)) / Decimal(n * _POW10[scale]))
 
-def _bin_label(index: int, width: int) -> str:
-    """The label of the ``width``-wide bin of 1-based positions that holds 0-based ``index``."""
-    lo = index // width * width + 1
-    return f"{lo}-{lo + width - 1}"
+
+# Distribution groupings: (records, include_zero_bid_auctions) ->
+# ((group, the sorted columns it merges) pairs, the scale of their whole units).
+
+def _merged(columns: _Columns, group_of):
+    """The columns of each ``group_of(key)``; a None group leaves the key out."""
+    groups = defaultdict(list)
+    for key, column in columns.items():
+        group = group_of(key)
+        if group is not None:
+            groups[group].append(column)
+    return groups.items()
 
 
-def rank_bin_label(rank: int) -> str:
-    return _bin_label(rank - 1, RANK_BIN_WIDTH)
+# Auctions that drew no bids can be left out of latency groupings, since a
+# wrapper waiting on silence measures only its timeout.
 
-
-# Distribution groupings: (records, include_zero_bid_auctions) -> {group: exact values}.
-
-def _total_latency_by(key_of):
-    """Each auction's total latency under ``key_of(record)``; a None key
-    leaves the auction out.  Auctions that drew no bids can be left out too,
-    since a wrapper waiting on silence measures only its timeout."""
+def _total_latency_by(part: int):
+    """Each auction's total latency under one part of its key."""
     def grouping(records, include_zero_bid_auctions):
-        groups = defaultdict(list)
-        for rec in records:
-            if rec.total_latency_ms is not None and (include_zero_bid_auctions or rec.bids):
-                key = key_of(rec)
-                if key is not None:
-                    groups[key].append(rec.total_latency_ms)
-        return groups
+        return _merged(records.total_latency,
+                       lambda key: key[part] if include_zero_bid_auctions or key[3] else None), MS_SCALE
     return grouping
 
 
+def _latency_by_site(records, include_zero_bid_auctions):
+    """Each auction's total latency under its site."""
+    zero_bid, drew_bids = records.site_latency
+    if not include_zero_bid_auctions:
+        zero_bid = {}
+
+    def groups():
+        for site, column in drew_bids.items():
+            yield site, [column, zero_bid[site]] if site in zero_bid else [column]
+        for site, column in zero_bid.items():
+            if site not in drew_bids:
+                yield site, [column]
+    return groups(), MS_SCALE
+
+
 def _bid_latency_by_partner(records, _):
-    groups = defaultdict(list)
-    for rec in records:
-        for bid in rec.bids:
-            if bid.latency_ms is not None:
-                groups[bid.partner].append(bid.latency_ms)
-    return groups
+    return ((partner, [column]) for partner, column in records.bid_latency.items()), MS_SCALE
 
 
 def _late_fractions(records, _):
     """Each auction's late share of its client bids; auctions without client
     bids are left out, to avoid 0/0."""
     groups = defaultdict(list)
-    for rec in records:
-        n_client = late = 0
-        for bid in rec.bids:
-            if bid.channel == "client":
-                n_client += 1
-                late += bid.late
-        if n_client:
-            fraction = Decimal(late) / Decimal(n_client)
-            groups["all_auctions"].append(fraction)
-            if late:
-                groups["auctions_with_late_bids"].append(fraction)
-    return groups
-
-
-_ZERO, _ONE = Decimal(0), Decimal(1)
+    for (late, n_client), auctions in records.late_counts.items():
+        fractions = [Decimal(late) / Decimal(n_client)] * auctions
+        groups["all_auctions"].append(fractions)
+        if late:
+            groups["auctions_with_late_bids"].append(fractions)
+    return groups.items(), None
 
 
 def _late_by_partner(records, _):
-    """Each partner's client bids as 0/1 late indicators."""
-    groups = defaultdict(list)
-    for rec in records:
-        for bid in rec.bids:
-            if bid.channel == "client":
-                groups[bid.partner].append(_ONE if bid.late else _ZERO)
-    return groups
+    """Each partner's client bids as 0/1 late indicators, in order."""
+    zero, one = array("q", [0]), array("q", [1])
+    return ((partner, [zero * (n - late) + one * late]) for partner, (n, late) in records.client_bids.items()), 0
 
 
-def _price_by_slot_size(records, _):
-    groups = defaultdict(list)
-    for rec in records:
-        for bid in rec.bids:
-            if bid.size is not None:
-                groups[bid.size].append(bid.cpm)
-    return groups
-
-
-def _price_by_facet(records, _):
-    groups = defaultdict(list)
-    for rec in records:
-        if rec.facet is not None and rec.bids:
-            groups[rec.facet].extend([bid.cpm for bid in rec.bids])
-    return groups
+def _price_by(part: int):
+    return lambda records, _: (_merged(records.cpm, lambda key: key[part]), CPM_SCALE)
 
 
 def _price_by_popularity_bin(records, _):
@@ -267,58 +402,87 @@ def _price_by_popularity_bin(records, _):
     presence = _partner_shares(records)[0]
     order = sorted(presence, key=lambda pid: (-presence[pid], pid))
     bin_of = {pid: _bin_label(i, POPULARITY_BIN_WIDTH) for i, pid in enumerate(order)}
-    groups = defaultdict(list)
-    for rec in records:
-        for bid in rec.bids:
-            key = bin_of.get(bid.partner)
-            if key is not None:
-                groups[key].append(bid.cpm)
-    return groups
+    return _merged(records.cpm, lambda key: bin_of.get(key[0])), CPM_SCALE
 
 
 # Share groupings: records -> ({group: HB sites}, all HB sites).
 
 def _facet_shares(records):
     """HB sites per facet, each site counted under the facet of its last HB round."""
-    facet_by_site = {rec.site_id: rec.facet for rec in records if rec.is_hb and rec.facet}
-    return Counter(facet_by_site.values()), len(facet_by_site)
-
-
-def _hb_partners_by_site(records) -> dict[str, set[str]]:
-    """Every partner seen on each HB site, over all its HB rounds."""
-    partners_by_site: dict[str, set[str]] = {}
-    for rec in records:
-        if rec.is_hb:
-            partners_by_site.setdefault(rec.site_id, set()).update(rec.partner_ids)
-    return partners_by_site
+    counts = Counter(facet for facet, _ in records.hb_sites.values() if facet)
+    return counts, sum(counts.values())
 
 
 def _partner_shares(records):
     """HB sites per partner seen on them."""
-    partners_by_site = _hb_partners_by_site(records)
-    return Counter(pid for pids in partners_by_site.values() for pid in pids), len(partners_by_site)
+    sites = records.hb_sites.values()
+    return Counter(pid for _, pids in sites for pid in pids), len(sites)
 
 
 def _combination_shares(records):
     """HB sites per exact partner set, its partners sorted and joined by "+"."""
-    partners_by_site = _hb_partners_by_site(records)
-    return Counter("+".join(sorted(pids)) for pids in partners_by_site.values()), len(partners_by_site)
+    sites = records.hb_sites.values()
+    return Counter("+".join(sorted(pids)) for _, pids in sites), len(sites)
+
+
+class _SortedUnion:
+    """Sorted int columns read as one sorted sequence, by rank, without a
+    merged copy: ``union[k]`` bisects each column for the least value with
+    more than k values at or below it.  For each of a summary's ten ranks
+    that is one bisection per column per bit of the value range; where that
+    is more than one per value, the columns are merged and sorted instead."""
+
+    def __init__(self, columns: list):
+        self.n = sum(map(len, columns))
+        self.lo = min(column[0] for column in columns)
+        self.hi = max(column[-1] for column in columns)
+        if len(columns) * (self.hi - self.lo).bit_length() > self.n:
+            columns = [array("q", sorted(chain.from_iterable(columns)))]
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return chain.from_iterable(self.columns)
+
+    def __getitem__(self, k: int) -> int:
+        if len(self.columns) == 1:
+            return self.columns[0][k]
+        lo, hi = self.lo, self.hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sum([bisect_right(column, mid) for column in self.columns]) > k:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
 
 def _fmt(value: Decimal) -> str:
     return decimal_str(quantize_cpm(value))
 
 
-def _stats_row(group: str, s: StatsSummary) -> dict:
+def _flat_row(group: str, count: int, value: Decimal) -> dict:
+    return {"group": group, "count": count, **dict.fromkeys(CSV_COLUMNS[2:], _fmt(value))}
+
+
+def _decimals(columns: list, scale: int | None) -> list[Decimal]:
+    return [_exact(value, scale) for column in columns for value in column]
+
+
+def _stats_row(group: str, columns: list, scale: int | None) -> dict:
+    if not all(type(column) is array for column in columns):
+        s = StatsSummary.of(_decimals(columns, scale))
+    else:
+        data = _SortedUnion(columns) if len(columns) > 1 else columns[0]
+        if len(data) == 1:
+            return _flat_row(group, 1, Decimal(data[0]).scaleb(-scale))
+        s = StatsSummary.of_units(data, scale)
     # Small groups repeat values across columns; format each distinct one once.
     text = {value: _fmt(value) for value in {s.p5, s.p25, s.p50, s.p75, s.p95, s.mean}}
     return {"group": group, "count": s.count, "p5": text[s.p5], "p25": text[s.p25], "p50": text[s.p50],
             "p75": text[s.p75], "p95": text[s.p95], "mean": text[s.mean]}
-
-
-def _share_row(group: str, count: int, total: int) -> dict:
-    text = _fmt(Decimal(count) / Decimal(total))
-    return {"group": group, "count": count, **dict.fromkeys(CSV_COLUMNS[2:], text)}
 
 
 def _by_group(row: dict):
@@ -338,16 +502,15 @@ def _most_first(row: dict):
 
 
 _DISTRIBUTIONS = {
-    "latency_by_site": (_total_latency_by(lambda rec: rec.site_id), _by_group),
+    "latency_by_site": (_latency_by_site, _by_group),
     "latency_by_partner": (_bid_latency_by_partner, _by_group),
-    "latency_by_partner_count": (_total_latency_by(lambda rec: str(len(rec.partner_ids))), _by_number),
-    "latency_by_slot_count": (_total_latency_by(lambda rec: str(rec.slot_count)), _by_number),
-    "latency_by_rank_bin": (_total_latency_by(lambda rec: None if rec.rank is None else rank_bin_label(rec.rank)),
-                            _by_bin_start),
+    "latency_by_partner_count": (_total_latency_by(0), _by_number),
+    "latency_by_slot_count": (_total_latency_by(1), _by_number),
+    "latency_by_rank_bin": (_total_latency_by(2), _by_bin_start),
     "late_bid_fractions": (_late_fractions, _by_group),
     "late_by_partner": (_late_by_partner, _by_group),
-    "prices_by_slot_size": (_price_by_slot_size, _by_group),
-    "prices_by_facet": (_price_by_facet, _by_group),
+    "prices_by_slot_size": (_price_by(1), _by_group),
+    "prices_by_facet": (_price_by(2), _by_group),
     "prices_by_popularity_bin": (_price_by_popularity_bin, _by_bin_start),
 }
 _SHARES = {
@@ -367,12 +530,13 @@ def _lookup(table: dict, name: str):
     return table[name]
 
 
-def report_values(name: str, records: list[AuctionRecord], include_zero_bid_auctions: bool = True) -> dict:
-    """The exact values behind each row of a distribution report, by group."""
-    return dict(_lookup(_DISTRIBUTIONS, name)[0](records, include_zero_bid_auctions))
+def report_values(name: str, records: Records, include_zero_bid_auctions: bool = True) -> dict:
+    """The exact values behind each row of a distribution report, by group, in ascending order."""
+    groups, scale = _lookup(_DISTRIBUTIONS, name)[0](records, include_zero_bid_auctions)
+    return {group: sorted(_decimals(columns, scale)) for group, columns in groups}
 
 
-def report_shares(name: str, records: list[AuctionRecord]) -> tuple[dict[str, int], int]:
+def report_shares(name: str, records: Records) -> tuple[dict[str, int], int]:
     """The HB-site count behind each row of a share report, by group, and the
     count of all HB sites it is a share of."""
     return _lookup(_SHARES, name)[0](records)
@@ -380,17 +544,17 @@ def report_shares(name: str, records: list[AuctionRecord]) -> tuple[dict[str, in
 
 def build_report(
     name: str,
-    records: list[AuctionRecord],
+    records: Records,
     include_zero_bid_auctions: bool = True,
 ) -> list[dict]:
     """Rows for one named report, in the fixed CSV column schema."""
     order = _lookup(_REPORTS, name)[1]
     if name in _SHARES:
         counts, total = report_shares(name, records)
-        rows = [_share_row(group, count, total) for group, count in counts.items()]
+        rows = [_flat_row(group, count, Decimal(count) / Decimal(total)) for group, count in counts.items()]
     else:
-        groups = report_values(name, records, include_zero_bid_auctions)
-        rows = [_stats_row(group, StatsSummary.of(values)) for group, values in groups.items()]
+        groups, scale = _DISTRIBUTIONS[name][0](records, include_zero_bid_auctions)
+        rows = [_stats_row(group, columns, scale) for group, columns in groups]
     return sorted(rows, key=order)
 
 
@@ -404,4 +568,5 @@ def write_report_csv(path, rows: list[dict]) -> None:
 def write_report_json(path, reports: dict[str, list[dict]]) -> None:
     """The text of ``json.dump({"reports": reports}, indent=2, sort_keys=True)`` and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(indented_json({"reports": reports}) + "\n")
+        fh.writelines(json_chunks({"reports": reports}))
+        fh.write("\n")

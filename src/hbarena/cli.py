@@ -293,9 +293,23 @@ def cmd_detect(args) -> int:
 def _rank_by_site(manifest_path) -> dict[str, int] | None:
     if not manifest_path:
         return None
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return {site: meta["rank"] for site, meta in manifest.get("site_meta", {}).items()}
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read manifest {manifest_path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"manifest {manifest_path} is not JSON: {exc}") from None
+    site_meta = manifest.get("site_meta", {}) if isinstance(manifest, dict) else None
+    if not isinstance(site_meta, dict):
+        raise ConfigurationError(f"manifest {manifest_path} is not a JSON object with a site_meta object")
+    ranks = {}
+    for site, meta in site_meta.items():
+        rank = meta.get("rank") if isinstance(meta, dict) else None
+        if type(rank) is not int:
+            raise ConfigurationError(f"manifest {manifest_path}: site_meta {site!r} has no integer rank")
+        ranks[site] = rank
+    return ranks
 
 
 def cmd_report(args) -> int:

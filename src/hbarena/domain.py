@@ -21,7 +21,8 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
-from typing import Callable, ClassVar
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Callable, ClassVar, Iterator
 from importlib import resources
 
 MS_QUANTUM = Decimal("0.001")
@@ -73,28 +74,44 @@ def decimal_str(value: Decimal) -> str:
 # of its own at ``indent``: encoded JSON holds no other newline.
 @functools.cache
 def _items_json(indent: str) -> Callable[[object], str]:
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": ")).encode
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": "))
+    if c_make_encoder is None:
+        return encoder.encode
+    # JSONEncoder.encode makes a new C encoder on every call; this one is made
+    # once.  It keeps no cycle markers, which a failed call would leave behind.
+    encode = c_make_encoder(None, encoder.default, encode_basestring_ascii, None, ": ", ",\n" + indent,
+                            True, False, True)
+    return lambda value: "".join(encode(value, 0))
 
 
 _CONTAINERS = frozenset((dict, list, tuple))
 
 
-def indented_json(value, indent: str = "") -> str:
+def json_chunks(value, indent: str = "") -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for plain
-    dicts with string keys, lists, tuples and scalars, nested at ``indent``."""
+    dicts with string keys, lists, tuples and scalars, nested at ``indent``,
+    in pieces that each hold at most one container of scalars."""
     kind = type(value)
     if kind not in _CONTAINERS or not value:
-        return _items_json("")(value)
+        yield _items_json("")(value)
+        return
     inner = indent + "  "
+    opening, closing = ("{\n", "}") if kind is dict else ("[\n", "]")
     items = value.values() if kind is dict else value
     if _CONTAINERS.isdisjoint(map(type, items)):
-        body = _items_json(inner)(value)[1:-1]
-    elif kind is dict:
-        key = _items_json("")
-        body = (",\n" + inner).join([f"{key(k)}: {indented_json(v, inner)}" for k, v in sorted(value.items())])
-    else:
-        body = (",\n" + inner).join([indented_json(v, inner) for v in value])
-    return ("{\n" if kind is dict else "[\n") + inner + body + "\n" + indent + ("}" if kind is dict else "]")
+        yield opening + inner + _items_json(inner)(value)[1:-1] + "\n" + indent + closing
+        return
+    separator, key = opening + inner, _items_json("")
+    for k, v in sorted(value.items()) if kind is dict else enumerate(value):
+        yield separator + key(k) + ": " if kind is dict else separator
+        yield from json_chunks(v, inner)
+        separator = ",\n" + inner
+    yield "\n" + indent + closing
+
+
+def indented_json(value) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, as ``json_chunks`` gives it."""
+    return "".join(json_chunks(value))
 
 
 class Facet(str, Enum):

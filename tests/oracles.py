@@ -128,6 +128,71 @@ def percentile_linear(values, q_pct):
 REPORT_CPM_QUANTUM = Decimal("0.000001")
 
 
+class Rec:
+    """One auction read from a row: attributes only."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+
+def _number(value):
+    if value is None:
+        return None
+    return Decimal(value if isinstance(value, str) else str(value))
+
+
+def read_records(rows, rank_by_site=None):
+    """Auction records from outcome or result rows, each value a Decimal as
+    the row gives it.  A row with "is_hb" is a result row; error rows are
+    skipped."""
+    records = []
+    for row in rows:
+        if "error" in row:
+            continue
+        bids = []
+        if "is_hb" in row:
+            for auction in row.get("auctions", []):
+                for b in auction.get("bids", []):
+                    bids.append(Rec(partner=b["partner"], size=auction.get("size"), cpm=_number(b["cpm"]),
+                                    latency_ms=_number(b.get("latency_ms")), late=bool(b.get("late")),
+                                    channel=b.get("channel", "client")))
+            rank = rank_by_site.get(row["site_id"]) if rank_by_site else None
+            records.append(Rec(site_id=row["site_id"], facet=row.get("facet"), is_hb=bool(row["is_hb"]), rank=rank,
+                               partner_ids=list(row.get("partners", [])), bids=bids,
+                               total_latency_ms=_number(row.get("hb_latency_ms")),
+                               slot_count=len(row.get("auctions", []))))
+            continue
+        slots = []
+        if row.get("facet") == "waterfall_only":
+            for tier in row.get("tiers_tried", []):
+                if tier.get("bid") is not None:
+                    bids.append(Rec(partner=tier["partner"], size=None, cpm=_number(tier["bid"]),
+                                    latency_ms=_number(tier["latency_ms"]), late=False, channel="client"))
+        else:
+            slots = row.get("slots", [])
+        for slot in slots:
+            for b in slot.get("bids", []):
+                channel = b.get("channel", "client")
+                latency = None
+                if channel == "client" and b.get("arrived_at_ms") is not None \
+                        and b.get("requested_at_ms") is not None:
+                    latency = _number(b["arrived_at_ms"]) - _number(b["requested_at_ms"])
+                bids.append(Rec(partner=b["partner"], size=slot.get("size"), cpm=_number(b["cpm"]),
+                                latency_ms=latency, late=bool(b.get("late")), channel=channel))
+        records.append(Rec(site_id=row["site_id"], facet=row.get("facet"),
+                           is_hb=row.get("facet") in ("client_side", "server_side", "hybrid"),
+                           rank=None if row.get("rank") is None else int(row["rank"]),
+                           partner_ids=list(row.get("partner_ids", [])), bids=bids,
+                           total_latency_ms=_number(row.get("total_latency_ms")),
+                           slot_count=int(row.get("slot_count", 0))))
+    return records
+
+
+def read_records_file(path, rank_by_site=None):
+    with open(path, "r", encoding="utf-8") as fh:
+        return read_records([json.loads(line) for line in fh if line.strip()], rank_by_site)
+
+
 def report_text(value):
     """A report cell: 6 fraction digits half-even, trailing zeros dropped."""
     text = format(value.quantize(REPORT_CPM_QUANTUM, rounding="ROUND_HALF_EVEN"), "f")

@@ -1,20 +1,25 @@
 """Aggregation layer: percentile math against numpy, grouping invariants,
 and the canned price/popularity distributions."""
 
-from decimal import Decimal
-
 import json
+import random
+import tempfile
+from array import array
+from decimal import Decimal
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from hbarena import analytics
 from hbarena.analytics import (
-    AuctionRecord,
-    BidPoint,
     StatsSummary,
     REPORT_NAMES,
+    CSV_COLUMNS,
+    Records,
     build_report,
     load_records,
     percentile,
@@ -28,20 +33,28 @@ from hbarena.domain import indented_json
 D = Decimal
 
 
-def summaries(name, records, include_zero=True):
+def load(rows, ranks=None):
+    """Records of rows written to a JSONL file and read back; ``ranks`` is the manifest's site -> rank."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        return load_records(path, ranks)
+
+
+def summaries(name, rows, include_zero=True):
     """Each group's StatsSummary of a distribution report's exact values."""
-    return {group: StatsSummary.of(values) for group, values in report_values(name, records, include_zero).items()}
+    return {group: StatsSummary.of(values) for group, values in report_values(name, load(rows), include_zero).items()}
 
 
-def shares(name, records):
+def shares(name, rows):
     """Each group's share of all HB sites, most sites first, as (group, sites, share)."""
-    counts, total = report_shares(name, records)
+    counts, total = report_shares(name, load(rows))
     return [(group, n, D(n) / D(total)) for group, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
-def facet_shares(records):
+def facet_shares(rows):
     """Each HB facet's share of all HB sites."""
-    return {facet: share for facet, _, share in shares("facet_breakdown", records)}
+    return {facet: share for facet, _, share in shares("facet_breakdown", rows)}
 
 
 def record(
@@ -54,28 +67,22 @@ def record(
     slots=1,
     round_index=0,
 ):
-    return AuctionRecord(
-        site_id=site,
-        round_index=round_index,
-        facet=facet,
-        is_hb=facet in ("client_side", "server_side", "hybrid"),
-        rank=rank,
-        partner_ids=tuple(partners),
-        bids=tuple(bids),
-        total_latency_ms=D(total) if total is not None else None,
-        slot_count=slots,
-    )
+    """One ground-truth outcome row; its bids go into one slot per size."""
+    by_size = {}
+    for b in bids:
+        b = dict(b)
+        by_size.setdefault(b.pop("size"), []).append(b)
+    return {"site_id": site, "rank": rank, "round_index": round_index, "facet": facet,
+            "partner_ids": list(partners), "slot_count": slots, "total_latency_ms": total,
+            "slots": [{"size": size, "bids": size_bids} for size, size_bids in by_size.items()]}
 
 
 def bid(partner="p1", size="300x250", cpm="0.5", latency="100", late=False, channel="client"):
-    return BidPoint(
-        partner=partner,
-        size=size,
-        cpm=D(cpm),
-        latency_ms=D(latency) if latency is not None else None,
-        late=late,
-        channel=channel,
-    )
+    """One outcome bid, with its slot's size; a latency is its arrival after a request at 0."""
+    row = {"partner": partner, "size": size, "cpm": cpm, "late": late, "channel": channel}
+    if latency is not None:
+        row.update(requested_at_ms="0", arrived_at_ms=latency)
+    return row
 
 
 class TestPercentile:
@@ -143,7 +150,7 @@ class TestLatencyStats:
             report_shares("latency_by_site", [])
 
     def test_empty_input_empty_map(self):
-        assert report_values("latency_by_site", []) == {}
+        assert report_values("latency_by_site", Records()) == {}
 
     def test_grouped_counts_sum_to_total(self):
         records = [
@@ -168,13 +175,13 @@ class TestLateBids:
 
     def test_partner_always_late_is_100_percent(self):
         records = [record(bids=[bid(partner="slowpoke", late=True)]) for _ in range(5)]
-        indicators = report_values("late_by_partner", records)["slowpoke"]
+        indicators = report_values("late_by_partner", load(records))["slowpoke"]
         stats = StatsSummary.of(indicators)
         assert (stats.count, sum(indicators), stats.mean) == (5, 5, D(1))
 
     def test_zero_bid_auctions_excluded(self):
         records = [record(bids=[])]
-        assert report_values("late_bid_fractions", records) == {}
+        assert report_values("late_bid_fractions", load(records)) == {}
 
     def test_server_channel_bids_do_not_dilute(self):
         records = [record(bids=[bid(late=True), bid(channel="ad_server", latency=None)])]
@@ -237,7 +244,7 @@ class TestBreakdownAndPopularity:
 
     def test_empty_breakdown(self):
         assert facet_shares([record(facet="waterfall_only")]) == {}
-        assert report_shares("facet_breakdown", [record(facet="waterfall_only")]) == ({}, 0)
+        assert report_shares("facet_breakdown", load([record(facet="waterfall_only")])) == ({}, 0)
 
     def test_breakdown_counts_each_site_by_its_last_round(self):
         records = [
@@ -245,7 +252,7 @@ class TestBreakdownAndPopularity:
             record(site="a", facet="client_side", round_index=1),
             record(site="b", facet="hybrid"),
         ]
-        rows = build_report("facet_breakdown", records)
+        rows = build_report("facet_breakdown", load(records))
         assert [(r["group"], r["count"], r["mean"]) for r in rows] == [
             ("client_side", 1, "0.5"),
             ("hybrid", 1, "0.5"),
@@ -277,72 +284,146 @@ class TestReports:
         records = [record(site=f"s{i}", facet=f) for i, f in enumerate(
             ["client_side"] * 2 + ["server_side"] * 5 + ["hybrid"] * 3
         )]
-        rows = build_report("facet_breakdown", records)
+        rows = build_report("facet_breakdown", load(records))
         assert sum(D(r["mean"]) for r in rows) == D(1)
 
     def test_empty_input_yields_empty_rows(self):
         for name in ("latency_by_site", "prices_by_slot_size", "facet_breakdown"):
-            assert build_report(name, []) == []
+            assert build_report(name, Records()) == []
 
 
 class TestLoadRecords:
-    def test_json_numbers_read_like_strings(self, tmp_path):
-        row = {
-            "site_id": "s1", "round_index": 0, "is_hb": True, "facet": "client_side",
-            "partners": ["p1"], "hb_latency_ms": 350.5,
-            "auctions": [{"slot_id": "slot0", "size": "300x250", "bids": [
-                {"partner": "p1", "cpm": 0.1, "latency_ms": 120, "late": False, "channel": "client"},
-                {"partner": "p2", "cpm": "0.25", "latency_ms": "80.125", "late": True, "channel": "client"},
-            ]}],
+    def test_json_numbers_read_like_strings(self):
+        def row(cpm, latency, total):
+            return {
+                "site_id": "s1", "round_index": 0, "is_hb": True, "facet": "client_side",
+                "partners": ["p1"], "hb_latency_ms": total,
+                "auctions": [{"slot_id": "slot0", "size": "300x250", "bids": [
+                    {"partner": "p1", "cpm": cpm, "latency_ms": latency, "late": False, "channel": "client"},
+                    {"partner": "p2", "cpm": "0.25", "latency_ms": "80.125", "late": True, "channel": "client"},
+                ]}],
+            }
+        numbers, strings = load([row(0.1, 120, 350.5)]), load([row("0.1", "120", "350.5")])
+        for name in REPORT_NAMES:
+            assert build_report(name, numbers) == build_report(name, strings), name
+        assert report_values("prices_by_slot_size", numbers) == {"300x250": [D("0.1"), D("0.25")]}
+        assert report_values("latency_by_site", numbers) == {"s1": [D("350.5")]}
+        assert build_report("latency_by_site", numbers)[0]["mean"] == "350.5"
+
+    def test_rows_off_the_quantum_give_the_same_reports(self):
+        """A JSON number, more fraction digits than a price or time keeps,
+        exponent form and 30 significant digits give the rows that the
+        Decimal records gave, pinned here as the earlier code printed them."""
+        def result_bid(partner, cpm, latency, late=False, channel="client"):
+            return {"partner": partner, "cpm": cpm, "latency_ms": latency, "late": late, "channel": channel}
+        rows = [
+            {"site_id": "a", "round_index": 0, "is_hb": True, "facet": "client_side", "partners": ["p1", "p2"],
+             "hb_latency_ms": "350.5", "auctions": [
+                 {"size": "300x250", "bids": [result_bid("p1", 0.1, "120.1234"), result_bid("p2", "0.25", "80")]},
+                 {"size": "728x90", "bids": [result_bid("p1", "0.1234567", "95.5", late=True),
+                                             result_bid("p2", "1E+2", None, channel="ad_server")]},
+                 {"size": "160x600", "bids": [result_bid("p1", "12.3456789012345678901234567890", "101")]}]},
+            {"site_id": "b", "round_index": 0, "is_hb": True, "facet": "client_side", "partners": ["p1"],
+             "hb_latency_ms": "123.456789012345678901234567891", "auctions": [
+                 {"size": "300x250", "bids": [result_bid("p1", "3", "110.25"), result_bid("p1", "0.5", "99.0001")]}]},
+        ]
+        records = load(rows)
+        pinned = {
+            "prices_by_slot_size": [
+                "160x600,1,12.345679,12.345679,12.345679,12.345679,12.345679,12.345679",
+                "300x250,4,0.1225,0.2125,0.375,1.125,2.625,0.9625",
+                "728x90,2,5.117284,25.092593,50.061728,75.030864,95.006173,50.061728",
+            ],
+            "prices_by_facet": ["client_side,7,0.107037,0.186728,0.5,7.672839,73.703704,16.617019"],
+            "latency_by_partner": [
+                "p1,5,96.20002,99.0001,101,110.25,118.14872,105.1747",
+                "p2,1,80,80,80,80,80,80",
+            ],
+            "latency_by_site": [
+                "a,1,350.5,350.5,350.5,350.5,350.5,350.5",
+                "b,1,123.456789,123.456789,123.456789,123.456789,123.456789,123.456789",
+            ],
+            "late_by_partner": ["p1,5,0,0,0,0,0.8,0.2", "p2,1,0,0,0,0,0,0"],
         }
-        path = tmp_path / "results.jsonl"
-        path.write_text(json.dumps(row) + "\n")
-        [rec] = load_records(path)
-        assert rec == record(
-            site="s1", rank=None, partners=("p1",), total="350.5",
-            bids=[bid(cpm="0.1", latency="120"),
-                  bid(partner="p2", cpm="0.25", latency="80.125", late=True)],
-        )
-        assert str(rec.bids[0].cpm) == "0.1" and str(rec.total_latency_ms) == "350.5"
+        for name, lines in pinned.items():
+            assert [",".join(str(row[c]) for c in CSV_COLUMNS) for row in build_report(name, records)] == lines, name
+        reference = oracles.read_records(rows)
+        for name in REPORT_NAMES:
+            assert build_report(name, records) == oracles.report_rows(name, reference), name
 
 
-# Small value sets, so that groups hold duplicates and ties.
+# Small value sets, so that groups hold duplicates and ties; now and then a
+# value off the integer columns (more fraction digits, or a JSON number).
 PARTNER_POOL = tuple(f"p{i:02d}" for i in range(24))
-decimals = st.decimals(min_value=0, max_value=50, places=2)
-
-bid_points = st.builds(
-    BidPoint,
-    partner=st.sampled_from(PARTNER_POOL[:14]),
-    size=st.sampled_from([None, "300x250", "728x90"]),
-    cpm=decimals,
-    latency_ms=st.none() | decimals,
-    late=st.booleans(),
-    channel=st.sampled_from(["client", "client", "ad_server"]),
+SITES = st.sampled_from("abcdef")
+amounts = st.one_of(
+    st.sampled_from(["0", "0.5", "1.25", "7"]),
+    st.integers(0, 8).flatmap(lambda places: st.decimals(min_value=0, max_value=50, places=places))
+    .map(lambda d: str(abs(d))),
+    st.sampled_from([0, 3, 0.25, 12.5]),
 )
+maybe_amounts = st.none() | amounts
+bid_partners = st.sampled_from(PARTNER_POOL[:14])
+sizes = st.sampled_from([None, "300x250", "728x90"])
+channels = st.sampled_from(["client", "client", "ad_server"])
+facets = st.sampled_from(["client_side", "server_side", "hybrid", "waterfall_only", "no_ads", None])
+partner_lists = st.lists(st.sampled_from(PARTNER_POOL), max_size=14)
 
 
 @st.composite
-def auction_records(draw):
-    facet = draw(st.sampled_from(["client_side", "server_side", "hybrid", "waterfall_only", "no_ads", None]))
-    return AuctionRecord(
-        site_id=draw(st.sampled_from("abcdef")),
-        round_index=draw(st.integers(0, 2)),
-        facet=facet,
-        is_hb=facet in ("client_side", "server_side", "hybrid"),
-        rank=draw(st.none() | st.integers(1, 1600)),
-        partner_ids=tuple(draw(st.lists(st.sampled_from(PARTNER_POOL), max_size=14))),
-        bids=tuple(draw(st.lists(bid_points, max_size=8))),
-        total_latency_ms=draw(st.none() | decimals),
-        slot_count=draw(st.integers(0, 3)),
-    )
+def outcome_rows(draw):
+    facet = draw(facets)
+    row = {"site_id": draw(SITES), "rank": draw(st.none() | st.integers(1, 1600)), "facet": facet,
+           "partner_ids": draw(partner_lists), "slot_count": draw(st.integers(0, 3)),
+           "total_latency_ms": draw(maybe_amounts)}
+    if facet == "waterfall_only":
+        row["tiers_tried"] = draw(st.lists(st.fixed_dictionaries(
+            {"partner": bid_partners, "bid": maybe_amounts, "latency_ms": maybe_amounts}), max_size=4))
+    else:
+        outcome_bids = st.fixed_dictionaries({
+            "partner": bid_partners, "cpm": amounts, "requested_at_ms": maybe_amounts,
+            "arrived_at_ms": maybe_amounts, "late": st.booleans(), "channel": channels})
+        row["slots"] = draw(st.lists(st.fixed_dictionaries(
+            {"size": sizes, "bids": st.lists(outcome_bids, max_size=4)}), max_size=3))
+    return row
+
+
+result_bids = st.fixed_dictionaries({"partner": bid_partners, "cpm": amounts, "latency_ms": maybe_amounts,
+                                     "late": st.booleans(), "channel": channels})
+result_rows = st.fixed_dictionaries({
+    "site_id": SITES, "round_index": st.integers(0, 2), "is_hb": st.booleans(), "facet": facets,
+    "partners": partner_lists, "hb_latency_ms": maybe_amounts,
+    "auctions": st.lists(st.fixed_dictionaries({"size": sizes, "bids": st.lists(result_bids, max_size=4)}),
+                         max_size=3),
+})
+error_rows = st.builds(lambda site: {"site_id": site, "round_index": None, "error": "unreadable"}, SITES)
 
 
 class TestReportsMatchLoopReference:
     @settings(max_examples=150, deadline=None)
-    @given(records=st.lists(auction_records(), max_size=25), include_zero=st.booleans())
-    def test_every_report(self, records, include_zero):
+    @given(rows=st.lists(outcome_rows() | result_rows | error_rows, max_size=25),
+           ranks=st.dictionaries(SITES, st.integers(1, 1600)), include_zero=st.booleans())
+    def test_every_report(self, rows, ranks, include_zero):
+        records = load(rows, ranks)
+        reference = oracles.read_records(rows, ranks)
+        assert len(records) == len(reference)
         for name in REPORT_NAMES:
-            assert build_report(name, records, include_zero) == oracles.report_rows(name, records, include_zero), name
+            assert build_report(name, records, include_zero) == oracles.report_rows(name, reference, include_zero), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), width=st.sampled_from([50, 5000, 2**62]))
+def test_long_columns_are_read_by_rank_without_a_copy(seed, width):
+    """Long sorted columns are bisected, not merged; every rank reads the
+    value a merged sort holds there."""
+    rng = random.Random(seed)
+    columns = [sorted(rng.randrange(-width, width) for _ in range(rng.randrange(350, 500)))
+               for _ in range(rng.randrange(3, 7))]
+    union = analytics._SortedUnion([array("q", column) for column in columns])
+    assert len(union.columns) == len(columns)
+    merged = sorted(chain.from_iterable(columns))
+    assert [union[k] for k in range(len(union))] == merged
+    assert sum(union) == sum(merged)
 
 
 _ROW_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\u00e9\u4e2d\U0001f600\n\t '), max_size=6)

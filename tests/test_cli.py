@@ -374,6 +374,70 @@ def test_report_empty_input_writes_headers(tmp_path):
     assert csv_text == "group,count,p5,p25,p50,p75,p95,mean\n"
 
 
+RESULT_ROW = {"site_id": "s1", "round_index": 0, "is_hb": True, "facet": "client_side", "partners": ["p1"],
+              "auctions": [{"slot_id": "slot0", "size": "300x250", "bids": [
+                  {"partner": "p1", "cpm": "0.5", "latency_ms": "120", "late": False, "channel": "client"}]}],
+              "late_bid_count": 0, "hb_latency_ms": "350", "warnings": 0}
+
+
+@pytest.mark.parametrize(
+    "manifest_text, words",
+    [
+        (None, "cannot read manifest"),
+        ("{not json", "is not JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"site_meta": [1]}', "site_meta object"),
+        ('{"site_meta": {"s1": {"rank": "1"}}}', "integer rank"),
+        ('{"site_meta": {"s1": {"facet": "hybrid"}}}', "integer rank"),
+        ('{"site_meta": {"s1": 3}}', "integer rank"),
+    ],
+    ids=["missing", "not-json", "list", "site-meta-list", "rank-string", "no-rank", "meta-not-object"],
+)
+def test_report_bad_manifest_exits_1(tmp_path, capsys, manifest_text, words):
+    """A manifest that cannot give site ranks is a usage error naming the file, not a runtime error."""
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps(RESULT_ROW) + "\n")
+    manifest = tmp_path / "manifest.json"
+    if manifest_text is not None:
+        manifest.write_text(manifest_text)
+    assert main(["report", str(results), "--out", str(tmp_path / "reports"), "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert str(manifest) in err and words in err
+    assert "runtime error" not in err
+
+
+@pytest.mark.parametrize(
+    "line, words",
+    [
+        (b"{garbage", "not JSON"),
+        (b"[1, 2]", "not a JSON object"),
+        (b'{"round_index": 0, "is_hb": false}', "no string site_id"),
+        (b'{"site_id": 7, "is_hb": false}', "no string site_id"),
+        (b'{"site_id": "s\xff", "is_hb": false}', "not UTF-8"),
+    ],
+    ids=["not-json", "array", "no-site-id", "site-id-number", "not-utf-8"],
+)
+def test_report_malformed_row_exits_1_naming_line(tmp_path, capsys, line, words):
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(json.dumps(RESULT_ROW).encode() + b"\n\n" + line + b"\n")
+    assert main(["report", str(path), "--out", str(tmp_path / "reports")]) == 1
+    err = capsys.readouterr().err
+    assert words in err
+    assert f"{path}:3: " in err
+    assert "runtime error" not in err
+
+
+def test_report_accepts_the_error_rows_detect_writes(tmp_path):
+    out = tmp_path / "run"
+    simulate_minimal(out)
+    trace = out / MINIMAL_TRACE
+    trace.write_text(trace.read_text() + "{garbage\n")
+    assert main(["detect", str(out)]) == 3
+    assert "error" in (out / "results.jsonl").read_text()
+    assert main(["report", str(out / "results.jsonl"), "--out", str(out / "reports"),
+                 "--manifest", str(out / "manifest.json")]) == 0
+
+
 def test_facet_breakdown_report_sums_to_one(tmp_path):
     scen = write(tmp_path, MIXED)
     out = tmp_path / "run"
@@ -425,8 +489,9 @@ def test_reports_match_loop_reference_on_mixed_corpus(mixed_run, source, include
     ranks = {site: meta["rank"] for site, meta in manifest["site_meta"].items()}
     records = load_records(mixed_run / source, ranks)
     assert len(records) == 80
+    reference = oracles.read_records_file(mixed_run / source, ranks)
     for name in REPORT_NAMES:
-        expected = oracles.report_rows(name, records, include_zero)
+        expected = oracles.report_rows(name, reference, include_zero)
         assert expected, name
         assert build_report(name, records, include_zero) == expected, name
 

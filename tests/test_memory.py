@@ -1,8 +1,8 @@
 """Memory that grows with the input only where the output needs it.
 
 ``detect`` writes each result row as it comes, so its traced peak must not
-grow by a result row per trace; ``load_records`` keeps one copy of each
-repeated string.
+grow by a result row per trace.  ``report`` keeps integer columns and facts
+per site, not a record per auction, and one copy of each repeated string.
 """
 
 import gc
@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from hbarena.analytics import load_records
+import oracles
+from hbarena.analytics import REPORT_NAMES, build_report, load_records
 from hbarena.cli import main
 
 MARKET_MIX = Path(__file__).resolve().parent.parent / "scenarios" / "market_mix_5000.json"
@@ -54,15 +55,59 @@ def test_detect_peak_does_not_grow_per_trace(market_mix_corpora, capsys):
 
 @pytest.mark.parametrize("source", ["outcomes.jsonl", "results.jsonl"])
 def test_load_records_shares_one_str_per_partner(market_mix_corpora, source):
+    """Each partner, slot size and facet string is stored once, however many
+    column keys, tallies and per-site partner sets hold it."""
     run = market_mix_corpora[60]
     if source == "results.jsonl":
         assert main(["detect", str(run)]) == 0
     records = load_records(run / source)
-    by_value: dict[str, str] = {}
-    seen = 0
-    for rec in records:
-        for partner in [*rec.partner_ids, *(bid.partner for bid in rec.bids)]:
-            first = by_value.setdefault(partner, partner)
-            assert first is partner, partner
-            seen += 1
-    assert seen > 2 * len(by_value)
+    held = [*records.bid_latency, *records.client_bids]
+    for partner, size, facet in records.cpm:
+        held += [partner, size, facet]
+    for facet, partners in records.hb_sites.values():
+        held += [facet, *partners]
+    first: dict[str, str] = {}
+    for value in held:
+        if value is not None:
+            assert first.setdefault(value, value) is value, value
+    assert len(held) > 2 * len(first)
+
+
+def report_peak_bytes(run: Path, source: str, out: Path) -> int:
+    args = ["report", str(run / source), "--out", str(out)]
+    if source == "results.jsonl":
+        args += ["--manifest", str(run / "manifest.json")]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("source", ["outcomes.jsonl", "results.jsonl"])
+def test_report_peak_does_not_grow_per_auction(market_mix_corpora, tmp_path, source):
+    small, large = market_mix_corpora[60], market_mix_corpora[600]
+    if source == "results.jsonl":
+        assert main(["detect", str(small)]) == 0
+        assert main(["detect", str(large)]) == 0
+    peaks = {run: report_peak_bytes(run, source, tmp_path / run.name) for run in (small, large)}
+    growth = (peaks[large] - peaks[small]) / (600 - 60)
+    assert growth < 1024, f"report's traced peak grows by {growth:.0f} bytes per auction"
+
+
+@pytest.mark.parametrize("source", ["outcomes.jsonl", "results.jsonl"])
+def test_reports_of_600_auctions_match_loop_reference(market_mix_corpora, source):
+    """Groups of thousands of bids are read by bisecting their columns
+    rather than by a sorted copy; their rows stay the loop reference's."""
+    run = market_mix_corpora[600]
+    if source == "results.jsonl":
+        assert main(["detect", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    ranks = {site: meta["rank"] for site, meta in manifest["site_meta"].items()}
+    records = load_records(run / source, ranks)
+    reference = oracles.read_records_file(run / source, ranks)
+    for name in REPORT_NAMES:
+        for include_zero in (True, False):
+            assert build_report(name, records, include_zero) == oracles.report_rows(name, reference, include_zero)
