@@ -19,11 +19,11 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain
+from heapq import merge
+from itertools import count
 from typing import NamedTuple
 
 from .domain import HB_FACETS, ConfigurationError, decimal_str, json_chunks, quantize_cpm
@@ -38,9 +38,15 @@ CPM_SCALE = 6  # a price is kept as whole micro-CPM
 _POW10 = tuple(10 ** k for k in range(19))
 
 
+# Numbers, in file order, each value filed with it: a zero, and a value that
+# ``_scaled`` keeps as a Decimal.  A group's values are ordered by value, and
+# equal ones that print differently (0 and -0) by arrival, as they were read.
+_ARRIVALS = count()
+
+
 def _scaled(value, scale: int):
-    """A JSON time or price as a whole number of ``10**-scale`` units, or as
-    its exact ``Decimal`` where it is not one that fits in 64 bits: more
+    """A JSON time or price as a whole number of ``10**-scale`` units that
+    fits in 64 bits, or else as (its exact ``Decimal``, arrival): more
     fraction digits, a negative zero, NaN or infinity, or a huge value."""
     text = value if type(value) is str else str(value)
     whole, _, fraction = text.partition(".")
@@ -53,36 +59,35 @@ def _scaled(value, scale: int):
         units = int("".join(map(str, coefficient))) * 10 ** (exponent + scale)
         if units < 2 ** 63 and (units or not sign):
             return -units if sign else units
-    return number
-
-
-def _ms(value, memo: dict):
-    """``_scaled(value, MS_SCALE)``; a string's is kept in ``memo``, since a
-    partner's times repeat in each slot of a row."""
-    if type(value) is not str:
-        return None if value is None else _scaled(value, MS_SCALE)
-    units = memo.get(value)
-    if units is None:
-        units = memo[value] = _scaled(value, MS_SCALE)
-    return units
+    return number, next(_ARRIVALS)
 
 
 def _difference(a, b):
-    """``a - b`` of two ``_ms`` values, as ``_scaled`` would give it."""
+    """``a - b`` of two ``_scaled`` times, as ``_scaled`` would give it."""
     if type(a) is int and type(b) is int and -2 ** 63 <= a - b < 2 ** 63:
         return a - b
-    return _exact(a, MS_SCALE) - _exact(b, MS_SCALE)
+    return _exact(a, MS_SCALE) - _exact(b, MS_SCALE), next(_ARRIVALS)
 
 
-def _exact(value, scale: int) -> Decimal:
-    return value if type(value) is Decimal else Decimal(value).scaleb(-scale)
+def _exact(value, scale: int | None) -> Decimal:
+    """The ``Decimal`` of a ``_scaled`` value, or a ``Decimal`` itself."""
+    if type(value) is int:
+        return Decimal(value).scaleb(-scale)
+    return value[0] if type(value) is tuple else value
+
+
+def _entry(value, scale: int | None) -> tuple:
+    """(exact value, arrival) of a ``_scaled`` value.  A nonzero whole unit,
+    or a ``Decimal`` not read from a file, has no equal value that prints
+    differently, and takes arrival 0."""
+    return value if type(value) is tuple else (_exact(value, scale), 0)
 
 
 class _Columns(dict):
     """Key -> the values filed under it, in ``10**-scale`` units: an
-    ``array('q')`` while every value is a whole unit (see ``_scaled``), after
-    the first one that is not a list.  Once loaded each column is sorted, a
-    list as Decimals."""
+    ``array('q')`` while every value is a nonzero whole unit (see
+    ``_scaled``), after the first one that is not a list.  Once loaded each
+    column is sorted, a list as (exact value, arrival) pairs."""
 
     def __init__(self, scale: int):
         super().__init__()
@@ -93,9 +98,11 @@ class _Columns(dict):
         return column
 
     def add(self, key, value) -> None:
+        if not value:  # a zero, filed with its arrival
+            value = _exact(value, self.scale), next(_ARRIVALS)
         try:
             self[key].append(value)
-        except TypeError:  # a Decimal
+        except TypeError:  # a (Decimal, arrival) pair
             self[key] = [*self[key], value]
 
     def sort(self) -> None:
@@ -103,7 +110,7 @@ class _Columns(dict):
             if type(column) is array:
                 self[key] = array("q", sorted(column))
             else:
-                self[key] = sorted([_exact(value, self.scale) for value in column])
+                self[key] = sorted([_entry(value, self.scale) for value in column])
 
 
 class Auction(NamedTuple):
@@ -119,10 +126,9 @@ class Records:
 
     def __init__(self):
         # Each auction's total latency in µs, keyed (partner count, slot
-        # count, rank bin or None, drew bids), and keyed by site, in one
-        # table per "drew no bids" and "drew bids".
+        # count, rank bin or None, drew bids), and keyed (site, drew bids).
         self.total_latency = _Columns(MS_SCALE)
-        self.site_latency = (_Columns(MS_SCALE), _Columns(MS_SCALE))
+        self.site_latency = _Columns(MS_SCALE)
         self.bid_latency = _Columns(MS_SCALE)  # µs, keyed by partner
         self.cpm = _Columns(CPM_SCALE)  # micro-CPM, keyed (partner, slot size, auction facet)
         self.client_bids: dict[str, list[int]] = {}  # partner -> [client bids, late ones]
@@ -194,7 +200,7 @@ class _Loader:
             total = _scaled(total, MS_SCALE)
             rank_bin = None if rank is None else rank_bin_label(rank)
             rec.total_latency.add(one((str(len(partners)), str(slot_count), rank_bin, n_bids > 0)), total)
-            rec.site_latency[n_bids > 0].add(site_id, total)
+            rec.site_latency.add((site_id, n_bids > 0), total)
         if is_hb:
             last_facet, seen = rec.hb_sites.get(site_id, (None, frozenset()))
             rec.hb_sites[site_id] = one((facet or last_facet, one(seen.union(map(one, partners)))))
@@ -202,7 +208,8 @@ class _Loader:
     def outcome_row(self, row: dict) -> None:
         facet = self.one(row.get("facet"))
         if facet == "waterfall_only":
-            bids = ((tier["partner"], None, tier["bid"], _ms(tier["latency_ms"], {}), False, "client")
+            bids = ((tier["partner"], None, tier["bid"],
+                     None if tier["latency_ms"] is None else _scaled(tier["latency_ms"], MS_SCALE), False, "client")
                     for tier in row.get("tiers_tried", ()) if tier.get("bid") is not None)
         else:
             bids = self._slot_bids(row)
@@ -212,17 +219,15 @@ class _Loader:
                      None if rank is None else int(rank), bids)
 
     def _slot_bids(self, row: dict):
-        memo = {}
         for slot in row.get("slots", ()):
             size = self.one(slot.get("size"))
             for bid in slot.get("bids", ()):
                 latency = None
-                channel = bid.get("channel", "client")
-                if channel == "client":
+                if bid.get("channel") == "client":
                     arrived, requested = bid.get("arrived_at_ms"), bid.get("requested_at_ms")
                     if arrived is not None and requested is not None:
-                        latency = _difference(_ms(arrived, memo), _ms(requested, memo))
-                yield bid["partner"], size, bid["cpm"], latency, bool(bid.get("late")), channel
+                        latency = _difference(_scaled(arrived, MS_SCALE), _scaled(requested, MS_SCALE))
+                yield bid["partner"], size, bid["cpm"], latency, bool(bid.get("late")), bid.get("channel", "client")
 
     def result_row(self, row: dict, rank_by_site: dict[str, int] | None) -> None:
         site_id = row["site_id"]
@@ -231,12 +236,12 @@ class _Loader:
                      rank_by_site.get(site_id) if rank_by_site else None, self._result_bids(row))
 
     def _result_bids(self, row: dict):
-        memo = {}
         for auction in row.get("auctions", ()):
             size = self.one(auction.get("size"))
             for bid in auction.get("bids", ()):
-                yield (bid["partner"], size, bid["cpm"], _ms(bid.get("latency_ms"), memo), bool(bid.get("late")),
-                       bid.get("channel", "client"))
+                latency = bid.get("latency_ms")
+                yield (bid["partner"], size, bid["cpm"], None if latency is None else _scaled(latency, MS_SCALE),
+                       bool(bid.get("late")), bid.get("channel", "client"))
 
 
 def load_records(path, rank_by_site: dict[str, int] | None = None) -> Records:
@@ -269,7 +274,7 @@ def load_records(path, rank_by_site: dict[str, int] | None = None) -> Records:
                 loader.result_row(row, rank_by_site)
             else:
                 loader.outcome_row(row)
-    for columns in (records.total_latency, *records.site_latency, records.bid_latency, records.cpm):
+    for columns in (records.total_latency, records.site_latency, records.bid_latency, records.cpm):
         columns.sort()
     return records
 
@@ -348,27 +353,12 @@ def _merged(columns: _Columns, group_of):
 # Auctions that drew no bids can be left out of latency groupings, since a
 # wrapper waiting on silence measures only its timeout.
 
-def _total_latency_by(part: int):
-    """Each auction's total latency under one part of its key."""
+def _total_latency_by(table: str, part: int):
+    """Each auction's total latency under one part of its key in ``table``."""
     def grouping(records, include_zero_bid_auctions):
-        return _merged(records.total_latency,
-                       lambda key: key[part] if include_zero_bid_auctions or key[3] else None), MS_SCALE
+        return _merged(getattr(records, table),
+                       lambda key: key[part] if include_zero_bid_auctions or key[-1] else None), MS_SCALE
     return grouping
-
-
-def _latency_by_site(records, include_zero_bid_auctions):
-    """Each auction's total latency under its site."""
-    zero_bid, drew_bids = records.site_latency
-    if not include_zero_bid_auctions:
-        zero_bid = {}
-
-    def groups():
-        for site, column in drew_bids.items():
-            yield site, [column, zero_bid[site]] if site in zero_bid else [column]
-        for site, column in zero_bid.items():
-            if site not in drew_bids:
-                yield site, [column]
-    return groups(), MS_SCALE
 
 
 def _bid_latency_by_partner(records, _):
@@ -425,40 +415,6 @@ def _combination_shares(records):
     return Counter("+".join(sorted(pids)) for _, pids in sites), len(sites)
 
 
-class _SortedUnion:
-    """Sorted int columns read as one sorted sequence, by rank, without a
-    merged copy: ``union[k]`` bisects each column for the least value with
-    more than k values at or below it.  For each of a summary's ten ranks
-    that is one bisection per column per bit of the value range; where that
-    is more than one per value, the columns are merged and sorted instead."""
-
-    def __init__(self, columns: list):
-        self.n = sum(map(len, columns))
-        self.lo = min(column[0] for column in columns)
-        self.hi = max(column[-1] for column in columns)
-        if len(columns) * (self.hi - self.lo).bit_length() > self.n:
-            columns = [array("q", sorted(chain.from_iterable(columns)))]
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return chain.from_iterable(self.columns)
-
-    def __getitem__(self, k: int) -> int:
-        if len(self.columns) == 1:
-            return self.columns[0][k]
-        lo, hi = self.lo, self.hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sum([bisect_right(column, mid) for column in self.columns]) > k:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-
 def _fmt(value: Decimal) -> str:
     return decimal_str(quantize_cpm(value))
 
@@ -468,14 +424,15 @@ def _flat_row(group: str, count: int, value: Decimal) -> dict:
 
 
 def _decimals(columns: list, scale: int | None) -> list[Decimal]:
-    return [_exact(value, scale) for column in columns for value in column]
+    """A group's exact values in ascending order, equal ones by arrival (see ``_scaled``)."""
+    return [value for value, _ in sorted([_entry(value, scale) for column in columns for value in column])]
 
 
 def _stats_row(group: str, columns: list, scale: int | None) -> dict:
     if not all(type(column) is array for column in columns):
         s = StatsSummary.of(_decimals(columns, scale))
     else:
-        data = _SortedUnion(columns) if len(columns) > 1 else columns[0]
+        data = array("q", merge(*columns)) if len(columns) > 1 else columns[0]
         if len(data) == 1:
             return _flat_row(group, 1, Decimal(data[0]).scaleb(-scale))
         s = StatsSummary.of_units(data, scale)
@@ -502,11 +459,11 @@ def _most_first(row: dict):
 
 
 _DISTRIBUTIONS = {
-    "latency_by_site": (_latency_by_site, _by_group),
+    "latency_by_site": (_total_latency_by("site_latency", 0), _by_group),
     "latency_by_partner": (_bid_latency_by_partner, _by_group),
-    "latency_by_partner_count": (_total_latency_by(0), _by_number),
-    "latency_by_slot_count": (_total_latency_by(1), _by_number),
-    "latency_by_rank_bin": (_total_latency_by(2), _by_bin_start),
+    "latency_by_partner_count": (_total_latency_by("total_latency", 0), _by_number),
+    "latency_by_slot_count": (_total_latency_by("total_latency", 1), _by_number),
+    "latency_by_rank_bin": (_total_latency_by("total_latency", 2), _by_bin_start),
     "late_bid_fractions": (_late_fractions, _by_group),
     "late_by_partner": (_late_by_partner, _by_group),
     "prices_by_slot_size": (_price_by(1), _by_group),
@@ -533,7 +490,7 @@ def _lookup(table: dict, name: str):
 def report_values(name: str, records: Records, include_zero_bid_auctions: bool = True) -> dict:
     """The exact values behind each row of a distribution report, by group, in ascending order."""
     groups, scale = _lookup(_DISTRIBUTIONS, name)[0](records, include_zero_bid_auctions)
-    return {group: sorted(_decimals(columns, scale)) for group, columns in groups}
+    return {group: _decimals(columns, scale) for group, columns in groups}
 
 
 def report_shares(name: str, records: Records) -> tuple[dict[str, int], int]:

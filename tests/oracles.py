@@ -172,13 +172,12 @@ def read_records(rows, rank_by_site=None):
             slots = row.get("slots", [])
         for slot in slots:
             for b in slot.get("bids", []):
-                channel = b.get("channel", "client")
                 latency = None
-                if channel == "client" and b.get("arrived_at_ms") is not None \
+                if b.get("channel") == "client" and b.get("arrived_at_ms") is not None \
                         and b.get("requested_at_ms") is not None:
                     latency = _number(b["arrived_at_ms"]) - _number(b["requested_at_ms"])
                 bids.append(Rec(partner=b["partner"], size=slot.get("size"), cpm=_number(b["cpm"]),
-                                latency_ms=latency, late=bool(b.get("late")), channel=channel))
+                                latency_ms=latency, late=bool(b.get("late")), channel=b.get("channel", "client")))
         records.append(Rec(site_id=row["site_id"], facet=row.get("facet"),
                            is_hb=row.get("facet") in ("client_side", "server_side", "hybrid"),
                            rank=None if row.get("rank") is None else int(row["rank"]),

@@ -99,8 +99,8 @@ def test_report_peak_does_not_grow_per_auction(market_mix_corpora, tmp_path, sou
 
 @pytest.mark.parametrize("source", ["outcomes.jsonl", "results.jsonl"])
 def test_reports_of_600_auctions_match_loop_reference(market_mix_corpora, source):
-    """Groups of thousands of bids are read by bisecting their columns
-    rather than by a sorted copy; their rows stay the loop reference's."""
+    """Groups of thousands of bids merge many sorted columns; their rows
+    stay the loop reference's."""
     run = market_mix_corpora[600]
     if source == "results.jsonl":
         assert main(["detect", str(run)]) == 0
