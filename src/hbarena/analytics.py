@@ -436,10 +436,8 @@ def _stats_row(group: str, columns: list, scale: int | None) -> dict:
         if len(data) == 1:
             return _flat_row(group, 1, Decimal(data[0]).scaleb(-scale))
         s = StatsSummary.of_units(data, scale)
-    # Small groups repeat values across columns; format each distinct one once.
-    text = {value: _fmt(value) for value in {s.p5, s.p25, s.p50, s.p75, s.p95, s.mean}}
-    return {"group": group, "count": s.count, "p5": text[s.p5], "p25": text[s.p25], "p50": text[s.p50],
-            "p75": text[s.p75], "p95": text[s.p95], "mean": text[s.mean]}
+    return {"group": group, "count": s.count, "p5": _fmt(s.p5), "p25": _fmt(s.p25), "p50": _fmt(s.p50),
+            "p75": _fmt(s.p75), "p95": _fmt(s.p95), "mean": _fmt(s.mean)}
 
 
 def _by_group(row: dict):

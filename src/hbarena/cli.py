@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime error,
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import functools
 import hashlib
@@ -45,6 +46,14 @@ EXIT_PARSE_ERRORS = 3
 ENV_SEED = "HBARENA_SEED"
 _CORPUS_SUFFIXES = (".trace.jsonl", ".truth.jsonl")
 
+# Tasks per pool submission, and chunks submitted per worker ahead of the
+# caller.  Finished chunks wait for the caller; simulate's hold trace and
+# truth texts and outcome rows, about 100 KB a chunk on market_mix.  With one
+# chunk ahead per worker, workers idled on round trips: detect --jobs 2 took
+# 1.7x as long.
+_CHUNK = 16
+_AHEAD = 4
+
 # json.dumps with separators makes a new encoder per call; rows share this one.
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
@@ -75,37 +84,135 @@ def _write(path, chunks) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _map_ordered(fn, tasks: list, jobs: int) -> Iterator:
+def _run_chunk(fn, tasks: list) -> list:
+    return [fn(task) for task in tasks]
+
+
+def _map_ordered(fn, tasks: list, jobs: int, initializer=None, initargs=()) -> Iterator:
     """Yields fn(task) for each task, in task order, as the results come in;
     on up to ``jobs`` worker processes but never more than there are tasks,
-    and one task or job runs in this process."""
+    and one task or job runs in this process.  Each worker first runs
+    ``initializer(*initargs)``.  Tasks go out in chunks, a few per worker
+    ahead of the chunk the caller takes, so results do not pile up here
+    while the caller is slow."""
     workers = min(jobs, len(tasks))
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks, chunksize=64)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=initializer,
+                                                initargs=initargs) as pool:
+        pending: collections.deque = collections.deque()
+        for start in range(0, len(tasks), _CHUNK):
+            pending.append(pool.submit(_run_chunk, fn, tasks[start:start + _CHUNK]))
+            if len(pending) > _AHEAD * workers:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
 
 
-def _simulate_site(task) -> tuple[str, list[tuple[str, str]], list[str]]:
-    """Run all rounds for one site and write its trace/truth files.
+def _create_files(out_dir: str, frames, status: int) -> None:
+    """The writer process of ``_FileWriter``: creates in out_dir each file
+    framed on ``frames`` until EOF, and writes to ``status`` the text of
+    the OSError that stopped it, if one did."""
+    try:
+        while len(head := frames.read(8)) == 8:
+            name = frames.read(int.from_bytes(head[:4], "little"))
+            size = int.from_bytes(head[4:], "little")
+            data = frames.read(size)
+            if len(data) < size:  # the parent stopped in mid-frame
+                break
+            with open(os.path.join(out_dir, os.fsdecode(name)), "wb") as fh:
+                fh.write(data)
+    except OSError as exc:
+        os.write(status, os.fsencode(str(exc)))
 
-    Returns (site_id, (file name, digest) of each file written, outcome rows
-    as JSON lines with their newlines).
+
+class _FileWriter:
+    """One child process that creates the files it is sent while this
+    process goes on, so that the kernel's file-creation time overlaps
+    simulation.  The pipe bounds the bytes in flight: ``send`` blocks while
+    the child is behind.  A child's OSError is raised by a later ``send``
+    or at the end of the ``with`` block, which waits for the child."""
+
+    def __init__(self, out_dir: str):
+        frames_in, frames_out = os.pipe()
+        status_in, status_out = os.pipe()
+        # Forked before any thread or pool worker of this process starts.
+        self._pid = os.fork()
+        if self._pid == 0:
+            code = 1
+            try:
+                os.close(frames_out)  # else this process would hold its own stream open
+                with open(frames_in, "rb") as frames:
+                    _create_files(out_dir, frames, status_out)
+                code = 0
+            finally:  # never return into the parent's code
+                os._exit(code)
+        os.close(frames_in)
+        os.close(status_out)
+        self._frames = open(frames_out, "wb")
+        self._status = status_in
+
+    def fileno(self) -> int:
+        """The pipe's write end, which processes forked later must close."""
+        return self._frames.fileno()
+
+    def send(self, name: str, data: bytes) -> None:
+        encoded = os.fsencode(name)
+        try:
+            self._frames.write(len(encoded).to_bytes(4, "little") + len(data).to_bytes(4, "little") + encoded)
+            self._frames.write(data)
+        except BrokenPipeError:  # the child stopped early: raise why
+            raise self._stop() from None
+
+    def _stop(self) -> Exception | None:
+        """Ends the stream, waits for the child and returns what stopped it."""
+        if self._frames.closed:  # stopped already
+            return None
+        try:
+            self._frames.close()
+        except BrokenPipeError:  # the child stopped early; it says why below
+            pass
+        with open(self._status, "rb") as fh:
+            failure = fh.read()  # until the child exits
+        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        if failure:
+            return OSError(os.fsdecode(failure))
+        return RuntimeError(f"the file writer process exited with code {code}") if code else None
+
+    def __enter__(self) -> "_FileWriter":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        failure = self._stop()  # after an exception the child writes what it has and ends
+        if exc_type is None and failure is not None:
+            raise failure
+
+
+def _simulate_site(task) -> tuple[list[tuple[str, str]], list[str]]:
+    """Run all rounds for one site.
+
+    Returns the (file name, text) of each trace and truth file, and the
+    outcome rows as JSON lines with their newlines.
     """
-    scenario, partners, master_seed, rounds, out_dir = task
-    written: list[tuple[str, str]] = []
+    scenario, partners, master_seed, rounds = task
+    files: list[tuple[str, str]] = []
     rows: list[str] = []
     for round_index in range(rounds):
         outcome = run_scenario(scenario, partners, master_seed, round_index)
         trace = emit_trace(outcome, scenario, partners, round_index)
-        t_name = trace_filename(scenario.site_id, round_index)
-        written.append((t_name, _write(os.path.join(out_dir, t_name), [serialize_trace(trace)])))
-        s_name = truth_filename(scenario.site_id, round_index)
+        files.append((trace_filename(scenario.site_id, round_index), serialize_trace(trace)))
         record = truth_record(outcome, scenario, round_index)
-        written.append((s_name, _write(os.path.join(out_dir, s_name), [_COMPACT_JSON.encode(record) + "\n"])))
+        files.append((truth_filename(scenario.site_id, round_index), _COMPACT_JSON.encode(record) + "\n"))
         rows.append(_COMPACT_JSON.encode(outcome_row(outcome, scenario, round_index)) + "\n")
-    return scenario.site_id, written, rows
+    return files, rows
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # an --out that cannot be used is a usage error
+        raise ConfigurationError(f"cannot use {path} as the output directory: {exc.strerror}") from None
 
 
 def _resolve_seed(args_seed, file_seed) -> int:
@@ -140,19 +247,25 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     out_dir = args.out or sf.output_dir or "out"
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
-    # Sites run in site-id order, so their outcome rows are written as they come.
-    tasks = [(site, sf.partners, master_seed, sf.rounds_per_site, out_dir)
+    # Sites run in site-id order, so their outcome rows are written as they
+    # come.  Their trace and truth files go to the writer process, hashed
+    # here as the bytes handed over.
+    tasks = [(site, sf.partners, master_seed, sf.rounds_per_site)
              for site in sorted(sites, key=lambda site: site.site_id)]
     digests: dict[str, str] = {}
+    with _FileWriter(out_dir) as writer:
 
-    def outcome_lines():
-        for _, written, rows in _map_ordered(_simulate_site, tasks, args.jobs):
-            digests.update(written)
-            yield from rows
+        def outcome_lines():
+            for texts, rows in _map_ordered(_simulate_site, tasks, args.jobs, os.close, (writer.fileno(),)):
+                for name, text in texts:
+                    data = text.encode("utf-8")
+                    digests[name] = "sha256:" + hashlib.sha256(data).hexdigest()
+                    writer.send(name, data)
+                yield from rows
 
-    digests["outcomes.jsonl"] = _write(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines())
+        digests["outcomes.jsonl"] = _write(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines())
     directory = indented_json(sf.directory().to_json())
     digests["directory.json"] = _write(os.path.join(out_dir, "directory.json"), [directory, "\n"])
 
@@ -263,6 +376,8 @@ def cmd_detect(args) -> int:
     trace_names = sorted(n for n in os.listdir(args.trace_dir) if n.endswith(".trace.jsonl"))
     rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")
+    if not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise ConfigurationError(f"cannot write {out_path}: its directory does not exist")
     # Rows are written as they come, to a file that replaces out_path only
     # when every trace is done; --score keeps one small tuple per trace.
     part_path = out_path + ".part"
@@ -323,8 +438,8 @@ def cmd_report(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG
+    _make_out_dir(args.out)
     records = load_records(args.input, _rank_by_site(args.manifest))
-    os.makedirs(args.out, exist_ok=True)
     reports = {}
     for name in names:
         rows = build_report(name, records, args.include_zero_bid_auctions)

@@ -1,5 +1,7 @@
-"""Shared builders for scenario and partner fixtures."""
+"""Shared builders for scenario and partner fixtures, and a guard against
+child processes that a test leaves behind."""
 
+import os
 from decimal import Decimal
 
 import pytest
@@ -14,6 +16,19 @@ from hbarena.domain import (
     WebsiteScenario,
     WrapperPolicy,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process of this process running or
+    unreaped, such as a writer or pool worker nobody joined."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left child process {pid} unreaped (status {status})" if pid
+                else "the test left a child process running")
 
 
 def make_partner(pid, domain=None, latency_ms="100", bid_cpm="0.5", response_probability="1"):

@@ -380,11 +380,12 @@ class TestLoadRecords:
 
 
 # Small value sets, so that groups hold duplicates and ties; now and then a
-# value off the integer columns (more fraction digits, or a JSON number).
+# value off the integer columns (more fraction digits, a negative zero or a
+# JSON number).
 PARTNER_POOL = tuple(f"p{i:02d}" for i in range(24))
 SITES = st.sampled_from("abcdef")
 amounts = st.one_of(
-    st.sampled_from(["0", "0.5", "1.25", "7"]),
+    st.sampled_from(["0", "-0", "0.5", "1.25", "7"]),
     st.integers(0, 8).flatmap(lambda places: st.decimals(min_value=0, max_value=50, places=places))
     .map(lambda d: str(abs(d))),
     st.sampled_from([0, 3, 0.25, 12.5]),

@@ -460,6 +460,75 @@ def test_parallel_jobs_output_identical(tmp_path):
     assert tree_digest(out1) == tree_digest(out2)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unwritable_trace_file_exits_2_and_leaves_no_writer(tmp_path, capsys, jobs):
+    """A directory where the first trace file goes fails the writer process
+    (EISDIR, even as root); simulate reports it, writes no manifest and
+    reaps every child."""
+    scen = write(tmp_path, MIXED)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "ok")]) == 0
+    first = min(p.name for p in (tmp_path / "ok").glob("*.trace.jsonl"))
+    out = tmp_path / "run"
+    (out / first).mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "Is a directory" in err and str(out / first) in err
+    assert not (out / "manifest.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_error_reaps_the_writer(tmp_path, capsys, monkeypatch, jobs):
+    """A failure while simulating ends the writer's stream; the writer is
+    reaped and no manifest is written."""
+    def outcome_row(outcome, scenario, round_index):
+        if scenario.site_id == failing:
+            raise RuntimeError("third site")
+        return real_outcome_row(outcome, scenario, round_index)
+
+    scen = write(tmp_path, MIXED)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "ok")]) == 0
+    failing = sorted({p.name.split("__")[0] for p in (tmp_path / "ok").glob("*.trace.jsonl")})[2]
+    real_outcome_row = cli.outcome_row
+    monkeypatch.setattr(cli, "outcome_row", outcome_row)  # pool workers fork with it
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out), "--jobs", jobs]) == 2
+    assert "third site" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_out_naming_a_file_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("simulated into an unusable --out"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["simulate", "--scenario", str(write(tmp_path, MINIMAL)), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert str(taken) in err and "runtime error" not in err
+
+
+def test_report_out_naming_a_file_exits_1(tmp_path, capsys):
+    simulate_minimal(tmp_path / "run")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["report", str(tmp_path / "run" / "outcomes.jsonl"), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert str(taken) in err and "runtime error" not in err
+
+
+def test_detect_out_in_a_missing_directory_exits_1(tmp_path, capsys, monkeypatch):
+    simulate_minimal(tmp_path / "run")
+    monkeypatch.setattr(cli, "parse_trace_file", lambda *a: pytest.fail("detected into an unusable --out"))
+    target = tmp_path / "missing" / "results.jsonl"
+    assert main(["detect", str(tmp_path / "run"), "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert str(target) in err and "runtime error" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_detect_then_report_over_results(tmp_path):
     scen = write(tmp_path, MIXED)
     out = tmp_path / "run"

@@ -1,12 +1,15 @@
 """Memory that grows with the input only where the output needs it.
 
-``detect`` writes each result row as it comes, so its traced peak must not
-grow by a result row per trace.  ``report`` keeps integer columns and facts
+``simulate`` hands trace and truth files to its writer process through a
+pipe, so under ``--jobs`` its traced peak must not grow by a site's texts
+per site while the writer is behind.  ``detect`` writes each result row as
+it comes, so its traced peak must not grow by a result row per trace.  ``report`` keeps integer columns and facts
 per site, not a record per auction, and one copy of each repeated string.
 """
 
 import gc
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 
 import oracles
 from hbarena.analytics import REPORT_NAMES, build_report, load_records
+from hbarena import cli
 from hbarena.cli import main
 
 MARKET_MIX = Path(__file__).resolve().parent.parent / "scenarios" / "market_mix_5000.json"
@@ -32,6 +36,40 @@ def market_mix_corpora(tmp_path_factory) -> dict[int, Path]:
         corpora[sites] = root / f"run_{sites}"
         assert main(["simulate", "--scenario", str(path), "--out", str(corpora[sites])]) == 0
     return corpora
+
+
+def simulate_peak_bytes(scenario: Path, out: Path, jobs: str) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out), "--jobs", jobs]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_peak_holds_no_queue_of_the_corpus(tmp_path, monkeypatch):
+    """A writer that starts late makes the pipe fill; the pool's workers
+    then run ahead of this process only by a few chunks, not by the corpus."""
+    create_files = cli._create_files
+
+    def late_writer(*args):
+        time.sleep(1)
+        create_files(*args)
+
+    monkeypatch.setattr(cli, "_create_files", late_writer)  # the writer is forked with it
+    scenario = json.loads(MARKET_MIX.read_text())
+    growth = {}
+    for jobs in ("1", "2"):
+        peaks = {}
+        for sites in (60, 600):
+            scenario["generator"]["num_sites"] = sites
+            path = tmp_path / f"market_mix_{sites}.json"
+            path.write_text(json.dumps(scenario))
+            peaks[sites] = simulate_peak_bytes(path, tmp_path / f"run_{sites}_{jobs}", jobs)
+        growth[jobs] = (peaks[600] - peaks[60]) / (600 - 60)
+    # A site's trace, truth and outcome texts take about 6 KB.
+    assert growth["2"] < growth["1"] + 1024, f"simulate --jobs 2 grows by {growth} bytes per site"
 
 
 def detect_peak_bytes(run: Path) -> int:

@@ -25,8 +25,12 @@ exactly when the two checkouts produce the same bytes:
 on this checkout's scenarios.  ``--scenario`` and ``--seed`` pick other
 inputs.  ``--simulate-jobs N`` and ``--detect-jobs N`` run ``simulate`` and
 ``detect`` with ``--jobs N``; the printed commands leave the option out, so
-that the output of any N can be compared with the default's.  Standard
-library only.
+that the output of any N can be compared with the default's.
+
+Each command runs in a session of its own.  If any process of that session
+is still alive when the command has exited, the tool prints a ``FAILED:``
+line naming it after the scenario's lines and exits 1; otherwise its output
+is as above.  Standard library only; the session check reads ``/proc``.
 """
 
 from __future__ import annotations
@@ -67,23 +71,45 @@ def sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def session_members(sid: int) -> list[int]:
+    """The pids of the processes in session ``sid``, read from /proc."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                stat = fh.read()
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # it has just ended
+        # The fields after the parenthesized command name: state ppid pgrp session ...
+        if int(stat[stat.rindex(b")") + 2:].split()[3]) == sid:
+            pids.append(int(entry))
+    return pids
+
+
 def run_scenario(scenario: Path, seed: int | None, work: Path, env: dict[str, str],
-                 jobs: dict[str, int]) -> list[str]:
-    """Run the commands; ``jobs`` maps a command to the N of its --jobs N."""
+                 jobs: dict[str, int]) -> tuple[list[str], list[str]]:
+    """Run the commands; ``jobs`` maps a command to the N of its --jobs N.
+    Returns the output lines and a failure line per command that left a
+    process of its session alive."""
     name = scenario.stem
-    lines = []
+    lines, failures = [], []
     for argv in commands(name, scenario, seed):
         n = jobs.get(argv[0], 1)
         extra = ["--jobs", str(n)] if n != 1 else []
-        proc = subprocess.run([sys.executable, "-m", "hbarena.cli", *argv, *extra], cwd=work, env=env,
-                              capture_output=True, text=True)
+        with subprocess.Popen([sys.executable, "-m", "hbarena.cli", *argv, *extra], cwd=work, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              start_new_session=True) as proc:
+            stdout, _ = proc.communicate()
         shown = [scenario.name if arg == str(scenario) else arg for arg in argv]
         lines.append(f"$ hbarena {' '.join(shown)} -> exit {proc.returncode}")
-        lines.extend(f"  {line}" for line in proc.stdout.splitlines())
+        lines.extend(f"  {line}" for line in stdout.splitlines())
+        left = session_members(proc.pid)
+        if left:
+            failures.append(f"FAILED: hbarena {' '.join(shown)} left process(es) {left} running")
     out = work / name
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         lines.append(f"{path.relative_to(work).as_posix()} {sha256(path)}")
-    return lines
+    return lines, failures
 
 
 def main(argv=None) -> int:
@@ -100,10 +126,13 @@ def main(argv=None) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str((args.repo / "src").resolve())
     jobs = {"simulate": args.simulate_jobs, "detect": args.detect_jobs}
+    failed = False
     with tempfile.TemporaryDirectory(prefix="hbarena-digests-") as tmp:
         for scenario in scenarios:
-            print("\n".join(run_scenario(scenario, args.seed, Path(tmp), env, jobs)), flush=True)
-    return 0
+            lines, failures = run_scenario(scenario, args.seed, Path(tmp), env, jobs)
+            print("\n".join(lines + failures), flush=True)
+            failed = failed or bool(failures)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
