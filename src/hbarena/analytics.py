@@ -23,7 +23,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
 from heapq import merge
-from itertools import count
+from itertools import chain
 from typing import NamedTuple
 
 from .domain import HB_FACETS, ConfigurationError, decimal_str, json_chunks, quantize_cpm
@@ -36,81 +36,66 @@ CSV_COLUMNS = ("group", "count", "p5", "p25", "p50", "p75", "p95", "mean")
 MS_SCALE = 3  # a time is kept as whole µs
 CPM_SCALE = 6  # a price is kept as whole micro-CPM
 _POW10 = tuple(10 ** k for k in range(19))
-
-
-# Numbers, in file order, each value filed with it: a zero, and a value that
-# ``_scaled`` keeps as a Decimal.  A group's values are ordered by value, and
-# equal ones that print differently (0 and -0) by arrival, as they were read.
-_ARRIVALS = count()
+_LIMIT = Decimal(10) ** 22  # past it a report cell, at 6 fraction digits, needs over 28 digits
 
 
 def _scaled(value, scale: int):
     """A JSON time or price as a whole number of ``10**-scale`` units that
-    fits in 64 bits, or else as (its exact ``Decimal``, arrival): more
-    fraction digits, a negative zero, NaN or infinity, or a huge value."""
+    fits in 64 bits, or else as its exact ``Decimal``: more fraction digits,
+    a negative zero or a huge value.  A value that is not a finite number
+    below 10**22 in magnitude is a ValueError."""
     text = value if type(value) is str else str(value)
     whole, _, fraction = text.partition(".")
     digits = whole + fraction
     if digits.isdecimal() and len(fraction) <= scale and len(whole) <= 18 - scale:
         return int(digits) * _POW10[scale - len(fraction)]
     number = Decimal(text)
+    if not number.is_finite() or abs(number) >= _LIMIT:
+        raise ValueError(f"not a finite number below 10**22 in magnitude: {text}")
     sign, coefficient, exponent = number.as_tuple()
-    if type(exponent) is int and -scale <= exponent <= 18:
+    if -scale <= exponent <= 18:
         units = int("".join(map(str, coefficient))) * 10 ** (exponent + scale)
         if units < 2 ** 63 and (units or not sign):
             return -units if sign else units
-    return number, next(_ARRIVALS)
+    return number
 
 
 def _difference(a, b):
     """``a - b`` of two ``_scaled`` times, as ``_scaled`` would give it."""
     if type(a) is int and type(b) is int and -2 ** 63 <= a - b < 2 ** 63:
         return a - b
-    return _exact(a, MS_SCALE) - _exact(b, MS_SCALE), next(_ARRIVALS)
+    return _scaled(str(_exact(a, MS_SCALE) - _exact(b, MS_SCALE)), MS_SCALE)
 
 
 def _exact(value, scale: int | None) -> Decimal:
-    """The ``Decimal`` of a ``_scaled`` value, or a ``Decimal`` itself."""
-    if type(value) is int:
-        return Decimal(value).scaleb(-scale)
-    return value[0] if type(value) is tuple else value
-
-
-def _entry(value, scale: int | None) -> tuple:
-    """(exact value, arrival) of a ``_scaled`` value.  A nonzero whole unit,
-    or a ``Decimal`` not read from a file, has no equal value that prints
-    differently, and takes arrival 0."""
-    return value if type(value) is tuple else (_exact(value, scale), 0)
+    """The ``Decimal`` of a ``_scaled`` value."""
+    return Decimal(value).scaleb(-scale) if type(value) is int else value
 
 
 class _Columns(dict):
-    """Key -> the values filed under it, in ``10**-scale`` units: an
-    ``array('q')`` while every value is a nonzero whole unit (see
-    ``_scaled``), after the first one that is not a list.  Once loaded each
-    column is sorted, a list as (exact value, arrival) pairs."""
+    """Key -> the ``array('q')`` of nonzero whole ``10**-scale`` units filed
+    under it (see ``_scaled``), sorted once loaded.  Every other value goes
+    to ``odd`` as (key, exact ``Decimal``), in file order: a zero, which may
+    print as 0 or -0, among them."""
 
     def __init__(self, scale: int):
         super().__init__()
         self.scale = scale
+        self.odd: list[tuple] = []
 
     def __missing__(self, key):
         column = self[key] = array("q")
         return column
 
     def add(self, key, value) -> None:
-        if not value:  # a zero, filed with its arrival
-            value = _exact(value, self.scale), next(_ARRIVALS)
-        try:
+        if value and type(value) is int:
             self[key].append(value)
-        except TypeError:  # a (Decimal, arrival) pair
-            self[key] = [*self[key], value]
+        else:
+            self.odd.append((key, _exact(value, self.scale)))
 
     def sort(self) -> None:
         for key, column in self.items():
-            if type(column) is array:
-                self[key] = array("q", sorted(column))
-            else:
-                self[key] = sorted([_entry(value, self.scale) for value in column])
+            self[key] = array("q", sorted(column))
 
 
 class Auction(NamedTuple):
@@ -152,6 +137,8 @@ def _bin_label(index: int, width: int) -> str:
 
 
 def rank_bin_label(rank: int) -> str:
+    if rank < 1:
+        raise ValueError(f"rank {rank} is below 1")
     return _bin_label(rank - 1, RANK_BIN_WIDTH)
 
 
@@ -246,12 +233,17 @@ class _Loader:
 
 def load_records(path, rank_by_site: dict[str, int] | None = None) -> Records:
     """Read an outcomes or results JSONL file; the schema is sniffed per row.
-    Error rows are skipped; a line that is not a JSON object with a string
-    ``site_id`` raises ``ConfigurationError``."""
+    Error rows are skipped; a file that cannot be opened, or a line that is
+    not a JSON object with a string ``site_id`` and usable fields, raises
+    ``ConfigurationError``."""
     records = Records()
     loader = _Loader(records)
-    # Undecodable bytes are kept as surrogates, so that the line holding them can be named.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    try:
+        # Undecodable bytes are kept as surrogates, so that the line holding them can be named.
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -270,10 +262,13 @@ def load_records(path, rank_by_site: dict[str, int] | None = None) -> Records:
                 continue
             if not isinstance(row.get("site_id"), str):
                 raise ConfigurationError(f"{path}:{line_no}: no string site_id")
-            if "is_hb" in row:
-                loader.result_row(row, rank_by_site)
-            else:
-                loader.outcome_row(row)
+            try:
+                if "is_hb" in row:
+                    loader.result_row(row, rank_by_site)
+                else:
+                    loader.outcome_row(row)
+            except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{path}:{line_no}: unusable row ({type(exc).__name__}: {exc})") from None
     for columns in (records.total_latency, records.site_latency, records.bid_latency, records.cpm):
         columns.sort()
     return records
@@ -341,9 +336,10 @@ class StatsSummary:
 # ((group, the sorted columns it merges) pairs, the scale of their whole units).
 
 def _merged(columns: _Columns, group_of):
-    """The columns of each ``group_of(key)``; a None group leaves the key out."""
+    """The columns of each ``group_of(key)``, then its odd values as one-value
+    columns in file order; a None group leaves the key out."""
     groups = defaultdict(list)
-    for key, column in columns.items():
+    for key, column in chain(columns.items(), ((key, (value,)) for key, value in columns.odd)):
         group = group_of(key)
         if group is not None:
             groups[group].append(column)
@@ -362,7 +358,7 @@ def _total_latency_by(table: str, part: int):
 
 
 def _bid_latency_by_partner(records, _):
-    return ((partner, [column]) for partner, column in records.bid_latency.items()), MS_SCALE
+    return _merged(records.bid_latency, lambda partner: partner), MS_SCALE
 
 
 def _late_fractions(records, _):
@@ -424,8 +420,10 @@ def _flat_row(group: str, count: int, value: Decimal) -> dict:
 
 
 def _decimals(columns: list, scale: int | None) -> list[Decimal]:
-    """A group's exact values in ascending order, equal ones by arrival (see ``_scaled``)."""
-    return [value for value, _ in sorted([_entry(value, scale) for column in columns for value in column])]
+    """A group's exact values in ascending order.  ``_merged`` puts odd values
+    last, in file order, and the sort is stable, so of equal values that
+    print differently (0 and -0, always odd) the earlier in the file comes first."""
+    return sorted([_exact(value, scale) for column in columns for value in column])
 
 
 def _stats_row(group: str, columns: list, scale: int | None) -> dict:

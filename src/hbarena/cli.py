@@ -23,7 +23,7 @@ from .analytics import REPORT_NAMES, build_report, load_records, write_report_cs
 from .auction import run_scenario
 from .detector import extract_auction_metadata, result_row
 from .domain import (HB_FACETS, ConfigurationError, PartnerDirectory, builtin_directory, decimal_str,
-                     indented_json)
+                     indented_json, read_json_file)
 from .scenario import expand_sites, load_scenario_file, validate_scenario_file
 from .tracegen import (
     TraceParseError,
@@ -304,8 +304,6 @@ def cmd_simulate(args) -> int:
 
 def _load_directory(args) -> PartnerDirectory:
     if args.directory:
-        if not os.path.exists(args.directory):
-            raise ConfigurationError(f"directory file not found: {args.directory}")
         return PartnerDirectory.from_file(args.directory)
     fallback = os.path.join(args.trace_dir, "directory.json")
     if os.path.exists(fallback):
@@ -408,28 +406,20 @@ def cmd_detect(args) -> int:
 def _rank_by_site(manifest_path) -> dict[str, int] | None:
     if not manifest_path:
         return None
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read manifest {manifest_path}: {exc.strerror}") from None
-    except (ValueError, RecursionError) as exc:
-        raise ConfigurationError(f"manifest {manifest_path} is not JSON: {exc}") from None
+    manifest = read_json_file(manifest_path, "manifest")
     site_meta = manifest.get("site_meta", {}) if isinstance(manifest, dict) else None
     if not isinstance(site_meta, dict):
         raise ConfigurationError(f"manifest {manifest_path} is not a JSON object with a site_meta object")
     ranks = {}
     for site, meta in site_meta.items():
         rank = meta.get("rank") if isinstance(meta, dict) else None
-        if type(rank) is not int:
-            raise ConfigurationError(f"manifest {manifest_path}: site_meta {site!r} has no integer rank")
+        if type(rank) is not int or rank < 1:
+            raise ConfigurationError(f"manifest {manifest_path}: site_meta {site!r} has no positive integer rank")
         ranks[site] = rank
     return ranks
 
 
 def cmd_report(args) -> int:
-    if not os.path.exists(args.input):
-        raise ConfigurationError(f"input file not found: {args.input}")
     names = REPORT_NAMES if args.report == "all" else (args.report,)
     for name in names:
         if name not in REPORT_NAMES:
@@ -438,8 +428,8 @@ def cmd_report(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG
-    _make_out_dir(args.out)
     records = load_records(args.input, _rank_by_site(args.manifest))
+    _make_out_dir(args.out)
     reports = {}
     for name in names:
         rows = build_report(name, records, args.include_zero_bid_auctions)

@@ -39,6 +39,18 @@ class ConfigurationError(ValueError):
     """A scenario or model is not usable as configured."""
 
 
+def read_json_file(path, what: str):
+    """The JSON value in the file at ``path``, its fractions as ``Decimal``s; a
+    file that cannot be read or decoded is a ConfigurationError naming ``what`` and ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_float=Decimal)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError among them
+        raise ConfigurationError(f"{what} {path} is not JSON: {exc}") from None
+
+
 def quantize_ms(value) -> Decimal:
     """Canonical milliseconds: 3 fractional digits, round-half-even."""
     if not isinstance(value, Decimal):
@@ -410,8 +422,7 @@ class PartnerDirectory:
 
     @classmethod
     def from_file(cls, path) -> "PartnerDirectory":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json_file(path, "directory file")
         if not isinstance(data, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in data.items()
         ):

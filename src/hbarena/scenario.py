@@ -18,7 +18,6 @@ A field of the wrong type or out of range is a ConfigurationError naming it.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -39,6 +38,7 @@ from .domain import (
     _ID_RE,
     check_scenario,
     finite_decimal,
+    read_json_file,
 )
 from .netsim import RngStream
 
@@ -170,13 +170,7 @@ def _parse_site(obj) -> WebsiteScenario:
 
 def load_scenario_file(path) -> ScenarioFile:
     """Parse and structurally check a scenario file; raises ConfigurationError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=Decimal)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    data = read_json_file(path, "scenario file")
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: scenario file must be a JSON object")
 

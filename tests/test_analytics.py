@@ -368,6 +368,13 @@ class TestLoadRecords:
         assert lines["prices_by_slot_size"] == ["160x600,1,1,1,1,1,1,1", "300x250,21,0,5,5,5,5,4.52381",
                                                 "728x90,21,-0,5,5,5,5,4.52381"]
         assert lines["latency_by_site"][-1] == "s,21,0,5,5,5,5,4.52381"
+        # Bid latencies: p1's two zeros come as -0 then 0, p2's as 0 then -0.
+        timed = [{"site_id": "t", "round_index": 0, "is_hb": True, "facet": "client_side", "partners": ["p1", "p2"],
+                  "hb_latency_ms": "300", "auctions": [{"size": "300x250", "bids": [
+                      {"partner": p, "cpm": "1", "latency_ms": ms, "late": False, "channel": "client"}
+                      for p, zeros in (("p1", ["-0", "0"]), ("p2", ["0", "-0"])) for ms in zeros + ["100"] * 19]}]}]
+        assert [",".join(str(r[c]) for c in CSV_COLUMNS) for r in build_report("latency_by_partner", load(timed))] == [
+            "p1,21,0,100,100,100,100,90.47619", "p2,21,-0,100,100,100,100,90.47619"]
 
     def test_outcome_bid_without_channel_is_a_client_bid_without_latency(self):
         rows = [record(bids=[bid(partner="p1", late=True), bid(partner="p2", latency="80")])]

@@ -356,6 +356,40 @@ def test_detect_missing_directory_exits_1(tmp_path):
     assert main(["detect", str(out), "--directory", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("simulate", b'{"partners": [], "sites": []}\xff'),
+        ("simulate", b"[" * 100_000 + b"]" * 100_000),
+        ("detect", b"{bad"),
+        ("detect", b'{"adnxs.com": "appnexus\xff"}'),
+        ("detect", None),
+        ("fallback", b"{bad"),
+        ("report", None),
+    ],
+    ids=["scenario-not-utf-8", "scenario-too-deep", "directory-not-json", "directory-not-utf-8",
+         "directory-is-a-directory", "fallback-directory-not-json", "report-input-is-a-directory"],
+)
+def test_unusable_input_file_exits_1_naming_it(tmp_path, capsys, command, content):
+    """A file the user names (or the corpus's directory.json) that cannot be
+    read or decoded is a usage error naming it; None makes it a directory."""
+    run = tmp_path / "run"
+    simulate_minimal(run)
+    bad = run / "directory.json" if command == "fallback" else tmp_path / "bad.json"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    argv = {"simulate": ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")],
+            "detect": ["detect", str(run), "--directory", str(bad)],
+            "fallback": ["detect", str(run)],
+            "report": ["report", str(bad), "--out", str(tmp_path / "reports")]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "runtime error" not in err
+
+
 def test_report_unknown_name_exits_1(tmp_path, capsys):
     scen = write(tmp_path, MINIMAL)
     out = tmp_path / "run"
@@ -390,8 +424,9 @@ RESULT_ROW = {"site_id": "s1", "round_index": 0, "is_hb": True, "facet": "client
         ('{"site_meta": {"s1": {"rank": "1"}}}', "integer rank"),
         ('{"site_meta": {"s1": {"facet": "hybrid"}}}', "integer rank"),
         ('{"site_meta": {"s1": 3}}', "integer rank"),
+        ('{"site_meta": {"s1": {"rank": 0}}}', "'s1' has no positive integer rank"),
     ],
-    ids=["missing", "not-json", "list", "site-meta-list", "rank-string", "no-rank", "meta-not-object"],
+    ids=["missing", "not-json", "list", "site-meta-list", "rank-string", "no-rank", "meta-not-object", "rank-0"],
 )
 def test_report_bad_manifest_exits_1(tmp_path, capsys, manifest_text, words):
     """A manifest that cannot give site ranks is a usage error naming the file, not a runtime error."""
@@ -406,6 +441,20 @@ def test_report_bad_manifest_exits_1(tmp_path, capsys, manifest_text, words):
     assert "runtime error" not in err
 
 
+OUTCOME_ROW = {"site_id": "s1", "rank": 1, "round_index": 0, "facet": "client_side", "partner_ids": ["p1"],
+               "slot_count": 1, "total_latency_ms": "350.000",
+               "slots": [{"slot_id": "slot0", "size": "300x250", "bids": [
+                   {"partner": "p1", "cpm": "0.5", "requested_at_ms": "0", "arrived_at_ms": "100.000", "late": False,
+                    "channel": "client"}]}]}
+
+
+def edited(row: dict, old: str, new: str) -> bytes:
+    """The JSON line of ``row`` with the text ``old`` replaced by ``new``."""
+    text = json.dumps(row)
+    assert old in text
+    return text.replace(old, new).encode()
+
+
 @pytest.mark.parametrize(
     "line, words",
     [
@@ -414,8 +463,23 @@ def test_report_bad_manifest_exits_1(tmp_path, capsys, manifest_text, words):
         (b'{"round_index": 0, "is_hb": false}', "no string site_id"),
         (b'{"site_id": 7, "is_hb": false}', "no string site_id"),
         (b'{"site_id": "s\xff", "is_hb": false}', "not UTF-8"),
+        (edited(OUTCOME_ROW, '"slot_count": 1', '"slot_count": "abc"'), "invalid literal for int()"),
+        (edited(OUTCOME_ROW, '"rank": 1', '"rank": "abc"'), "invalid literal for int()"),
+        (edited(OUTCOME_ROW, '"rank": 1', '"rank": 0'), "rank 0 is below 1"),
+        (edited(OUTCOME_ROW, '"rank": 1', '"rank": -3'), "rank -3 is below 1"),
+        (json.dumps({**OUTCOME_ROW, "slots": 5}).encode(), "not iterable"),
+        (edited(RESULT_ROW, '"cpm": "0.5", ', ""), "KeyError: 'cpm'"),
+        (edited(RESULT_ROW, '"cpm": "0.5"', '"cpm": "abc"'), "InvalidOperation"),
+        (edited(RESULT_ROW, '"cpm": "0.5"', '"cpm": "NaN"'), "not a finite number below 10**22"),
+        (edited(RESULT_ROW, '"cpm": "0.5"', '"cpm": "Infinity"'), "not a finite number below 10**22"),
+        (edited(RESULT_ROW, '"cpm": "0.5"', '"cpm": "1e30"'), "not a finite number below 10**22"),
+        (edited(RESULT_ROW, '"cpm": "0.5"', '"cpm": -1e22'), "not a finite number below 10**22"),
+        (edited(OUTCOME_ROW, '"arrived_at_ms": "100.000"', '"arrived_at_ms": "9e21"')
+         .replace(b'"requested_at_ms": "0"', b'"requested_at_ms": "-9e21"'), "not a finite number below 10**22"),
     ],
-    ids=["not-json", "array", "no-site-id", "site-id-number", "not-utf-8"],
+    ids=["not-json", "array", "no-site-id", "site-id-number", "not-utf-8", "slot-count-abc", "rank-abc", "rank-0",
+         "rank-minus-3", "slots-5", "no-cpm", "cpm-abc", "cpm-nan", "cpm-infinity", "cpm-1e30", "cpm-minus-1e22",
+         "latency-2e22"],
 )
 def test_report_malformed_row_exits_1_naming_line(tmp_path, capsys, line, words):
     path = tmp_path / "results.jsonl"
