@@ -17,7 +17,6 @@ time.
 from __future__ import annotations
 
 import csv
-import json
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from heapq import merge
 from itertools import chain
 from typing import NamedTuple
 
-from .domain import HB_FACETS, ConfigurationError, decimal_str, json_chunks, quantize_cpm
+from .domain import HB_FACETS, ConfigurationError, decimal_str, json_chunks, quantize_cpm, read_json_lines
 
 RANK_BIN_WIDTH = 500
 POPULARITY_BIN_WIDTH = 10
@@ -143,11 +142,13 @@ def rank_bin_label(rank: int) -> str:
 
 
 class _Shared(dict):
-    """``shared[value]`` is the first equal value seen: JSON decoding makes a
-    new ``str`` for every value, and equal strings, keys and partner sets of
-    one file are shared through this instead."""
+    """``shared[value]`` is the first equal value seen: each equal string, key
+    or partner set of a file is kept once, not once per decoded row.  A value
+    of another type, such as a number, would not sort among them: a TypeError."""
 
     def __missing__(self, key):
+        if not isinstance(key, (str, type(None), tuple, frozenset)):
+            raise TypeError(f"{key!r} is not a string")
         self[key] = key
         return key
 
@@ -167,6 +168,8 @@ class _Loader:
         add_cpm, add_latency, client_bids = rec.cpm.add, rec.bid_latency.add, rec.client_bids
         n_bids = n_client = n_late = 0
         for partner, size, cpm, latency, late, channel in bids:
+            if partner is None:
+                raise TypeError("a bid's partner is null")
             partner = one(partner)
             n_bids += 1
             add_cpm((partner, size, facet), _scaled(cpm, CPM_SCALE))
@@ -238,37 +241,18 @@ def load_records(path, rank_by_site: dict[str, int] | None = None) -> Records:
     ``ConfigurationError``."""
     records = Records()
     loader = _Loader(records)
-    try:
-        # Undecodable bytes are kept as surrogates, so that the line holding them can be named.
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ConfigurationError(f"{path}:{line_no}: not UTF-8 text") from None
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ConfigurationError(f"{path}:{line_no}: not JSON ({exc})") from None
-            if not isinstance(row, dict):
-                raise ConfigurationError(f"{path}:{line_no}: not a JSON object")
-            if "error" in row:
-                continue
-            if not isinstance(row.get("site_id"), str):
-                raise ConfigurationError(f"{path}:{line_no}: no string site_id")
-            try:
-                if "is_hb" in row:
-                    loader.result_row(row, rank_by_site)
-                else:
-                    loader.outcome_row(row)
-            except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(f"{path}:{line_no}: unusable row ({type(exc).__name__}: {exc})") from None
+    for line_no, row in read_json_lines(path):
+        if "error" in row:
+            continue
+        if not isinstance(row.get("site_id"), str):
+            raise ConfigurationError(f"{path}:{line_no}: no string site_id")
+        try:
+            if "is_hb" in row:
+                loader.result_row(row, rank_by_site)
+            else:
+                loader.outcome_row(row)
+        except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path}:{line_no}: unusable row ({type(exc).__name__}: {exc})") from None
     for columns in (records.total_latency, records.site_latency, records.bid_latency, records.cpm):
         columns.sort()
     return records

@@ -22,11 +22,10 @@ from . import __version__
 from .analytics import REPORT_NAMES, build_report, load_records, write_report_csv, write_report_json
 from .auction import run_scenario
 from .detector import extract_auction_metadata, result_row
-from .domain import (HB_FACETS, ConfigurationError, PartnerDirectory, builtin_directory, decimal_str,
-                     indented_json, read_json_file)
+from .domain import (HB_FACETS, ConfigurationError, PartnerDirectory, TraceParseError, builtin_directory,
+                     decimal_str, indented_json, read_json_file, read_json_lines)
 from .scenario import expand_sites, load_scenario_file, validate_scenario_file
 from .tracegen import (
-    TraceParseError,
     emit_trace,
     file_label,
     outcome_row,
@@ -315,14 +314,12 @@ def _score(per_trace: list[tuple], trace_dir: str) -> None:
     """Print precision, recall and facet accuracy of (key, failed, is_hb,
     facet) per trace against the truth sidecars."""
     truth: dict[tuple[str, int], str] = {}
-    for name in sorted(os.listdir(trace_dir)):
-        if not name.endswith(".truth.jsonl"):
-            continue
-        with open(os.path.join(trace_dir, name), "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    row = json.loads(line)
-                    truth[(row["site_id"], row["round_index"])] = row["facet"]
+    for path in sorted(os.path.join(trace_dir, n) for n in os.listdir(trace_dir) if n.endswith(".truth.jsonl")):
+        for line_no, row in read_json_lines(path):
+            site_id, round_index, facet = row.get("site_id"), row.get("round_index"), row.get("facet")
+            if (type(site_id), type(round_index), type(facet)) != (str, int, str):
+                raise ConfigurationError(f"{path}:{line_no}: needs a string site_id, int round_index and string facet")
+            truth[(site_id, round_index)] = facet
     tp = fp = fn = tn = 0
     scored = errors = 0
     facet_hits = facet_total = 0

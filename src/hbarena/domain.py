@@ -51,6 +51,80 @@ def read_json_file(path, what: str):
         raise ConfigurationError(f"{what} {path} is not JSON: {exc}") from None
 
 
+class TraceParseError(ValueError):
+    """A line of JSON Lines input that cannot be used, by its 1-based number."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no, self.message = line_no, message
+
+
+_scan_once = json.JSONDecoder().scan_once  # the C scanner behind json.loads
+_SCAN_MAX_BRACKETS = 32
+_UNSCANNED = object()
+_SURROGATE = re.compile("[\ud800-\udfff]")  # in decoded text, an undecodable byte kept as surrogate escape
+
+
+def _scanned(line: str):
+    """json.loads(line)'s value when the C scanner decodes the whole line on
+    its own, without json.loads's three Python frames; else _UNSCANNED, and
+    json.loads gives the value or the error.  So it does for surrounding
+    whitespace, a BOM, malformed text, too many digits, and many brackets:
+    the scanner runs two frames shallower than json.loads's does, so nested
+    close to the recursion limit it could succeed where json.loads fails."""
+    if line.count("[") + line.count("{") > _SCAN_MAX_BRACKETS:
+        return _UNSCANNED
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return _UNSCANNED
+    return obj if end == len(line) else _UNSCANNED
+
+
+def json_lines(lines) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of ``lines``, text lines
+    that each end at ``"\\n"`` or at the end of the text.  A line that is not
+    UTF-8 (undecodable bytes kept as surrogate escapes), not JSON, not an
+    object, or that holds a lone surrogate is a ``TraceParseError``."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")  # with it, the scanner's value would end short of the line
+        if not line.strip():
+            continue
+        if not line.isascii() and _SURROGATE.search(line):
+            raise TraceParseError(line_no, "not UTF-8 text")
+        try:
+            obj = _scanned(line)
+            if obj is _UNSCANNED:
+                obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+            raise TraceParseError(line_no, f"invalid JSON: {exc}") from None
+        if type(obj) is not dict:
+            raise TraceParseError(line_no, "not a JSON object")
+        # Only a \u escape can now make a lone surrogate, which UTF-8 cannot encode.  json.dumps
+        # nests no deeper than the json.loads that decoded the line, so it cannot overflow.
+        if "\\" in line and "\\u" in line:
+            try:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise TraceParseError(line_no, "strings must be valid Unicode") from None
+        yield line_no, obj
+
+
+def read_json_lines(path) -> Iterator[tuple[int, dict]]:
+    """``json_lines`` of the file at ``path``, its undecodable bytes kept as surrogates so that
+    their line can be named; a file that cannot be read is a ConfigurationError naming
+    ``path``, and an unusable line one naming ``path:line``."""
+    try:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            yield from json_lines(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
+    except TraceParseError as exc:
+        raise ConfigurationError(f"{path}:{exc.line_no}: {exc.message}") from None
+
+
 def quantize_ms(value) -> Decimal:
     """Canonical milliseconds: 3 fractional digits, round-half-even."""
     if not isinstance(value, Decimal):

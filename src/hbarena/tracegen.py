@@ -24,7 +24,6 @@ and parameters, as in a real capture.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -34,7 +33,8 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .auction import AuctionOutcome, CHANNEL_CLIENT, SlotOutcome, WaterfallOutcome
-from .domain import MS_QUANTUM, DemandPartnerSpec, Facet, WebsiteScenario, decimal_str, quantize_ms
+from .domain import (MS_QUANTUM, DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario, decimal_str, json_lines,
+                     quantize_ms)
 
 DOM_EVENT_NAMES = (
     "auctionInit",
@@ -62,12 +62,6 @@ _STR_OR_NONE = (str, type(None))
 _TS_LIMIT_MS = Decimal("1e15")
 # Round start; every other time an emitter stamps was quantized when sampled.
 _ROUND_START = Decimal("0.000")
-
-
-class TraceParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def url_host(url: str | None) -> str | None:
@@ -404,56 +398,8 @@ def parse_event(obj: dict, line_no: int) -> TraceEvent:
     return TraceEvent(ts, kind, name, url, direction, params, auction_id, slot_id)
 
 
-_scan_once = json.JSONDecoder().scan_once  # the C scanner behind json.loads
-_SCAN_MAX_BRACKETS = 32
-_UNSCANNED = object()
-
-
-def _scanned(line: str):
-    """json.loads(line)'s value when the C scanner decodes the whole line on
-    its own, without json.loads's three Python frames; else _UNSCANNED.
-
-    Leading or trailing whitespace, a BOM, malformed text and too many digits
-    are left to json.loads, for its value or its error.  So is a line with
-    many brackets: the scanner runs two frames shallower than json.loads's
-    does, so nested close to the recursion limit it could succeed where
-    json.loads fails.
-    """
-    if line.count("[") + line.count("{") > _SCAN_MAX_BRACKETS:
-        return _UNSCANNED
-    try:
-        obj, end = _scan_once(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        return _UNSCANNED
-    return obj if end == len(line) else _UNSCANNED
-
-
 def parse_trace_text(text: str, site_id: str, round_index: int) -> Trace:
-    events = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = _scanned(line)
-            if obj is _UNSCANNED:
-                obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        except (ValueError, RecursionError) as exc:  # too many digits, too deep
-            raise TraceParseError(line_no, f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise TraceParseError(line_no, "record must be a JSON object")
-        event = parse_event(obj, line_no)
-        # In text decoded from UTF-8 only a \u escape can make a lone
-        # surrogate, which no later stage could encode.  parse_event has
-        # rejected deeply nested values, so this cannot exhaust the stack.
-        if "\\u" in line:
-            try:
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise TraceParseError(line_no, "strings must be valid Unicode") from exc
-        events.append(event)
-    return Trace(site_id, round_index, tuple(events))
+    return Trace(site_id, round_index, tuple(parse_event(obj, n) for n, obj in json_lines(text.split("\n"))))
 
 
 _TRACE_NAME_RE = re.compile(r"^(?P<site>.+)__r(?P<round>\d+)\.trace\.jsonl$")

@@ -1,6 +1,8 @@
 """End-to-end command behavior: outputs, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -458,7 +460,7 @@ def edited(row: dict, old: str, new: str) -> bytes:
 @pytest.mark.parametrize(
     "line, words",
     [
-        (b"{garbage", "not JSON"),
+        (b"{garbage", "invalid JSON"),
         (b"[1, 2]", "not a JSON object"),
         (b'{"round_index": 0, "is_hb": false}', "no string site_id"),
         (b'{"site_id": 7, "is_hb": false}', "no string site_id"),
@@ -476,10 +478,18 @@ def edited(row: dict, old: str, new: str) -> bytes:
         (edited(RESULT_ROW, '"cpm": "0.5"', '"cpm": -1e22'), "not a finite number below 10**22"),
         (edited(OUTCOME_ROW, '"arrived_at_ms": "100.000"', '"arrived_at_ms": "9e21"')
          .replace(b'"requested_at_ms": "0"', b'"requested_at_ms": "-9e21"'), "not a finite number below 10**22"),
+        (edited(RESULT_ROW, '"site_id": "s1"', '"site_id": "\\ud800"'), "strings must be valid Unicode"),
+        (edited(RESULT_ROW, '"partner": "p1"', '"partner": "\\ud800"'), "strings must be valid Unicode"),
+        (edited(RESULT_ROW, '"partner": "p1"', '"partner": 7'), "7 is not a string"),
+        (edited(RESULT_ROW, '"size": "300x250"', '"size": 7'), "7 is not a string"),
+        (edited(RESULT_ROW, '"facet": "client_side"', '"facet": 7'), "7 is not a string"),
+        (edited(RESULT_ROW, '"partners": ["p1"]', '"partners": [7]'), "7 is not a string"),
+        (edited(RESULT_ROW, '"partner": "p1"', '"partner": null'), "partner is null"),
     ],
     ids=["not-json", "array", "no-site-id", "site-id-number", "not-utf-8", "slot-count-abc", "rank-abc", "rank-0",
          "rank-minus-3", "slots-5", "no-cpm", "cpm-abc", "cpm-nan", "cpm-infinity", "cpm-1e30", "cpm-minus-1e22",
-         "latency-2e22"],
+         "latency-2e22", "site-id-surrogate", "partner-surrogate", "partner-7", "size-7", "facet-7", "partners-7",
+         "partner-null"],
 )
 def test_report_malformed_row_exits_1_naming_line(tmp_path, capsys, line, words):
     path = tmp_path / "results.jsonl"
@@ -489,6 +499,7 @@ def test_report_malformed_row_exits_1_naming_line(tmp_path, capsys, line, words)
     assert words in err
     assert f"{path}:3: " in err
     assert "runtime error" not in err
+    assert not (tmp_path / "reports").exists()
 
 
 def test_report_accepts_the_error_rows_detect_writes(tmp_path):
@@ -733,6 +744,63 @@ def test_non_finite_price_is_a_warning_and_report_accepts_results(tmp_path, pric
     assert main(["report", str(out / "results.jsonl"), "--out", str(tmp_path / "reports")]) == 0
 
 
+MINIMAL_SIDECAR = "demo-site__r0.truth.jsonl"
+TRUTH_ROW = {"site_id": "demo-site", "round_index": 0, "facet": "client_side"}
+
+
+@pytest.mark.parametrize(
+    "sidecar, line",
+    [
+        (b"{bad\n", 1),
+        (b'{"site_id": "demo\xffsite", "round_index": 0, "facet": "client_side"}\n', 1),
+        (None, None),
+        (b"\n" + json.dumps({"site_id": "demo-site", "round_index": 0}).encode() + b"\n", 2),
+        (json.dumps({"round_index": 0, "facet": "client_side"}).encode() + b"\n", 1),
+        (b"[1]\n", 1),
+        (json.dumps({**TRUTH_ROW, "round_index": [1]}).encode() + b"\n", 1),
+        (json.dumps({**TRUTH_ROW, "round_index": True}).encode() + b"\n", 1),
+    ],
+    ids=["not-json", "not-utf-8", "directory", "no-facet", "no-site-id", "array", "round-index-list",
+         "round-index-true"],
+)
+def test_bad_sidecar_exits_1_naming_it_after_writing_results(tmp_path, capsys, sidecar, line):
+    """A truth sidecar that cannot be scored is a usage error naming the file
+    and line; results.jsonl is written first, the same as without --score."""
+    out = tmp_path / "run"
+    simulate_minimal(out)
+    assert main(["detect", str(out)]) == 0
+    results = (out / "results.jsonl").read_bytes()
+    (out / "results.jsonl").unlink()
+    path = out / MINIMAL_SIDECAR
+    if sidecar is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(sidecar)
+    capsys.readouterr()
+    assert main(["detect", str(out), "--score"]) == 1
+    err = capsys.readouterr().err
+    assert (f"{path}:{line}: " if line else f"cannot read {path}: ") in err
+    assert "runtime error" not in err
+    assert (out / "results.jsonl").read_bytes() == results
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["u2028", "u2029", "u0085"])
+def test_trace_lines_end_only_at_newline(tmp_path, separator):
+    """A raw line or paragraph separator, or NEL, inside a trace string is text
+    in its line, not a line end."""
+    out = tmp_path / "run"
+    trace = simulate_minimal(out)
+    assert main(["detect", str(out)]) == 0
+    pristine = result_rows(out / "results.jsonl")
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    next(record for record in records if record.get("url"))["url"] += "#" + separator
+    trace.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    assert separator in trace.read_text(encoding="utf-8")
+    assert main(["detect", str(out)]) == 0
+    assert result_rows(out / "results.jsonl") == pristine
+
+
 def test_score_counts_error_rows(tmp_path, capsys):
     trace = simulate_minimal(tmp_path / "run")
     lines = trace.read_text().splitlines()
@@ -758,21 +826,26 @@ _JSON_VALUES = st.one_of(
 _RECORD_KEYS = ("ts_ms", "kind", "event_name", "url", "direction", "params", "auction_id", "slot_id")
 
 
+def _byte_edits(draw, pristine: bytes) -> bytes:
+    """``pristine`` with one to three random byte runs replaced, inserted or deleted."""
+    data = bytearray(pristine)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        chunk = draw(st.binary(min_size=1, max_size=4))
+        if op == "insert":
+            data[at:at] = chunk
+        elif op == "replace":
+            data[at:at + len(chunk)] = chunk
+        else:
+            del data[at:at + len(chunk)]
+    return bytes(data)
+
+
 @st.composite
 def _mutated_trace(draw, pristine: bytes) -> bytes:
     if draw(st.booleans()):
-        data = bytearray(pristine)
-        for _ in range(draw(st.integers(1, 3))):
-            at = draw(st.integers(0, len(data)))
-            op = draw(st.sampled_from(["replace", "insert", "delete"]))
-            chunk = draw(st.binary(min_size=1, max_size=4))
-            if op == "insert":
-                data[at:at] = chunk
-            elif op == "replace":
-                data[at:at + len(chunk)] = chunk
-            else:
-                del data[at:at + len(chunk)]
-        return bytes(data)
+        return _byte_edits(draw, pristine)
     records = [json.loads(line) for line in pristine.decode().splitlines()]
     for _ in range(draw(st.integers(1, 3))):
         record = records[draw(st.integers(0, len(records) - 1))]
@@ -806,6 +879,85 @@ def test_mutated_traces_never_abort_detect_or_report(minimal_corpus, data):
             for auction in row.get("auctions", []):
                 assert all(Decimal(b["cpm"]).is_finite() for b in auction["bids"])
         assert main(["report", str(run / "results.jsonl"), "--out", str(run / "reports")]) == 0
+
+
+def _keyed_values(value) -> list[tuple[dict, str]]:
+    """(object, key) for every member of every object within a decoded JSON value."""
+    if isinstance(value, list):
+        return [pair for item in value for pair in _keyed_values(item)]
+    if not isinstance(value, dict):
+        return []
+    return [(value, key) for key in value] + [pair for item in value.values() for pair in _keyed_values(item)]
+
+
+@st.composite
+def _mutated_file(draw, pristine: bytes, json_lines: bool) -> bytes | None:
+    """A JSON or JSON Lines file with random byte edits, cut short, or with one
+    value of some object swapped for one of another type or its key dropped;
+    None stands for a directory in its place."""
+    how = draw(st.sampled_from(["bytes", "truncate", "retype", "drop", "directory"]))
+    if how == "directory":
+        return None
+    if how == "bytes":
+        return _byte_edits(draw, pristine)
+    if how == "truncate":
+        return pristine[:draw(st.integers(0, len(pristine) - 1))]
+    values = [json.loads(line) for line in pristine.decode().splitlines()] if json_lines else [json.loads(pristine)]
+    members = [pair for value in values for pair in _keyed_values(value)]
+    target, key = members[draw(st.integers(0, len(members) - 1))]
+    if how == "drop":
+        del target[key]
+    else:
+        old_type = type(target[key])
+        target[key] = draw(_JSON_VALUES.filter(lambda value: type(value) is not old_type))
+    if json_lines:
+        return "".join(json.dumps(value) + "\n" for value in values).encode()
+    return json.dumps(values[0], indent=2).encode()
+
+
+# File kind -> (its name in the run, whether it is JSON Lines, the command that reads it).
+_READERS = {
+    "scenario": ("scenario.json", False, ["simulate", "--scenario", "{run}/scenario.json", "--out", "{run}/again"]),
+    "directory.json": ("directory.json", False, ["detect", "{run}"]),
+    "--directory": ("directory.json", False, ["detect", "{run}", "--directory", "{run}/directory.json"]),
+    "trace": (MINIMAL_TRACE, True, ["detect", "{run}", "--score"]),
+    "sidecar": (MINIMAL_SIDECAR, True, ["detect", "{run}", "--score"]),
+    "outcomes": ("outcomes.jsonl", True, ["report", "{run}/outcomes.jsonl", "--out", "{run}/reports"]),
+    "results": ("results.jsonl", True, ["report", "{run}/results.jsonl", "--out", "{run}/reports"]),
+    "manifest": ("manifest.json", False,
+                 ["report", "{run}/results.jsonl", "--out", "{run}/reports", "--manifest", "{run}/manifest.json"]),
+}
+
+
+@pytest.fixture(scope="module")
+def detected_corpus(minimal_corpus, tmp_path_factory) -> Path:
+    """The minimal corpus with its results.jsonl and a copy of its scenario."""
+    run = tmp_path_factory.mktemp("detected") / "run"
+    shutil.copytree(minimal_corpus, run)
+    assert main(["detect", str(run)]) == 0
+    shutil.copy(MINIMAL_SCENARIO, run / "scenario.json")
+    return run
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(sorted(_READERS)), data=st.data())
+def test_mutated_inputs_never_abort_a_command(detected_corpus, kind, data):
+    """Any damage to any file a command reads gives exit 0, 1 or 3, never a runtime error."""
+    name, json_lines, argv = _READERS[kind]
+    mutated = data.draw(_mutated_file((detected_corpus / name).read_bytes(), json_lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(detected_corpus, run)
+        if mutated is None:
+            (run / name).unlink()
+            (run / name).mkdir()
+        else:
+            (run / name).write_bytes(mutated)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([arg.format(run=run) for arg in argv])
+    assert code in (0, 1, 3), err.getvalue()
+    assert "runtime error" not in err.getvalue()
 
 
 def detect_outputs(run: Path, jobs: str, capsys) -> tuple[int, str, bytes]:

@@ -11,7 +11,7 @@ import oracles
 from conftest import make_partner, make_scenario, make_slot
 from hbarena.auction import run_scenario
 from hbarena.domain import Facet, WrapperPolicy, builtin_directory, decimal_str, lookup_partner
-from hbarena import tracegen
+from hbarena import domain
 from hbarena.tracegen import (
     DOM_EVENT_NAMES,
     KIND_DOM,
@@ -426,14 +426,14 @@ _LINES = st.one_of(
     st.tuples(st.sampled_from(("", " ", "\ufeff", "x", "{")), st.sampled_from(_TRACE_LINES),
               st.sampled_from(("", " ", "\t", ",", "}", "{}", '{"a":[1'))).map("".join),
     # Across the scanner's bracket budget, and far past the recursion limit.
-    st.integers(1, 2 * tracegen._SCAN_MAX_BRACKETS).map(_nested),
+    st.integers(1, 2 * domain._SCAN_MAX_BRACKETS).map(_nested),
     st.integers(sys.getrecursionlimit() + 100, 3 * sys.getrecursionlimit()).map(_nested),
 )
 
 
 def _decode_like_parse(line):
-    obj = tracegen._scanned(line)
-    return json.loads(line) if obj is tracegen._UNSCANNED else obj
+    obj = domain._scanned(line)
+    return json.loads(line) if obj is domain._UNSCANNED else obj
 
 
 def _decode_plain(line):
@@ -453,9 +453,9 @@ def test_many_brackets_skip_the_scanner(monkeypatch):
     def no_scan(line, idx):
         raise AssertionError("scanned a line with more brackets than the budget")
 
-    monkeypatch.setattr(tracegen, "_scan_once", no_scan)
-    line = '{"a":' + _nested(tracegen._SCAN_MAX_BRACKETS) + "}"
-    assert tracegen._scanned(line) is tracegen._UNSCANNED
+    monkeypatch.setattr(domain, "_scan_once", no_scan)
+    line = '{"a":' + _nested(domain._SCAN_MAX_BRACKETS) + "}"
+    assert domain._scanned(line) is domain._UNSCANNED
 
 
 def test_joined_lines_that_are_valid_json_still_fail():
