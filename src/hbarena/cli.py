@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import collections
-import concurrent.futures
+import contextlib
 import functools
 import hashlib
 import json
 import os
+import pickle
+import signal
 import sys
 from decimal import Decimal
 from typing import Iterator
@@ -98,6 +100,8 @@ def _map_ordered(fn, tasks: list, jobs: int, initializer=None, initargs=()) -> I
     if workers <= 1:
         yield from map(fn, tasks)
         return
+    import concurrent.futures  # here, not at the top: with logging, it adds about 10 ms to every command
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=initializer,
                                                 initargs=initargs) as pool:
         pending: collections.deque = collections.deque()
@@ -310,9 +314,9 @@ def _load_directory(args) -> PartnerDirectory:
     return builtin_directory()
 
 
-def _score(per_trace: list[tuple], trace_dir: str) -> None:
-    """Print precision, recall and facet accuracy of (key, failed, is_hb,
-    facet) per trace against the truth sidecars."""
+def _read_truth(trace_dir: str) -> dict[tuple[str, int], str]:
+    """The facet of each (site id, round index) in the truth sidecars of
+    trace_dir, read in name order, the last row for a key winning."""
     truth: dict[tuple[str, int], str] = {}
     for path in sorted(os.path.join(trace_dir, n) for n in os.listdir(trace_dir) if n.endswith(".truth.jsonl")):
         for line_no, row in read_json_lines(path):
@@ -320,6 +324,68 @@ def _score(per_trace: list[tuple], trace_dir: str) -> None:
             if (type(site_id), type(round_index), type(facet)) != (str, int, str):
                 raise ConfigurationError(f"{path}:{line_no}: needs a string site_id, int round_index and string facet")
             truth[(site_id, round_index)] = facet
+    return truth
+
+
+class _TruthReader:
+    """One child process that runs ``_read_truth`` while this process
+    detects, since nothing needs the truth until the results are written.
+    ``truth()`` waits for the child and returns the map, or raises what
+    stopped it: a ConfigurationError as it was, any other exception as a
+    RuntimeError with the same text.  Leaving the ``with`` block before
+    that kills the child."""
+
+    def __init__(self, trace_dir: str):
+        result_in, result_out = os.pipe()
+        # Forked before any thread or pool worker of this process starts.
+        self._pid = os.fork()
+        if self._pid == 0:
+            code = 1
+            try:
+                os.close(result_in)
+                try:
+                    result = _read_truth(trace_dir)
+                except ConfigurationError as exc:
+                    result = exc
+                except Exception as exc:  # noqa: BLE001 - reported by the parent
+                    result = RuntimeError(str(exc))
+                with open(result_out, "wb") as fh:
+                    pickle.dump(result, fh)
+                code = 0
+            finally:  # never return into the parent's code
+                os._exit(code)
+        os.close(result_out)
+        self._result = result_in
+
+    def _wait(self) -> tuple[bytes, int]:
+        """The bytes the child sent, once it has exited, and its exit code."""
+        with open(self._result, "rb") as fh:
+            data = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        self._pid = None
+        return data, code
+
+    def truth(self) -> dict[tuple[str, int], str]:
+        data, code = self._wait()
+        if code:
+            raise RuntimeError(f"the truth reader process exited with code {code}")
+        result = pickle.loads(data)  # written by this program's own child
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def __enter__(self) -> "_TruthReader":
+        return self
+
+    def __exit__(self, *_) -> None:
+        if self._pid is not None:  # the truth was never asked for
+            os.kill(self._pid, signal.SIGKILL)
+            self._wait()
+
+
+def _score(per_trace: list[tuple], truth: dict[tuple[str, int], str]) -> None:
+    """Print precision, recall and facet accuracy of (key, failed, is_hb,
+    facet) per trace against the truth map of ``_read_truth``."""
     tp = fp = fn = tn = 0
     scored = errors = 0
     facet_hits = facet_total = 0
@@ -359,7 +425,7 @@ def _detect_trace(trace_dir: str, directory: PartnerDirectory, name: str) -> dic
     """One trace file's result row, or its error row when it cannot be read."""
     try:
         trace = parse_trace_file(os.path.join(trace_dir, name))
-    except (TraceParseError, UnicodeDecodeError, OSError) as exc:
+    except (TraceParseError, OSError) as exc:
         return {"site_id": file_label(name), "round_index": None, "error": str(exc)}
     return result_row(extract_auction_metadata(trace, directory))
 
@@ -369,7 +435,6 @@ def cmd_detect(args) -> int:
         raise ConfigurationError(f"trace directory not found: {args.trace_dir}")
     directory = _load_directory(args)
     trace_names = sorted(n for n in os.listdir(args.trace_dir) if n.endswith(".trace.jsonl"))
-    rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")
     if not os.path.isdir(os.path.dirname(out_path) or "."):
         raise ConfigurationError(f"cannot write {out_path}: its directory does not exist")
@@ -378,25 +443,27 @@ def cmd_detect(args) -> int:
     part_path = out_path + ".part"
     per_trace: list[tuple] = []
     errors = 0
-    try:
-        with open(part_path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                failed = "error" in row
-                errors += failed
-                if args.score:
-                    # An error row's site_id is the name of the trace file it failed on.
-                    key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
-                    per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
-                fh.write(_COMPACT_JSON.encode(row) + "\n")
-        os.replace(part_path, out_path)
-    except BaseException:
-        if os.path.exists(part_path):
-            os.remove(part_path)
-        raise
-    print(f"detected over {len(trace_names)} traces -> {out_path}"
-          + (f" ({errors} errors)" if errors else ""))
-    if args.score:
-        _score(per_trace, args.trace_dir)
+    with _TruthReader(args.trace_dir) if args.score else contextlib.nullcontext() as reader:
+        rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
+        try:
+            with open(part_path, "w", encoding="utf-8") as fh:
+                for row in rows:
+                    failed = "error" in row
+                    errors += failed
+                    if args.score:
+                        # An error row's site_id is the name of the trace file it failed on.
+                        key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
+                        per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
+                    fh.write(_COMPACT_JSON.encode(row) + "\n")
+            os.replace(part_path, out_path)
+        except BaseException:
+            if os.path.exists(part_path):
+                os.remove(part_path)
+            raise
+        print(f"detected over {len(trace_names)} traces -> {out_path}"
+              + (f" ({errors} errors)" if errors else ""))
+        if args.score:
+            _score(per_trace, reader.truth())
     return EXIT_PARSE_ERRORS if errors else EXIT_OK
 
 

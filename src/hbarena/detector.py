@@ -40,7 +40,9 @@ WRAPPER_DOM_EVENTS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+# Not frozen: a frozen dataclass's __init__ costs several times as much, and
+# market_mix makes about ten of these a trace.  Treat them as immutable.
+@dataclass(slots=True)
 class DetectedBid:
     partner: str
     cpm: Decimal
@@ -49,7 +51,7 @@ class DetectedBid:
     channel: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SlotAuction:
     slot_id: str
     size: str | None
@@ -58,7 +60,7 @@ class SlotAuction:
     winner_cpm: Decimal | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DetectionResult:
     """One trace's verdict; the defaults are those of a trace without HB."""
 

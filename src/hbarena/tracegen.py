@@ -418,10 +418,18 @@ def file_label(name: str) -> str:
 
 
 def parse_trace_file(path) -> Trace:
-    """Load one trace; site and round are recovered from the file name."""
+    """Load one trace; site and round are recovered from the file name.
+
+    The file is read in one unbuffered read and decoded with universal
+    newlines, as text mode would, but with bytes that are not UTF-8 kept as
+    surrogate escapes, so that the error names their line.
+    """
     site_id, round_index = trace_key(file_label(os.path.basename(str(path))))
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace_text(fh.read(), site_id, round_index)
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8", "surrogateescape")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_trace_text(text, site_id, round_index)
 
 
 def _winner_json(winner: tuple[str, Decimal] | None) -> dict | None:

@@ -1,5 +1,6 @@
 """End-to-end command behavior: outputs, determinism, exit codes."""
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -269,7 +270,7 @@ def test_jobs_never_exceed_sites(tmp_path, monkeypatch):
     scen = write(tmp_path, MINIMAL)
     serial, asked_two = tmp_path / "serial", tmp_path / "jobs2"
     assert main(["simulate", "--scenario", str(scen), "--out", str(serial)]) == 0
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(["simulate", "--scenario", str(scen), "--out", str(asked_two), "--jobs", "2"]) == 0
     assert tree_digest(serial) == tree_digest(asked_two)
     assert main(["detect", str(asked_two), "--jobs", "2"]) == 0  # one trace
@@ -683,10 +684,11 @@ def test_unusable_timestamp_is_an_error_row(tmp_path, ts):
 
 def test_undecodable_trace_is_an_error_row(tmp_path):
     trace = simulate_minimal(tmp_path / "run")
+    lines = trace.read_bytes().count(b"\n")
     trace.write_bytes(trace.read_bytes() + b"\xff\n")
     assert main(["detect", str(tmp_path / "run")]) == 3
     [row] = result_rows(tmp_path / "run" / "results.jsonl")
-    assert "can't decode byte 0xff" in row["error"]
+    assert row["error"] == f"line {lines + 1}: not UTF-8 text"
 
 
 def test_unreadable_trace_is_an_error_row(tmp_path):
@@ -748,7 +750,8 @@ MINIMAL_SIDECAR = "demo-site__r0.truth.jsonl"
 TRUTH_ROW = {"site_id": "demo-site", "round_index": 0, "facet": "client_side"}
 
 
-@pytest.mark.parametrize(
+# A truth sidecar's bytes (None: a directory in its place), and the line its error names.
+BAD_SIDECARS = pytest.mark.parametrize(
     "sidecar, line",
     [
         (b"{bad\n", 1),
@@ -763,6 +766,17 @@ TRUTH_ROW = {"site_id": "demo-site", "round_index": 0, "facet": "client_side"}
     ids=["not-json", "not-utf-8", "directory", "no-facet", "no-site-id", "array", "round-index-list",
          "round-index-true"],
 )
+
+
+def put_sidecar(path: Path, sidecar: bytes | None) -> None:
+    if sidecar is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(sidecar)
+
+
+@BAD_SIDECARS
 def test_bad_sidecar_exits_1_naming_it_after_writing_results(tmp_path, capsys, sidecar, line):
     """A truth sidecar that cannot be scored is a usage error naming the file
     and line; results.jsonl is written first, the same as without --score."""
@@ -772,17 +786,94 @@ def test_bad_sidecar_exits_1_naming_it_after_writing_results(tmp_path, capsys, s
     results = (out / "results.jsonl").read_bytes()
     (out / "results.jsonl").unlink()
     path = out / MINIMAL_SIDECAR
-    if sidecar is None:
-        path.unlink()
-        path.mkdir()
-    else:
-        path.write_bytes(sidecar)
+    put_sidecar(path, sidecar)
     capsys.readouterr()
     assert main(["detect", str(out), "--score"]) == 1
     err = capsys.readouterr().err
     assert (f"{path}:{line}: " if line else f"cannot read {path}: ") in err
     assert "runtime error" not in err
     assert (out / "results.jsonl").read_bytes() == results
+
+
+@BAD_SIDECARS
+def test_bad_sidecar_with_jobs_2_matches_jobs_1(mixed_run, tmp_path, capsys, sidecar, line):
+    run = tmp_path / "run"
+    shutil.copytree(mixed_run, run)
+    put_sidecar(min(run.glob("*.truth.jsonl")), sidecar)
+    outputs = []
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        code = main(["detect", str(run), "--score", "--jobs", jobs])
+        outputs.append((code, capsys.readouterr(), (run / "results.jsonl").read_bytes()))
+    assert outputs[0][0] == 1 and outputs[1] == outputs[0]
+
+
+def test_truth_sidecars_are_read_in_another_process(tmp_path, capsys, monkeypatch):
+    """detect --score reads the sidecars in a child process, not in this one."""
+    out = tmp_path / "run"
+    simulate_minimal(out)
+    readers = tmp_path / "readers"
+
+    def read_json_lines(path):
+        with open(readers, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_read_json_lines(path)
+
+    real_read_json_lines = cli.read_json_lines
+    monkeypatch.setattr(cli, "read_json_lines", read_json_lines)
+    assert main(["detect", str(out), "--score"]) == 0
+    assert "precision=1 recall=1 facet_accuracy=1" in capsys.readouterr().out
+    pids = readers.read_text().split()
+    assert len(pids) == 1 and int(pids[0]) != os.getpid()
+
+
+def test_failing_sidecar_listing_exits_2_after_writing_results(tmp_path, capsys, monkeypatch):
+    """An error in the sidecar reader, here listing the directory a second
+    time, is a runtime error with its own message once results.jsonl is written."""
+    out = tmp_path / "run"
+    simulate_minimal(out)
+    assert main(["detect", str(out)]) == 0
+    results = (out / "results.jsonl").read_bytes()
+    calls = []
+
+    def listdir(path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise PermissionError(13, "Permission denied", path)
+        return real_listdir(path)
+
+    real_listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", listdir)
+    capsys.readouterr()
+    assert main(["detect", str(out), "--score"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"detected over 1 traces -> {out / 'results.jsonl'}\n"
+    assert captured.err == f"runtime error: [Errno 13] Permission denied: {str(out)!r}\n"
+    assert (out / "results.jsonl").read_bytes() == results
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_error_while_sidecars_are_read_leaves_no_child(mixed_run, tmp_path, capsys, monkeypatch, jobs):
+    """A detect --score that fails in this process ends its sidecar reader
+    (the conftest fixture fails a test that leaves a child behind)."""
+    run = tmp_path / "run"
+    shutil.copytree(mixed_run, run)
+
+    def result_row(result):
+        raise RuntimeError("no row")
+
+    monkeypatch.setattr(cli, "result_row", result_row)
+    assert main(["detect", str(run), "--score", "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == "runtime error: no row\n"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """concurrent.futures, and the logging it imports, load only when a pool starts."""
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, hbarena.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["u2028", "u2029", "u0085"])
