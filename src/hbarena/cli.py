@@ -13,8 +13,8 @@ import contextlib
 import functools
 import hashlib
 import json
+import marshal
 import os
-import pickle
 import signal
 import sys
 from decimal import Decimal
@@ -331,8 +331,8 @@ class _TruthReader:
     """One child process that runs ``_read_truth`` while this process
     detects, since nothing needs the truth until the results are written.
     ``truth()`` waits for the child and returns the map, or raises what
-    stopped it: a ConfigurationError as it was, any other exception as a
-    RuntimeError with the same text.  Leaving the ``with`` block before
+    stopped it: a ConfigurationError again as one, any other exception as a
+    RuntimeError, with the same text.  Leaving the ``with`` block before
     that kills the child."""
 
     def __init__(self, trace_dir: str):
@@ -346,11 +346,11 @@ class _TruthReader:
                 try:
                     result = _read_truth(trace_dir)
                 except ConfigurationError as exc:
-                    result = exc
+                    result = (EXIT_CONFIG, str(exc))
                 except Exception as exc:  # noqa: BLE001 - reported by the parent
-                    result = RuntimeError(str(exc))
+                    result = (EXIT_RUNTIME, str(exc))
                 with open(result_out, "wb") as fh:
-                    pickle.dump(result, fh)
+                    marshal.dump(result, fh)
                 code = 0
             finally:  # never return into the parent's code
                 os._exit(code)
@@ -369,9 +369,9 @@ class _TruthReader:
         data, code = self._wait()
         if code:
             raise RuntimeError(f"the truth reader process exited with code {code}")
-        result = pickle.loads(data)  # written by this program's own child
-        if isinstance(result, Exception):
-            raise result
+        result = marshal.loads(data)
+        if isinstance(result, tuple):  # (exit code, message)
+            raise (ConfigurationError if result[0] == EXIT_CONFIG else RuntimeError)(result[1])
         return result
 
     def __enter__(self) -> "_TruthReader":
