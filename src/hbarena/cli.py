@@ -12,7 +12,6 @@ import collections
 import contextlib
 import functools
 import hashlib
-import json
 import marshal
 import os
 import signal
@@ -25,7 +24,7 @@ from .analytics import REPORT_NAMES, build_report, load_records, write_report_cs
 from .auction import run_scenario
 from .detector import extract_auction_metadata, result_row
 from .domain import (HB_FACETS, ConfigurationError, PartnerDirectory, TraceParseError, builtin_directory,
-                     decimal_str, indented_json, read_json_file, read_json_lines)
+                     compact_json, decimal_str, indented_json, read_json_file, read_json_lines)
 from .scenario import expand_sites, load_scenario_file, validate_scenario_file
 from .tracegen import (
     emit_trace,
@@ -54,10 +53,6 @@ _CORPUS_SUFFIXES = (".trace.jsonl", ".truth.jsonl")
 # 1.7x as long.
 _CHUNK = 16
 _AHEAD = 4
-
-# json.dumps with separators makes a new encoder per call; rows share this one.
-_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are exit code 1, not argparse's 2
@@ -130,6 +125,28 @@ def _create_files(out_dir: str, frames, status: int) -> None:
         os.write(status, os.fsencode(str(exc)))
 
 
+def _fork(run) -> int:
+    """Forks a child process that calls ``run()`` and exits, with code 0 if
+    it returned and 1 if it raised, never returning into this process's
+    code; returns the child's pid.  Called before any thread or pool worker
+    of this process starts."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            run()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _reap(pid: int, what: str) -> RuntimeError | None:
+    """Waits for the child ``pid``; an error naming ``what`` if it did not exit with code 0."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return RuntimeError(f"the {what} process exited with code {code}") if code else None
+
+
 class _FileWriter:
     """One child process that creates the files it is sent while this
     process goes on, so that the kernel's file-creation time overlaps
@@ -140,17 +157,13 @@ class _FileWriter:
     def __init__(self, out_dir: str):
         frames_in, frames_out = os.pipe()
         status_in, status_out = os.pipe()
-        # Forked before any thread or pool worker of this process starts.
-        self._pid = os.fork()
-        if self._pid == 0:
-            code = 1
-            try:
-                os.close(frames_out)  # else this process would hold its own stream open
-                with open(frames_in, "rb") as frames:
-                    _create_files(out_dir, frames, status_out)
-                code = 0
-            finally:  # never return into the parent's code
-                os._exit(code)
+
+        def create_files():
+            os.close(frames_out)  # else this process would hold its own stream open
+            with open(frames_in, "rb") as frames:
+                _create_files(out_dir, frames, status_out)
+
+        self._pid = _fork(create_files)
         os.close(frames_in)
         os.close(status_out)
         self._frames = open(frames_out, "wb")
@@ -178,10 +191,8 @@ class _FileWriter:
             pass
         with open(self._status, "rb") as fh:
             failure = fh.read()  # until the child exits
-        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        if failure:
-            return OSError(os.fsdecode(failure))
-        return RuntimeError(f"the file writer process exited with code {code}") if code else None
+        exited = _reap(self._pid, "file writer")
+        return OSError(os.fsdecode(failure)) if failure else exited
 
     def __enter__(self) -> "_FileWriter":
         return self
@@ -206,8 +217,8 @@ def _simulate_site(task) -> tuple[list[tuple[str, str]], list[str]]:
         trace = emit_trace(outcome, scenario, partners, round_index)
         files.append((trace_filename(scenario.site_id, round_index), serialize_trace(trace)))
         record = truth_record(outcome, scenario, round_index)
-        files.append((truth_filename(scenario.site_id, round_index), _COMPACT_JSON.encode(record) + "\n"))
-        rows.append(_COMPACT_JSON.encode(outcome_row(outcome, scenario, round_index)) + "\n")
+        files.append((truth_filename(scenario.site_id, round_index), compact_json(record) + "\n"))
+        rows.append(compact_json(outcome_row(outcome, scenario, round_index)) + "\n")
     return files, rows
 
 
@@ -337,38 +348,33 @@ class _TruthReader:
 
     def __init__(self, trace_dir: str):
         result_in, result_out = os.pipe()
-        # Forked before any thread or pool worker of this process starts.
-        self._pid = os.fork()
-        if self._pid == 0:
-            code = 1
+
+        def read_truth():
+            os.close(result_in)
             try:
-                os.close(result_in)
-                try:
-                    result = _read_truth(trace_dir)
-                except ConfigurationError as exc:
-                    result = (EXIT_CONFIG, str(exc))
-                except Exception as exc:  # noqa: BLE001 - reported by the parent
-                    result = (EXIT_RUNTIME, str(exc))
-                with open(result_out, "wb") as fh:
-                    marshal.dump(result, fh)
-                code = 0
-            finally:  # never return into the parent's code
-                os._exit(code)
+                result = _read_truth(trace_dir)
+            except ConfigurationError as exc:
+                result = (EXIT_CONFIG, str(exc))
+            except Exception as exc:  # noqa: BLE001 - reported by the parent
+                result = (EXIT_RUNTIME, str(exc))
+            with open(result_out, "wb") as fh:
+                marshal.dump(result, fh)
+
+        self._pid = _fork(read_truth)
         os.close(result_out)
         self._result = result_in
 
-    def _wait(self) -> tuple[bytes, int]:
-        """The bytes the child sent, once it has exited, and its exit code."""
+    def _wait(self) -> tuple[bytes, RuntimeError | None]:
+        """The bytes the child sent, once it has exited, and how it exited."""
         with open(self._result, "rb") as fh:
             data = fh.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        self._pid = None
-        return data, code
+        exited, self._pid = _reap(self._pid, "truth reader"), None
+        return data, exited
 
     def truth(self) -> dict[tuple[str, int], str]:
-        data, code = self._wait()
-        if code:
-            raise RuntimeError(f"the truth reader process exited with code {code}")
+        data, exited = self._wait()
+        if exited:
+            raise exited
         result = marshal.loads(data)
         if isinstance(result, tuple):  # (exit code, message)
             raise (ConfigurationError if result[0] == EXIT_CONFIG else RuntimeError)(result[1])
@@ -454,7 +460,7 @@ def cmd_detect(args) -> int:
                         # An error row's site_id is the name of the trace file it failed on.
                         key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
                         per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
-                    fh.write(_COMPACT_JSON.encode(row) + "\n")
+                    fh.write(compact_json(row) + "\n")
             os.replace(part_path, out_path)
         except BaseException:
             if os.path.exists(part_path):

@@ -24,8 +24,8 @@ The detector consumes only the trace itself, never the truth sidecar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from typing import NamedTuple
 
 from .domain import Facet, PartnerDirectory, decimal_str, lookup_partner, quantize_cpm, quantize_ms
 from .tracegen import KIND_DOM, KIND_REQUEST, KIND_RESPONSE, Trace, url_host
@@ -40,10 +40,9 @@ WRAPPER_DOM_EVENTS = frozenset(
 )
 
 
-# Not frozen: a frozen dataclass's __init__ costs several times as much, and
-# market_mix makes about ten of these a trace.  Treat them as immutable.
-@dataclass(slots=True)
-class DetectedBid:
+# Tuples: immutable and hashable, and several times cheaper to build than a
+# frozen dataclass; market_mix makes about ten of these a trace.
+class DetectedBid(NamedTuple):
     partner: str
     cpm: Decimal
     latency_ms: Decimal | None
@@ -51,8 +50,7 @@ class DetectedBid:
     channel: str
 
 
-@dataclass(slots=True)
-class SlotAuction:
+class SlotAuction(NamedTuple):
     slot_id: str
     size: str | None
     bids: tuple[DetectedBid, ...]
@@ -60,8 +58,7 @@ class SlotAuction:
     winner_cpm: Decimal | None
 
 
-@dataclass(slots=True)
-class DetectionResult:
+class DetectionResult(NamedTuple):
     """One trace's verdict; the defaults are those of a trace without HB."""
 
     site_id: str

@@ -112,6 +112,35 @@ def json_lines(lines) -> Iterator[tuple[int, dict]]:
         yield line_no, obj
 
 
+# Stands between the lines of a text decoded as one array: a string that no
+# line without a backslash can hold.
+_LINE_BREAK = '"\\u0000"'
+_BREAK_VALUE = "\x00"
+
+
+def json_text_lines(text: str) -> Iterator[tuple[int, dict]]:
+    """``json_lines(text.split("\\n"))``, in one decoder call for most texts.
+
+    A text of ASCII lines without a backslash is first decoded as one array,
+    ``_LINE_BREAK`` between every two lines.  That string can only come from
+    a break, so if it is every other value of the array, at every break,
+    each line held exactly one value and json.loads gives that line the
+    same one.  Otherwise, or if a value is not an object, the lines are
+    decoded one by one, for their errors."""
+    body = text[:-1] if text.endswith("\n") else text
+    if body.isascii() and "\\" not in body:
+        try:
+            values = json.loads("[" + body.replace("\n", "," + _LINE_BREAK + ",") + "]")
+        except (ValueError, RecursionError):
+            values = None
+        if values is not None:
+            objects = values[::2]
+            if (values[1::2] == [_BREAK_VALUE] * (len(objects) - 1) and body.count("\n") == len(objects) - 1
+                    and all(type(obj) is dict for obj in objects)):
+                return enumerate(objects, start=1)
+    return json_lines(text.split("\n"))
+
+
 def read_json_lines(path) -> Iterator[tuple[int, dict]]:
     """``json_lines`` of the file at ``path``, its undecodable bytes kept as surrogates so that
     their line can be named; a file that cannot be read is a ConfigurationError naming
@@ -155,19 +184,28 @@ def decimal_str(value: Decimal) -> str:
     return text or "0"
 
 
-# json.dumps(indent=...) falls back to the pure-Python encoder.  The C encoder
-# writes each container of scalars, with every item after the first on a line
-# of its own at ``indent``: encoded JSON holds no other newline.
 @functools.cache
-def _items_json(indent: str) -> Callable[[object], str]:
-    encoder = json.JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": "))
+def _json_encoder(item_separator: str, key_separator: str, sort_keys: bool) -> Callable[[object], str]:
+    """json.dumps with these separators and sort_keys, for values without cycles."""
+    encoder = json.JSONEncoder(sort_keys=sort_keys, separators=(item_separator, key_separator))
     if c_make_encoder is None:
         return encoder.encode
     # JSONEncoder.encode makes a new C encoder on every call; this one is made
     # once.  It keeps no cycle markers, which a failed call would leave behind.
-    encode = c_make_encoder(None, encoder.default, encode_basestring_ascii, None, ": ", ",\n" + indent,
-                            True, False, True)
+    encode = c_make_encoder(None, encoder.default, encode_basestring_ascii, None, key_separator, item_separator,
+                            sort_keys, False, True)
     return lambda value: "".join(encode(value, 0))
+
+
+# The text of json.dumps(value, separators=(",", ":")): one JSON Lines row.
+compact_json = _json_encoder(",", ":", False)
+
+
+# json.dumps(indent=...) falls back to the pure-Python encoder.  The C encoder
+# writes each container of scalars, with every item after the first on a line
+# of its own at ``indent``: encoded JSON holds no other newline.
+def _items_json(indent: str) -> Callable[[object], str]:
+    return _json_encoder(",\n" + indent, ": ", True)
 
 
 _CONTAINERS = frozenset((dict, list, tuple))

@@ -33,8 +33,8 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .auction import AuctionOutcome, CHANNEL_CLIENT, SlotOutcome, WaterfallOutcome
-from .domain import (MS_QUANTUM, DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario, decimal_str, json_lines,
-                     quantize_ms)
+from .domain import (MS_QUANTUM, DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario, decimal_str,
+                     json_text_lines, quantize_ms)
 
 DOM_EVENT_NAMES = (
     "auctionInit",
@@ -399,7 +399,7 @@ def parse_event(obj: dict, line_no: int) -> TraceEvent:
 
 
 def parse_trace_text(text: str, site_id: str, round_index: int) -> Trace:
-    return Trace(site_id, round_index, tuple(parse_event(obj, n) for n, obj in json_lines(text.split("\n"))))
+    return Trace(site_id, round_index, tuple([parse_event(obj, n) for n, obj in json_text_lines(text)]))
 
 
 _TRACE_NAME_RE = re.compile(r"^(?P<site>.+)__r(?P<round>\d+)\.trace\.jsonl$")

@@ -29,9 +29,35 @@ def test_compare_counts_wins_and_quartiles():
     assert higher["change"]["median"] == 127.5 and higher["ratio"] == 1.275
     assert (higher["wins"], higher["ties"], higher["pairs"]) == (9, 1, 10)
     assert higher["gain_exceeds_base_iqr"] and higher["within_bound"] and not higher["unresolved"]
+    assert higher["claim_met"]  # 9 wins in the 9 pairs that are not ties
     # The same numbers as times: every pair but the tie is a loss, and 27.5 % worse is past the bound.
     assert (lower["wins"], lower["ties"]) == (0, 1)
-    assert not lower["gain_exceeds_base_iqr"] and not lower["within_bound"]
+    assert not lower["gain_exceeds_base_iqr"] and not lower["within_bound"] and not lower["claim_met"]
+
+
+def _compare_one(base, change):
+    tool = load_tool()
+    runs = [{"base": {"metrics": {"t": b}}, "change": {"metrics": {"t": c}}} for b, c in zip(base, change)]
+    return tool.compare(runs, [{"name": "t", "unit": "traces/s", "better": "higher", "bound": 0.25}])["t"]
+
+
+def test_claim_needs_nine_wins_in_ten_and_a_gain_past_the_base_iqr():
+    base = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    # 8 wins of 10: a large gain is not enough.
+    eight = _compare_one(base, [200] * 8 + [90, 90])
+    assert eight["wins"] == 8 and eight["gain_exceeds_base_iqr"] and not eight["claim_met"]
+    # 10 wins of 10, but by less than the base's Q3 - Q1 (2.0).
+    small = _compare_one(base, [b + 1 for b in base])
+    assert small["wins"] == 10 and not small["gain_exceeds_base_iqr"] and not small["claim_met"]
+    assert _compare_one(base, [b + 10 for b in base])["claim_met"]
+
+
+def test_runs_that_separate_are_resolved_however_wide_the_base_spread():
+    base = [60, 140, 60, 140, 60, 140, 60, 140, 60, 140]  # Q3 - Q1 = 80, past the 0.25 bound
+    separated = _compare_one(base, [150] * 10)
+    assert not separated["unresolved"] and separated["wins"] == 10
+    overlapping = _compare_one(base, [150] * 9 + [130])
+    assert overlapping["unresolved"]
 
 
 def test_refuses_checkouts_whose_benchmarks_differ(tmp_path, capsys):

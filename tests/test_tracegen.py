@@ -5,7 +5,7 @@ import sys
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import make_partner, make_scenario, make_slot
@@ -463,6 +463,49 @@ def test_joined_lines_that_are_valid_json_still_fail():
     with pytest.raises(TraceParseError) as err:
         parse_trace_text('{"a":[1\n2]},{"b":1}\n', "s", 0)
     assert err.value.line_no == 1 and "invalid JSON" in str(err.value)
+
+
+# Whole lines, and pieces that only parse as JSON across a line break or next
+# to the break value of json_text_lines.
+_TEXT_LINES = st.one_of(
+    st.sampled_from(_TRACE_LINES + ("{}",)),
+    st.sampled_from(('{"a":[1', '2]}', '2]},{"b":1}', '{"a":1},{"b":2}', '"\\u0000"', '{"a":"\\u0000"}', "[]", "{}",
+                     '{"a":1}]', '[{"a":1}', '{"a":1},"\\u0000",{"b":2}', '{"a":1},', ',{"a":1}', " ", "\r")),
+    _LINES,
+)
+
+
+def _decoded_by_lines(text):
+    return list(domain.json_lines(text.split("\n")))
+
+
+def _decoded_as_text(text):
+    return list(domain.json_text_lines(text))
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=st.lists(_TEXT_LINES, max_size=6), end=st.sampled_from(("", "\n", "\n\n")))
+# Each but the last is valid JSON when decoded as one array: two values on a
+# line, a value across a break, and a break value on a line standing in for
+# one inside a value.
+@example(lines=['{"a":1},{"b":2}'], end="")
+@example(lines=['{"a":[1', "2]}"], end="\n")
+@example(lines=['{"a":[1', '2]},"\\u0000",{"b":2}'], end="\n")
+@example(lines=['{"a":"\udcff"}'], end="\n")  # an undecodable byte, kept as a surrogate escape
+def test_text_decode_equals_line_by_line_decode(lines, end):
+    """The (line number, object) pairs, or the TraceParseError message, of json_lines."""
+    text = "\n".join(lines) + end
+    assert oracles.json_outcome(_decoded_as_text, text) == oracles.json_outcome(_decoded_by_lines, text)
+
+
+def test_a_well_formed_trace_is_decoded_in_one_call(monkeypatch):
+    def by_lines(lines):
+        raise AssertionError("decoded line by line")
+
+    monkeypatch.setattr(domain, "json_lines", by_lines)
+    text = "\n".join(_TRACE_LINES) + "\n"
+    assert [(n, obj) for n, obj in domain.json_text_lines(text)] == [
+        (n, json.loads(line)) for n, line in enumerate(_TRACE_LINES, start=1)]
 
 
 _TS_TEXTS = st.one_of(

@@ -4,19 +4,22 @@
     python3 tools/bench_pairs.py --base ../parent --workload market_mix --pairs 10 --seed-from 4201
 
 For each workload, pair i runs ``python3 BASE/bench/run.py`` and ``python3
-bench/run.py`` with the same ``--seed`` (seed-from + i) and run length, the
-base first in even pairs and this checkout first in odd ones.  It refuses
-to run unless both ``bench/`` trees are byte-identical, so that the two
-sides differ only in the program they measure.
+bench/run.py`` with the same ``--seed`` (seed-from + i) and the run length
+of ``BENCHMARK.json``, the base first in even pairs and this checkout first
+in odd ones.  It refuses to run unless both ``bench/`` trees are
+byte-identical, so that the two sides differ only in the program they
+measure.
 
 The file it writes, the next free ``BENCH_<n>.json`` at the root of this
 checkout, holds every run's metrics and, per workload and end-to-end
 metric of ``BENCHMARK.json``, each side's median, Q1 and Q3, the
-change/base ratio of the medians, and the pairs the change won (ties count
-for neither side).  It also records the machine, both commits, and the
-SHA-256 of ``tools/pipeline_digests.py``'s output on each side, which are
-equal exactly when both sides produce the same bytes (``byte_identical``).
-``--workload`` may be repeated.  Standard library only.
+change/base ratio of the medians, the pairs the change won (ties count
+for neither side), and whether a gain claimed on the metric holds
+(``claim_met``, see ``compare``).  It also records the machine, both
+commits, and the SHA-256 of ``tools/pipeline_digests.py``'s output on
+each side, which are equal exactly when both sides produce the same bytes
+(``byte_identical``).  ``--workload`` may be repeated.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -101,7 +104,10 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
     medians differ in the better direction by more than the base's Q3 - Q1.
     ``within_bound``: the change's median is worse than the base's by no more
     than the metric's bound, a fraction of the base's.  ``unresolved``: the
-    base's Q3 - Q1 is wider than that bound."""
+    base's Q3 - Q1 is wider than that bound, and the runs do not separate
+    (some base run is as good as some change run).  ``claim_met``: the change
+    won at least 9 in 10 of the pairs that were not ties, and its gain
+    exceeds the base's Q3 - Q1."""
     out = {}
     for metric in metrics:
         name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
@@ -109,15 +115,19 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
         change = [run["change"]["metrics"][name] for run in runs]
         b, c = summary(base), summary(change)
         gain = (c["median"] - b["median"]) if higher else (b["median"] - c["median"])
+        wins = sum((y > x) if higher else (y < x) for x, y in zip(base, change))
+        ties = sum(x == y for x, y in zip(base, change))
+        separated = min(change) > max(base) if higher else max(change) < min(base)
         out[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": bound, "base": b, "change": c,
             "ratio": c["median"] / b["median"] if b["median"] else None,
-            "wins": sum((y > x) if higher else (y < x) for x, y in zip(base, change)),
-            "ties": sum(x == y for x, y in zip(base, change)),
+            "wins": wins,
+            "ties": ties,
             "pairs": len(runs),
             "gain_exceeds_base_iqr": gain > b["q3"] - b["q1"],
             "within_bound": -gain <= bound * abs(b["median"]),
-            "unresolved": b["q3"] - b["q1"] > bound * abs(b["median"]),
+            "unresolved": b["q3"] - b["q1"] > bound * abs(b["median"]) and not separated,
+            "claim_met": wins >= 0.9 * (len(runs) - ties) and gain > b["q3"] - b["q1"],
         }
     return out
 
@@ -128,14 +138,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True, help="bench workload (repeatable)")
     parser.add_argument("--pairs", type=int, required=True, help="alternating pairs per workload (at least 2)")
     parser.add_argument("--seed-from", type=int, required=True, help="seed of the first pair; pair i uses it + i")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length of each bench run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
     base = args.base.resolve()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     if tree_files(base / "bench") != tree_files(ROOT / "bench"):
         print(f"error: {base / 'bench'} and {ROOT / 'bench'} differ; both sides must run the same benchmark",
               file=sys.stderr)
