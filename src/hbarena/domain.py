@@ -204,6 +204,7 @@ compact_json = _json_encoder(",", ":", False)
 # json.dumps(indent=...) falls back to the pure-Python encoder.  The C encoder
 # writes each container of scalars, with every item after the first on a line
 # of its own at ``indent``: encoded JSON holds no other newline.
+@functools.cache
 def _items_json(indent: str) -> Callable[[object], str]:
     return _json_encoder(",\n" + indent, ": ", True)
 
