@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import functools
 import hashlib
+import marshal
 import os
+import signal
 import sys
 from decimal import Decimal
 from typing import Iterator
@@ -122,6 +125,28 @@ def _create_files(out_dir: str, frames, status: int) -> None:
         os.write(status, os.fsencode(str(exc)))
 
 
+def _fork(run) -> int:
+    """Forks a child process that calls ``run()`` and exits, with code 0 if
+    it returned and 1 if it raised, never returning into this process's
+    code; returns the child's pid.  Called before any thread or pool worker
+    of this process starts."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            run()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _reap(pid: int, what: str) -> RuntimeError | None:
+    """Waits for the child ``pid``; an error naming ``what`` if it did not exit with code 0."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return RuntimeError(f"the {what} process exited with code {code}") if code else None
+
+
 class _FileWriter:
     """One child process that creates the files it is sent while this
     process goes on, so that the kernel's file-creation time overlaps
@@ -132,17 +157,13 @@ class _FileWriter:
     def __init__(self, out_dir: str):
         frames_in, frames_out = os.pipe()
         status_in, status_out = os.pipe()
-        # Forked before any thread or pool worker of this process starts.
-        self._pid = os.fork()
-        if self._pid == 0:
-            code = 1
-            try:
-                os.close(frames_out)  # else this process would hold its own stream open
-                with open(frames_in, "rb") as frames:
-                    _create_files(out_dir, frames, status_out)
-                code = 0
-            finally:  # never return into the parent's code
-                os._exit(code)
+
+        def create_files():
+            os.close(frames_out)  # else this process would hold its own stream open
+            with open(frames_in, "rb") as frames:
+                _create_files(out_dir, frames, status_out)
+
+        self._pid = _fork(create_files)
         os.close(frames_in)
         os.close(status_out)
         self._frames = open(frames_out, "wb")
@@ -170,10 +191,8 @@ class _FileWriter:
             pass
         with open(self._status, "rb") as fh:
             failure = fh.read()  # until the child exits
-        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        if failure:
-            return OSError(os.fsdecode(failure))
-        return RuntimeError(f"the file writer process exited with code {code}") if code else None
+        exited = _reap(self._pid, "file writer")
+        return OSError(os.fsdecode(failure)) if failure else exited
 
     def __enter__(self) -> "_FileWriter":
         return self
@@ -306,9 +325,9 @@ def _load_directory(args) -> PartnerDirectory:
     return builtin_directory()
 
 
-def _score(per_trace: list[tuple], trace_dir: str) -> None:
-    """Print precision, recall and facet accuracy of (key, failed, is_hb,
-    facet) per trace against the truth sidecars."""
+def _read_truth(trace_dir: str) -> dict[tuple[str, int], str]:
+    """The facet of each (site id, round index) in the truth sidecars of
+    trace_dir, read in name order, the last row for a key winning."""
     truth: dict[tuple[str, int], str] = {}
     for path in sorted(os.path.join(trace_dir, n) for n in os.listdir(trace_dir) if n.endswith(".truth.jsonl")):
         for line_no, row in read_json_lines(path):
@@ -316,6 +335,63 @@ def _score(per_trace: list[tuple], trace_dir: str) -> None:
             if (type(site_id), type(round_index), type(facet)) != (str, int, str):
                 raise ConfigurationError(f"{path}:{line_no}: needs a string site_id, int round_index and string facet")
             truth[(site_id, round_index)] = facet
+    return truth
+
+
+class _TruthReader:
+    """One child process that runs ``_read_truth`` while this process
+    detects, since nothing needs the truth until the results are written.
+    ``truth()`` waits for the child and returns the map, or raises what
+    stopped it: a ConfigurationError again as one, any other exception as a
+    RuntimeError, with the same text.  Leaving the ``with`` block before
+    that kills the child."""
+
+    def __init__(self, trace_dir: str):
+        result_in, result_out = os.pipe()
+
+        def read_truth():
+            os.close(result_in)
+            try:
+                result = _read_truth(trace_dir)
+            except ConfigurationError as exc:
+                result = (EXIT_CONFIG, str(exc))
+            except Exception as exc:  # noqa: BLE001 - reported by the parent
+                result = (EXIT_RUNTIME, str(exc))
+            with open(result_out, "wb") as fh:
+                marshal.dump(result, fh)
+
+        self._pid = _fork(read_truth)
+        os.close(result_out)
+        self._result = result_in
+
+    def _wait(self) -> tuple[bytes, RuntimeError | None]:
+        """The bytes the child sent, once it has exited, and how it exited."""
+        with open(self._result, "rb") as fh:
+            data = fh.read()
+        exited, self._pid = _reap(self._pid, "truth reader"), None
+        return data, exited
+
+    def truth(self) -> dict[tuple[str, int], str]:
+        data, exited = self._wait()
+        if exited:
+            raise exited
+        result = marshal.loads(data)
+        if isinstance(result, tuple):  # (exit code, message)
+            raise (ConfigurationError if result[0] == EXIT_CONFIG else RuntimeError)(result[1])
+        return result
+
+    def __enter__(self) -> "_TruthReader":
+        return self
+
+    def __exit__(self, *_) -> None:
+        if self._pid is not None:  # the truth was never asked for
+            os.kill(self._pid, signal.SIGKILL)
+            self._wait()
+
+
+def _score(per_trace: list[tuple], truth: dict[tuple[str, int], str]) -> None:
+    """Print precision, recall and facet accuracy of (key, failed, is_hb,
+    facet) per trace against the truth map of ``_read_truth``."""
     tp = fp = fn = tn = 0
     scored = errors = 0
     facet_hits = facet_total = 0
@@ -365,7 +441,6 @@ def cmd_detect(args) -> int:
         raise ConfigurationError(f"trace directory not found: {args.trace_dir}")
     directory = _load_directory(args)
     trace_names = sorted(n for n in os.listdir(args.trace_dir) if n.endswith(".trace.jsonl"))
-    rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")
     if not os.path.isdir(os.path.dirname(out_path) or "."):
         raise ConfigurationError(f"cannot write {out_path}: its directory does not exist")
@@ -374,25 +449,27 @@ def cmd_detect(args) -> int:
     part_path = out_path + ".part"
     per_trace: list[tuple] = []
     errors = 0
-    try:
-        with open(part_path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                failed = "error" in row
-                errors += failed
-                if args.score:
-                    # An error row's site_id is the name of the trace file it failed on.
-                    key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
-                    per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
-                fh.write(compact_json(row) + "\n")
-        os.replace(part_path, out_path)
-    except BaseException:
-        if os.path.exists(part_path):
-            os.remove(part_path)
-        raise
-    print(f"detected over {len(trace_names)} traces -> {out_path}"
-          + (f" ({errors} errors)" if errors else ""))
-    if args.score:
-        _score(per_trace, args.trace_dir)
+    with _TruthReader(args.trace_dir) if args.score else contextlib.nullcontext() as reader:
+        rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
+        try:
+            with open(part_path, "w", encoding="utf-8") as fh:
+                for row in rows:
+                    failed = "error" in row
+                    errors += failed
+                    if args.score:
+                        # An error row's site_id is the name of the trace file it failed on.
+                        key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
+                        per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
+                    fh.write(compact_json(row) + "\n")
+            os.replace(part_path, out_path)
+        except BaseException:
+            if os.path.exists(part_path):
+                os.remove(part_path)
+            raise
+        print(f"detected over {len(trace_names)} traces -> {out_path}"
+              + (f" ({errors} errors)" if errors else ""))
+        if args.score:
+            _score(per_trace, reader.truth())
     return EXIT_PARSE_ERRORS if errors else EXIT_OK
 
 

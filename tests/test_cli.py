@@ -808,6 +808,65 @@ def test_bad_sidecar_with_jobs_2_matches_jobs_1(mixed_run, tmp_path, capsys, sid
     assert outputs[0][0] == 1 and outputs[1] == outputs[0]
 
 
+def test_truth_sidecars_are_read_in_another_process(tmp_path, capsys, monkeypatch):
+    """detect --score reads the sidecars in a child process, not in this one."""
+    out = tmp_path / "run"
+    simulate_minimal(out)
+    readers = tmp_path / "readers"
+
+    def read_json_lines(path):
+        with open(readers, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_read_json_lines(path)
+
+    real_read_json_lines = cli.read_json_lines
+    monkeypatch.setattr(cli, "read_json_lines", read_json_lines)
+    assert main(["detect", str(out), "--score"]) == 0
+    assert "precision=1 recall=1 facet_accuracy=1" in capsys.readouterr().out
+    pids = readers.read_text().split()
+    assert len(pids) == 1 and int(pids[0]) != os.getpid()
+
+
+def test_failing_sidecar_listing_exits_2_after_writing_results(tmp_path, capsys, monkeypatch):
+    """An error in the sidecar reader, here listing the directory a second
+    time, is a runtime error with its own message once results.jsonl is written."""
+    out = tmp_path / "run"
+    simulate_minimal(out)
+    assert main(["detect", str(out)]) == 0
+    results = (out / "results.jsonl").read_bytes()
+    calls = []
+
+    def listdir(path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise PermissionError(13, "Permission denied", path)
+        return real_listdir(path)
+
+    real_listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", listdir)
+    capsys.readouterr()
+    assert main(["detect", str(out), "--score"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"detected over 1 traces -> {out / 'results.jsonl'}\n"
+    assert captured.err == f"runtime error: [Errno 13] Permission denied: {str(out)!r}\n"
+    assert (out / "results.jsonl").read_bytes() == results
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_error_while_sidecars_are_read_leaves_no_child(mixed_run, tmp_path, capsys, monkeypatch, jobs):
+    """A detect --score that fails in this process ends its sidecar reader
+    (the conftest fixture fails a test that leaves a child behind)."""
+    run = tmp_path / "run"
+    shutil.copytree(mixed_run, run)
+
+    def result_row(result):
+        raise RuntimeError("no row")
+
+    monkeypatch.setattr(cli, "result_row", result_row)
+    assert main(["detect", str(run), "--score", "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == "runtime error: no row\n"
+
+
 def test_cli_import_leaves_out_the_process_pool():
     """concurrent.futures, and the logging it imports, load only when a pool starts."""
     src = Path(cli.__file__).resolve().parent.parent
