@@ -108,99 +108,99 @@ def _map_ordered(fn, tasks: list, jobs: int, initializer=None, initargs=()) -> I
             yield from pending.popleft().result()
 
 
-def _create_files(out_dir: str, frames, status: int) -> None:
-    """The writer process of ``_FileWriter``: creates in out_dir each file
-    framed on ``frames`` until EOF, and writes to ``status`` the text of
-    the OSError that stopped it, if one did."""
-    try:
-        while len(head := frames.read(8)) == 8:
-            name = frames.read(int.from_bytes(head[:4], "little"))
-            size = int.from_bytes(head[4:], "little")
-            data = frames.read(size)
-            if len(data) < size:  # the parent stopped in mid-frame
-                break
-            with open(os.path.join(out_dir, os.fsdecode(name)), "wb") as fh:
-                fh.write(data)
-    except OSError as exc:
-        os.write(status, os.fsencode(str(exc)))
+def _create_files(out_dir: str, frames) -> None:
+    """The file writer's ``run``: creates in out_dir each file framed on
+    ``frames`` until EOF."""
+    while len(head := frames.read(8)) == 8:
+        name = frames.read(int.from_bytes(head[:4], "little"))
+        size = int.from_bytes(head[4:], "little")
+        data = frames.read(size)
+        if len(data) < size:  # the parent stopped in mid-frame
+            break
+        with open(os.path.join(out_dir, os.fsdecode(name)), "wb") as fh:
+            fh.write(data)
 
 
-def _fork(run) -> int:
-    """Forks a child process that calls ``run()`` and exits, with code 0 if
-    it returned and 1 if it raised, never returning into this process's
-    code; returns the child's pid.  Called before any thread or pool worker
-    of this process starts."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            run()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+class _Helper:
+    """One child process, forked before any thread or pool worker of this
+    process starts, that runs ``run(stream)`` while this process goes on.
+    ``stream`` reads what ``send`` writes; the pipe bounds the bytes in
+    flight, so ``send`` blocks while the child is behind.  ``result()`` ends
+    the stream, waits for the child and returns what ``run`` returned, or
+    raises what it raised: a ConfigurationError again as one, any other
+    exception as a RuntimeError, with the same text.  A child that exits
+    without a reply is a RuntimeError naming ``what``.  Leaving the ``with``
+    block before ``result()`` kills the child."""
 
-
-def _reap(pid: int, what: str) -> RuntimeError | None:
-    """Waits for the child ``pid``; an error naming ``what`` if it did not exit with code 0."""
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return RuntimeError(f"the {what} process exited with code {code}") if code else None
-
-
-class _FileWriter:
-    """One child process that creates the files it is sent while this
-    process goes on, so that the kernel's file-creation time overlaps
-    simulation.  The pipe bounds the bytes in flight: ``send`` blocks while
-    the child is behind.  A child's OSError is raised by a later ``send``
-    or at the end of the ``with`` block, which waits for the child."""
-
-    def __init__(self, out_dir: str):
-        frames_in, frames_out = os.pipe()
-        status_in, status_out = os.pipe()
-
-        def create_files():
-            os.close(frames_out)  # else this process would hold its own stream open
-            with open(frames_in, "rb") as frames:
-                _create_files(out_dir, frames, status_out)
-
-        self._pid = _fork(create_files)
-        os.close(frames_in)
-        os.close(status_out)
-        self._frames = open(frames_out, "wb")
-        self._status = status_in
+    def __init__(self, what: str, run):
+        stream_in, stream_out = os.pipe()
+        reply_in, reply_out = os.pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            code = 1
+            try:
+                os.close(stream_out)  # else this process would hold its own stream open
+                os.close(reply_in)
+                with open(stream_in, "rb") as stream:
+                    try:
+                        reply = (EXIT_OK, run(stream))
+                    except ConfigurationError as exc:
+                        reply = (EXIT_CONFIG, str(exc))
+                    except Exception as exc:  # noqa: BLE001 - raised again by the parent
+                        reply = (EXIT_RUNTIME, str(exc))
+                with open(reply_out, "wb") as fh:
+                    marshal.dump(reply, fh)
+                code = 0
+            finally:
+                os._exit(code)  # never back into this process's code
+        os.close(stream_in)
+        os.close(reply_out)
+        self._what = what
+        self._stream = open(stream_out, "wb")
+        self._reply = reply_in
 
     def fileno(self) -> int:
-        """The pipe's write end, which processes forked later must close."""
-        return self._frames.fileno()
+        """The stream's write end, which processes forked later must close."""
+        return self._stream.fileno()
 
     def send(self, name: str, data: bytes) -> None:
+        """Streams one file's name and bytes, framed as ``_create_files`` reads them."""
         encoded = os.fsencode(name)
         try:
-            self._frames.write(len(encoded).to_bytes(4, "little") + len(data).to_bytes(4, "little") + encoded)
-            self._frames.write(data)
-        except BrokenPipeError:  # the child stopped early: raise why
-            raise self._stop() from None
+            self._stream.write(len(encoded).to_bytes(4, "little") + len(data).to_bytes(4, "little") + encoded)
+            self._stream.write(data)
+        except BrokenPipeError:  # the child stopped early: result() raises why
+            self.result()
+            raise
 
-    def _stop(self) -> Exception | None:
-        """Ends the stream, waits for the child and returns what stopped it."""
-        if self._frames.closed:  # stopped already
-            return None
+    def _wait(self) -> tuple[bytes, int]:
+        """Ends the stream; the child's reply and exit code, once it has exited."""
         try:
-            self._frames.close()
-        except BrokenPipeError:  # the child stopped early; it says why below
+            self._stream.close()
+        except BrokenPipeError:  # the child stopped early; its reply says why
             pass
-        with open(self._status, "rb") as fh:
-            failure = fh.read()  # until the child exits
-        exited = _reap(self._pid, "file writer")
-        return OSError(os.fsdecode(failure)) if failure else exited
+        with open(self._reply, "rb") as fh:
+            reply = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        self._pid = None
+        return reply, code
 
-    def __enter__(self) -> "_FileWriter":
+    def result(self):
+        reply, code = self._wait()
+        if code:
+            raise RuntimeError(f"the {self._what} process exited with code {code}")
+        status, value = marshal.loads(reply)
+        if status != EXIT_OK:
+            raise (ConfigurationError if status == EXIT_CONFIG else RuntimeError)(value)
+        return value
+
+    def __enter__(self) -> "_Helper":
         return self
 
-    def __exit__(self, exc_type, *_) -> None:
-        failure = self._stop()  # after an exception the child writes what it has and ends
-        if exc_type is None and failure is not None:
-            raise failure
+    def __exit__(self, *_) -> None:
+        if self._pid is not None:  # left before result()
+            os.kill(self._pid, signal.SIGKILL)
+            self._wait()
 
 
 def _simulate_site(task) -> tuple[list[tuple[str, str]], list[str]]:
@@ -269,7 +269,7 @@ def cmd_simulate(args) -> int:
     tasks = [(site, sf.partners, master_seed, sf.rounds_per_site)
              for site in sorted(sites, key=lambda site: site.site_id)]
     digests: dict[str, str] = {}
-    with _FileWriter(out_dir) as writer:
+    with _Helper("file writer", lambda frames: _create_files(out_dir, frames)) as writer:
 
         def outcome_lines():
             for texts, rows in _map_ordered(_simulate_site, tasks, args.jobs, os.close, (writer.fileno(),)):
@@ -280,6 +280,7 @@ def cmd_simulate(args) -> int:
                 yield from rows
 
         digests["outcomes.jsonl"] = _write(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines())
+        writer.result()
     directory = indented_json(sf.directory().to_json())
     digests["directory.json"] = _write(os.path.join(out_dir, "directory.json"), [directory, "\n"])
 
@@ -338,57 +339,6 @@ def _read_truth(trace_dir: str) -> dict[tuple[str, int], str]:
     return truth
 
 
-class _TruthReader:
-    """One child process that runs ``_read_truth`` while this process
-    detects, since nothing needs the truth until the results are written.
-    ``truth()`` waits for the child and returns the map, or raises what
-    stopped it: a ConfigurationError again as one, any other exception as a
-    RuntimeError, with the same text.  Leaving the ``with`` block before
-    that kills the child."""
-
-    def __init__(self, trace_dir: str):
-        result_in, result_out = os.pipe()
-
-        def read_truth():
-            os.close(result_in)
-            try:
-                result = _read_truth(trace_dir)
-            except ConfigurationError as exc:
-                result = (EXIT_CONFIG, str(exc))
-            except Exception as exc:  # noqa: BLE001 - reported by the parent
-                result = (EXIT_RUNTIME, str(exc))
-            with open(result_out, "wb") as fh:
-                marshal.dump(result, fh)
-
-        self._pid = _fork(read_truth)
-        os.close(result_out)
-        self._result = result_in
-
-    def _wait(self) -> tuple[bytes, RuntimeError | None]:
-        """The bytes the child sent, once it has exited, and how it exited."""
-        with open(self._result, "rb") as fh:
-            data = fh.read()
-        exited, self._pid = _reap(self._pid, "truth reader"), None
-        return data, exited
-
-    def truth(self) -> dict[tuple[str, int], str]:
-        data, exited = self._wait()
-        if exited:
-            raise exited
-        result = marshal.loads(data)
-        if isinstance(result, tuple):  # (exit code, message)
-            raise (ConfigurationError if result[0] == EXIT_CONFIG else RuntimeError)(result[1])
-        return result
-
-    def __enter__(self) -> "_TruthReader":
-        return self
-
-    def __exit__(self, *_) -> None:
-        if self._pid is not None:  # the truth was never asked for
-            os.kill(self._pid, signal.SIGKILL)
-            self._wait()
-
-
 def _score(per_trace: list[tuple], truth: dict[tuple[str, int], str]) -> None:
     """Print precision, recall and facet accuracy of (key, failed, is_hb,
     facet) per trace against the truth map of ``_read_truth``."""
@@ -444,12 +394,15 @@ def cmd_detect(args) -> int:
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")
     if not os.path.isdir(os.path.dirname(out_path) or "."):
         raise ConfigurationError(f"cannot write {out_path}: its directory does not exist")
+    if os.path.isdir(out_path):
+        raise ConfigurationError(f"cannot write {out_path}: it is a directory")
     # Rows are written as they come, to a file that replaces out_path only
     # when every trace is done; --score keeps one small tuple per trace.
     part_path = out_path + ".part"
     per_trace: list[tuple] = []
     errors = 0
-    with _TruthReader(args.trace_dir) if args.score else contextlib.nullcontext() as reader:
+    with (_Helper("truth reader", lambda _: _read_truth(args.trace_dir)) if args.score
+          else contextlib.nullcontext()) as reader:
         rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
         try:
             with open(part_path, "w", encoding="utf-8") as fh:
@@ -469,7 +422,7 @@ def cmd_detect(args) -> int:
         print(f"detected over {len(trace_names)} traces -> {out_path}"
               + (f" ({errors} errors)" if errors else ""))
         if args.score:
-            _score(per_trace, reader.truth())
+            _score(per_trace, reader.result())
     return EXIT_PARSE_ERRORS if errors else EXIT_OK
 
 

@@ -59,26 +59,7 @@ class TraceParseError(ValueError):
         self.line_no, self.message = line_no, message
 
 
-_scan_once = json.JSONDecoder().scan_once  # the C scanner behind json.loads
-_SCAN_MAX_BRACKETS = 32
-_UNSCANNED = object()
 _SURROGATE = re.compile("[\ud800-\udfff]")  # in decoded text, an undecodable byte kept as surrogate escape
-
-
-def _scanned(line: str):
-    """json.loads(line)'s value when the C scanner decodes the whole line on
-    its own, without json.loads's three Python frames; else _UNSCANNED, and
-    json.loads gives the value or the error.  So it does for surrounding
-    whitespace, a BOM, malformed text, too many digits, and many brackets:
-    the scanner runs two frames shallower than json.loads's does, so nested
-    close to the recursion limit it could succeed where json.loads fails."""
-    if line.count("[") + line.count("{") > _SCAN_MAX_BRACKETS:
-        return _UNSCANNED
-    try:
-        obj, end = _scan_once(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        return _UNSCANNED
-    return obj if end == len(line) else _UNSCANNED
 
 
 def json_lines(lines) -> Iterator[tuple[int, dict]]:
@@ -87,15 +68,13 @@ def json_lines(lines) -> Iterator[tuple[int, dict]]:
     UTF-8 (undecodable bytes kept as surrogate escapes), not JSON, not an
     object, or that holds a lone surrogate is a ``TraceParseError``."""
     for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")  # with it, the scanner's value would end short of the line
+        line = line.rstrip("\n")
         if not line.strip():
             continue
         if not line.isascii() and _SURROGATE.search(line):
             raise TraceParseError(line_no, "not UTF-8 text")
         try:
-            obj = _scanned(line)
-            if obj is _UNSCANNED:
-                obj = json.loads(line)
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from None
         except (ValueError, RecursionError) as exc:  # too many digits, too deep

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -596,13 +597,16 @@ def test_report_out_naming_a_file_exits_1(tmp_path, capsys):
 
 
 def test_detect_out_in_a_missing_directory_exits_1(tmp_path, capsys, monkeypatch):
+    """So does a --out naming a directory: both fail before any detection."""
     simulate_minimal(tmp_path / "run")
     monkeypatch.setattr(cli, "parse_trace_file", lambda *a: pytest.fail("detected into an unusable --out"))
-    target = tmp_path / "missing" / "results.jsonl"
-    assert main(["detect", str(tmp_path / "run"), "--out", str(target)]) == 1
-    err = capsys.readouterr().err
-    assert str(target) in err and "runtime error" not in err
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "results.jsonl", tmp_path / "taken"):
+        assert main(["detect", str(tmp_path / "run"), "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert str(target) in err and "runtime error" not in err
     assert not (tmp_path / "missing").exists()
+    assert list((tmp_path / "taken").iterdir()) == [] and not (tmp_path / "taken.part").exists()
 
 
 def test_detect_then_report_over_results(tmp_path):
@@ -865,6 +869,34 @@ def test_error_while_sidecars_are_read_leaves_no_child(mixed_run, tmp_path, caps
     monkeypatch.setattr(cli, "result_row", result_row)
     assert main(["detect", str(run), "--score", "--jobs", jobs]) == 2
     assert capsys.readouterr().err == "runtime error: no row\n"
+
+
+def kill_self(*_):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_writer_that_dies_without_a_word_exits_2(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "_create_files", kill_self)  # the writer is forked with it
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(write(tmp_path, MIXED)), "--out", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == "runtime error: the file writer process exited with code -9\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_truth_reader_that_dies_without_a_word_exits_2_after_writing_results(mixed_run, tmp_path, capsys,
+                                                                             monkeypatch, jobs):
+    run = tmp_path / "run"
+    shutil.copytree(mixed_run, run)
+    (run / "results.jsonl").unlink()
+    monkeypatch.setattr(cli, "_read_truth", kill_self)  # the reader is forked with it
+    capsys.readouterr()
+    assert main(["detect", str(run), "--score", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("detected over ") and "scored" not in captured.out
+    assert captured.err == "runtime error: the truth reader process exited with code -9\n"
+    assert (run / "results.jsonl").read_bytes() == (mixed_run / "results.jsonl").read_bytes()
 
 
 def test_cli_import_leaves_out_the_process_pool():
