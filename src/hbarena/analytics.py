@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from decimal import Decimal
 from heapq import merge
 from itertools import chain
@@ -165,11 +164,17 @@ class _Loader:
     def auction(self, site_id, facet, is_hb, partners, total, slot_count, rank, bids) -> None:
         """``bids`` yields (partner, size, cpm, latency or None, late, channel)."""
         rec, one = self.records, self.one
+        if type(partners) is not list:
+            raise TypeError(f"the partner list {partners!r} is not a list")
+        if type(is_hb) is not bool:
+            raise TypeError(f"is_hb {is_hb!r} is not true or false")
         add_cpm, add_latency, client_bids = rec.cpm.add, rec.bid_latency.add, rec.client_bids
         n_bids = n_client = n_late = 0
         for partner, size, cpm, latency, late, channel in bids:
             if partner is None:
                 raise TypeError("a bid's partner is null")
+            if late is not True and late is not False:
+                raise TypeError(f"a bid's late {late!r} is not true or false")
             partner = one(partner)
             n_bids += 1
             add_cpm((partner, size, facet), _scaled(cpm, CPM_SCALE))
@@ -203,8 +208,11 @@ class _Loader:
                     for tier in row.get("tiers_tried", ()) if tier.get("bid") is not None)
         else:
             bids = self._slot_bids(row)
+        for key in ("slot_count", "rank"):
+            if isinstance(row.get(key), (bool, float)):  # int() would file 2.5 as 2 and true as 1
+                raise TypeError(f"{key} {row[key]!r} is not an integer")
         rank = row.get("rank")
-        self.auction(row["site_id"], facet, facet in HB_FACETS, row.get("partner_ids", ()),
+        self.auction(row["site_id"], facet, facet in HB_FACETS, row.get("partner_ids", []),
                      row.get("total_latency_ms"), int(row.get("slot_count", 0)),
                      None if rank is None else int(rank), bids)
 
@@ -217,11 +225,11 @@ class _Loader:
                     arrived, requested = bid.get("arrived_at_ms"), bid.get("requested_at_ms")
                     if arrived is not None and requested is not None:
                         latency = _difference(_scaled(arrived, MS_SCALE), _scaled(requested, MS_SCALE))
-                yield bid["partner"], size, bid["cpm"], latency, bool(bid.get("late")), bid.get("channel", "client")
+                yield bid["partner"], size, bid["cpm"], latency, bid.get("late", False), bid.get("channel", "client")
 
     def result_row(self, row: dict, rank_by_site: dict[str, int] | None) -> None:
         site_id = row["site_id"]
-        self.auction(site_id, self.one(row.get("facet")), bool(row.get("is_hb")), row.get("partners", ()),
+        self.auction(site_id, self.one(row.get("facet")), row["is_hb"], row.get("partners", []),
                      row.get("hb_latency_ms"), len(row.get("auctions", ())),
                      rank_by_site.get(site_id) if rank_by_site else None, self._result_bids(row))
 
@@ -231,7 +239,7 @@ class _Loader:
             for bid in auction.get("bids", ()):
                 latency = bid.get("latency_ms")
                 yield (bid["partner"], size, bid["cpm"], None if latency is None else _scaled(latency, MS_SCALE),
-                       bool(bid.get("late")), bid.get("channel", "client"))
+                       bid.get("late", False), bid.get("channel", "client"))
 
 
 def load_records(path, rank_by_site: dict[str, int] | None = None) -> Records:
@@ -280,8 +288,7 @@ def percentile(values, q_pct: int) -> Decimal:
 _PERCENTILES = (5, 25, 50, 75, 95)
 
 
-@dataclass(frozen=True)
-class StatsSummary:
+class StatsSummary(NamedTuple):
     count: int
     p5: Decimal
     p25: Decimal

@@ -9,9 +9,8 @@ ad server; a bid arriving at the handoff instant still counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from decimal import Decimal
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .domain import (
     ConfigurationError,
@@ -27,8 +26,7 @@ CHANNEL_CLIENT = "client"
 CHANNEL_AD_SERVER = "ad_server"
 
 
-@dataclass(frozen=True)
-class Bid:
+class Bid(NamedTuple):
     partner_id: str
     slot_id: str
     cpm: Decimal
@@ -38,8 +36,7 @@ class Bid:
     channel: str
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
     slot_id: str
     size: str
     floor_price: Decimal
@@ -50,8 +47,7 @@ class SlotOutcome:
     render_failed: bool = False
 
 
-@dataclass(frozen=True)
-class AuctionOutcome:
+class AuctionOutcome(NamedTuple):
     site_id: str
     round_index: int
     facet: Facet
@@ -66,15 +62,13 @@ class AuctionOutcome:
         return sum(1 for slot in self.slots for bid in slot.bids if bid.late)
 
 
-@dataclass(frozen=True)
-class TierTrial:
+class TierTrial(NamedTuple):
     partner_id: str
     bid: Decimal | None
     latency_ms: Decimal
 
 
-@dataclass(frozen=True)
-class WaterfallOutcome:
+class WaterfallOutcome(NamedTuple):
     site_id: str
     round_index: int
     slot_id: str
@@ -181,7 +175,7 @@ def _slot_outcomes(scenario, bids_by_slot, master_seed, round_index) -> tuple[Sl
             )
         )
     failed = _render_failures(scenario, [s.slot_id for s in out if s.filled], master_seed, round_index)
-    return tuple(replace(s, render_failed=True) if s.slot_id in failed else s for s in out)
+    return tuple(s._replace(render_failed=True) if s.slot_id in failed else s for s in out)
 
 
 def _add_bids(bids_by_slot, slots, pid, cpms, requested_at, arrived_at, late, channel) -> None:

@@ -40,8 +40,6 @@ WRAPPER_DOM_EVENTS = frozenset(
 )
 
 
-# Tuples: immutable and hashable, and several times cheaper to build than a
-# frozen dataclass; market_mix makes about ten of these a trace.
 class DetectedBid(NamedTuple):
     partner: str
     cpm: Decimal

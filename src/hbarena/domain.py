@@ -18,11 +18,10 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, Iterator, NamedTuple
 from importlib import resources
 
 MS_QUANTUM = Decimal("0.001")
@@ -235,14 +234,15 @@ class WrapperPolicy(str, Enum):
     IMMEDIATE = "immediate"
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """Sampling model for one random quantity: a fixed value, a lognormal
     (mu and sigma of the underlying normal, in log-units), or an empirical
     sample list.
 
-    Subclasses name the quantity and fix its JSON unit suffix, quantizer
-    and lower bound; the schema and the checks are shared.
+    Subclasses set the class attributes that the schema and the shared
+    checks read: ``noun``; ``unit``, the JSON key suffix (value_<unit>,
+    samples_<unit>); ``quantize``, to a canonical ``Decimal``; and
+    ``minimum``, the smallest value a draw may take.
     """
 
     kind: str
@@ -250,11 +250,6 @@ class Distribution:
     mu: float | None = None
     sigma: float | None = None
     samples: tuple[Decimal, ...] = ()
-
-    noun: ClassVar[str]
-    unit: ClassVar[str]  # JSON key suffix: value_<unit>, samples_<unit>
-    quantize: ClassVar[Callable[[object], Decimal]]
-    minimum: ClassVar[Decimal]  # smallest value a draw may take
 
     @classmethod
     def fixed(cls, value):
@@ -337,8 +332,7 @@ class BidModel(Distribution):
     minimum = Decimal(0)  # non-negative
 
 
-@dataclass(frozen=True)
-class AdSlotSpec:
+class AdSlotSpec(NamedTuple):
     slot_id: str
     width: int
     height: int
@@ -362,8 +356,7 @@ class AdSlotSpec:
         return out
 
 
-@dataclass(frozen=True)
-class DemandPartnerSpec:
+class DemandPartnerSpec(NamedTuple):
     """A bidder: where its traffic comes from and how it bids.
 
     response_probability is the chance the partner answers a bid request at
@@ -392,8 +385,7 @@ class DemandPartnerSpec:
         return out
 
 
-@dataclass(frozen=True)
-class WebsiteScenario:
+class WebsiteScenario(NamedTuple):
     """One publisher's configuration for a simulated round.
 
     For waterfall_only sites the partner order is the tier priority.  The
@@ -414,8 +406,7 @@ class WebsiteScenario:
     render_fail_probability: Decimal = Decimal(0)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
     warnings: tuple[str, ...] = ()
 
@@ -498,15 +489,14 @@ def _host_suffix(domain: str) -> str:
     return domain.lower().strip().strip(".")
 
 
-@dataclass(frozen=True)
-class PartnerDirectory:
+class PartnerDirectory(NamedTuple):
     """Hostname-suffix to partner-id map used for request attribution.
 
     Matching is on whole host labels: sub.adnxs.com matches the adnxs.com
     entry, notadnxs.com does not.  Treated as immutable after construction.
     """
 
-    entries: dict[str, str] = field(default_factory=dict)
+    entries: dict[str, str]
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "PartnerDirectory":

@@ -19,9 +19,9 @@ A field of the wrong type or out of range is a ConfigurationError naming it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from itertools import accumulate
+from typing import NamedTuple
 
 from .domain import (
     AdSlotSpec,
@@ -59,8 +59,7 @@ _GENERATOR_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
+class ScenarioFile(NamedTuple):
     master_seed: int | None
     rounds_per_site: int
     output_dir: str | None

@@ -26,10 +26,10 @@ from __future__ import annotations
 import functools
 import os
 import re
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 from urllib.parse import urlsplit
 
 from .auction import AuctionOutcome, CHANNEL_CLIENT, SlotOutcome, WaterfallOutcome
@@ -88,22 +88,18 @@ def _host_before_query(url: str) -> str | None:
     return parts.hostname if parts.scheme in _WEB_SCHEMES else None
 
 
-# Not frozen: a trace holds one event per record, and a frozen dataclass's
-# __init__ costs several times as much per event.  Treat events as immutable.
-@dataclass(slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     ts_ms: Decimal
     kind: str
     event_name: str | None = None
     url: str | None = None
     direction: str | None = None
-    params: dict[str, str] = field(default_factory=dict)
+    params: Mapping[str, str] = MappingProxyType({})
     auction_id: str | None = None
     slot_id: str | None = None
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     site_id: str
     round_index: int
     events: tuple[TraceEvent, ...]

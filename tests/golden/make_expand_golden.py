@@ -31,14 +31,14 @@ WORKLOADS = {
 def _plain(value):
     if isinstance(value, Decimal):
         return str(value)
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
     if isinstance(value, Enum):  # Facet, WrapperPolicy
         return value.value
     if hasattr(value, "to_json"):  # latency models
         return value.to_json()
-    if hasattr(value, "__dataclass_fields__"):
-        return {name: _plain(getattr(value, name)) for name in value.__dataclass_fields__}
+    if hasattr(value, "_fields"):  # records, before the tuples they are
+        return {name: _plain(getattr(value, name)) for name in value._fields}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
     return value
 
 

@@ -487,11 +487,18 @@ def edited(row: dict, old: str, new: str) -> bytes:
         (edited(RESULT_ROW, '"facet": "client_side"', '"facet": 7'), "7 is not a string"),
         (edited(RESULT_ROW, '"partners": ["p1"]', '"partners": [7]'), "7 is not a string"),
         (edited(RESULT_ROW, '"partner": "p1"', '"partner": null'), "partner is null"),
+        (edited(OUTCOME_ROW, '"slot_count": 1', '"slot_count": 2.5'), "slot_count 2.5 is not an integer"),
+        (edited(OUTCOME_ROW, '"rank": 1', '"rank": true'), "rank True is not an integer"),
+        (edited(OUTCOME_ROW, '"partner_ids": ["p1"]', '"partner_ids": "abc"'), "partner list 'abc' is not a list"),
+        (edited(RESULT_ROW, '"partners": ["p1"]', '"partners": "abc"'), "partner list 'abc' is not a list"),
+        (edited(RESULT_ROW, '"is_hb": true', '"is_hb": "false"'), "is_hb 'false' is not true or false"),
+        (edited(RESULT_ROW, '"late": false', '"late": "false"'), "late 'false' is not true or false"),
     ],
     ids=["not-json", "array", "no-site-id", "site-id-number", "not-utf-8", "slot-count-abc", "rank-abc", "rank-0",
          "rank-minus-3", "slots-5", "no-cpm", "cpm-abc", "cpm-nan", "cpm-infinity", "cpm-1e30", "cpm-minus-1e22",
          "latency-2e22", "site-id-surrogate", "partner-surrogate", "partner-7", "size-7", "facet-7", "partners-7",
-         "partner-null"],
+         "partner-null", "slot-count-2.5", "rank-true", "partner-ids-string", "partners-string", "is-hb-string",
+         "late-string"],
 )
 def test_report_malformed_row_exits_1_naming_line(tmp_path, capsys, line, words):
     path = tmp_path / "results.jsonl"

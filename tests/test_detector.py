@@ -5,7 +5,6 @@ ground truth constructed independently by the auction engine.
 """
 
 import builtins
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -191,9 +190,7 @@ class TestExtraction:
             if event.kind == "dom_event" and event.event_name == "bidResponse":
                 params = dict(event.params)
                 params["hb_price"] = "not-a-number"
-                from dataclasses import replace
-
-                event = replace(event, params=params)
+                event = event._replace(params=params)
             events.append(event)
         mutated = Trace(trace.site_id, trace.round_index, tuple(events))
         result = extract_auction_metadata(mutated, DIRECTORY)
@@ -300,7 +297,7 @@ def test_unusable_price_is_a_warning_not_a_bid(price):
     # Every priced record: p1 and p2's bidResponses, p1's bidWon, the ad
     # server's response naming p1.
     events = [
-        replace(e, params=dict(e.params, hb_price=price)) if "hb_price" in e.params else e
+        e._replace(params=dict(e.params, hb_price=price)) if "hb_price" in e.params else e
         for e in late_bid_trace().events
     ]
     result = extract_auction_metadata(Trace("site-a", 0, tuple(events)), DIRECTORY)

@@ -126,7 +126,7 @@ def test_partner_violations():
     bad = make_partner("p1", response_probability="1.5")
     assert any("response_probability" in v for v in bad.violations())
     no_domains = make_partner("p2")
-    object.__setattr__(no_domains, "domains", ())
+    no_domains = no_domains._replace(domains=())
     assert any("domains" in v for v in no_domains.violations())
 
 

@@ -1,7 +1,9 @@
 """The runtime imports nothing outside the standard library."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +29,13 @@ def test_module_imports_only_the_standard_library(path):
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+@pytest.mark.parametrize("module", ["hbarena.cli", "hbarena.scenario"])
+def test_import_leaves_out_dataclasses(module):
+    """Records are NamedTuples: no command pays for dataclasses and the inspect it imports.
+    The benchmark's set-up child imports only hbarena.scenario."""
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
