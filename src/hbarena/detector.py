@@ -15,6 +15,15 @@ Facet classification:
   client_side   wrapper DOM events present, ad server is first-party and
                 names no new bidders
 
+extract_auction_metadata reads a trace in one pass, in file order.  It notes
+whether the trace shows HB at all, whether a wrapper DOM event fired, the
+first auctionEnd, the earliest outbound request, each bidder's first request,
+the first request without a bidder (the ad request), the partners and client
+bidders seen, and it keeps the bidResponse, bidWon and render events and the
+responses without a bidder.  After the pass it picks the ad server's
+responses (from the ad request's host, at or after it), decides the facet,
+and builds the bids, winners and sizes of each slot.
+
 Documented ambiguous corner: a client-side publisher that points its wrapper
 at an ad server hosted on a known demand-partner domain is indistinguishable
 from hybrid and will be classified as such.
@@ -80,108 +89,78 @@ def _price(params: dict[str, str]) -> Decimal | None:
     return cpm if cpm.is_finite() else None
 
 
-class _Facts:
-    """What one pass over a trace's events, in file order, saw.
-
-    The facet, bids, winners, late count and latency are all derived from
-    these facts.  Hosts are taken once per distinct URL and looked up in the
-    directory once per distinct host.
-    """
-
-    def __init__(self, trace: Trace, directory: PartnerDirectory):
-        self.directory = directory
-        self.hosts: dict[str | None, str | None] = {}
-        self.resolved: dict[str, str | None] = {}
-        self.is_hb = False
-        self.wrapper = False  # any wrapper bid-flow DOM event
-        self.auction_end = None  # of the first auctionEnd in file order
-        self.first_outbound = None
-        self.request_ts: dict[str, Decimal] = {}  # bidder -> its first outbound request
-        self.ad_request = None  # the first outbound request without a bidder
-        self.bid_responses = []
-        self.slot_events = []  # bidWon and render events
-        self.client_bidders: set[str] = set()
-        self.partners: set[str] = set()
-        unmatched = []  # responses without a bidder
-
-        for event in trace.events:
-            params = event.params
-            if event.kind == KIND_DOM:
-                self.is_hb = True
-                name = event.event_name
-                self.wrapper = self.wrapper or name in WRAPPER_DOM_EVENTS
-                if name == "bidRequested" or name == "bidResponse":
-                    bidder = params.get("bidder")
-                    if bidder is not None:
-                        self.client_bidders.add(bidder)
-                        if bidder:
-                            self.partners.add(bidder)
-                    if name == "bidResponse":
-                        self.bid_responses.append(event)
-                elif name == "auctionEnd":
-                    if self.auction_end is None:
-                        self.auction_end = event.ts_ms
-                elif name in ("bidWon", "slotRenderEnded", "adRenderFailed"):
-                    self.slot_events.append(event)
-                continue
-            bidder = params.get("bidder")
-            if event.kind == KIND_REQUEST and event.direction == "outbound":
-                if self.first_outbound is None or event.ts_ms < self.first_outbound:
-                    self.first_outbound = event.ts_ms
-                if bidder is None:
-                    self.ad_request = self.ad_request or event
-                elif bidder not in self.request_ts:
-                    self.request_ts[bidder] = event.ts_ms
-            if bidder is not None:
-                host = self.host(event.url)
-                resolved = self.lookup(host) if host else None
-                self.client_bidders.add(resolved or bidder)
-                if host:
-                    self.partners.add(resolved or f"unknown:{host}")
-            elif event.kind == KIND_RESPONSE:
-                unmatched.append(event)
-            # Known partner or not, HB-parameter traffic is HB activity;
-            # attribution differs, detection does not.
-            if not self.is_hb and any(
-                k in HB_PARAM_KEYWORDS or k.startswith(HB_PARAM_PREFIX) for k in params
-            ):
-                self.is_hb = self.host(event.url) is not None
-
-        # The ad server's responses: from the request's host, at or after it.
-        self.ad_responses = []
-        if self.ad_request is not None:
-            host, ts = self.host(self.ad_request.url), self.ad_request.ts_ms
-            self.ad_responses = [e for e in unmatched if e.ts_ms >= ts and self.host(e.url) == host]
-
-    def host(self, url: str | None) -> str | None:
-        if url not in self.hosts:
-            self.hosts[url] = url_host(url)
-        return self.hosts[url]
-
-    def lookup(self, host: str) -> str | None:
-        if host not in self.resolved:
-            self.resolved[host] = lookup_partner(host, self.directory)
-        return self.resolved[host]
-
-    def facet(self) -> Facet:
-        if not self.wrapper:
-            return Facet.SERVER_SIDE
-        for response in self.ad_responses:
-            named = response.params.get("hb_partner")
-            if named and named not in self.client_bidders:
-                return Facet.HYBRID
-        host = self.host(self.ad_request.url) if self.ad_request is not None else None
-        return Facet.HYBRID if host and self.lookup(host) else Facet.CLIENT_SIDE
-
-
 def extract_auction_metadata(trace: Trace, directory: PartnerDirectory) -> DetectionResult:
     """Pull partners, per-slot bids, winners, late counts, and the HB latency
     (first outbound bid request to ad-server response) out of one trace."""
-    facts = _Facts(trace, directory)
-    if not facts.is_hb:
+    resolved: dict[str, str | None] = {}  # host -> partner, looked up once per trace
+
+    def lookup(host: str) -> str | None:
+        if host not in resolved:
+            resolved[host] = lookup_partner(host, directory)
+        return resolved[host]
+
+    is_hb = wrapper = False  # wrapper: any wrapper bid-flow DOM event
+    auction_end = first_outbound = ad_request = None  # ad_request: (ts, url)
+    request_ts: dict[str, Decimal] = {}  # bidder -> its first outbound request
+    bid_responses, slot_events, unmatched = [], [], []  # unmatched: responses without a bidder
+    client_bidders: set[str] = set()
+    partners: set[str] = set()
+    for ts, kind, name, url, direction, params, _, slot_id in trace.events:
+        if kind == KIND_DOM:
+            is_hb = True
+            wrapper = wrapper or name in WRAPPER_DOM_EVENTS
+            if name == "bidRequested" or name == "bidResponse":
+                bidder = params.get("bidder")
+                if bidder is not None:
+                    client_bidders.add(bidder)
+                    if bidder:
+                        partners.add(bidder)
+                if name == "bidResponse":
+                    bid_responses.append((ts, params, slot_id))
+            elif name == "auctionEnd":
+                if auction_end is None:
+                    auction_end = ts
+            elif name in ("bidWon", "slotRenderEnded", "adRenderFailed"):
+                slot_events.append((name, params, slot_id))
+            continue
+        bidder = params.get("bidder")
+        if kind == KIND_REQUEST and direction == "outbound":
+            if first_outbound is None or ts < first_outbound:
+                first_outbound = ts
+            if bidder is None:
+                ad_request = ad_request or (ts, url)
+            elif bidder not in request_ts:
+                request_ts[bidder] = ts
+        if bidder is not None:
+            host = url_host(url)
+            partner = lookup(host) if host else None
+            client_bidders.add(partner or bidder)
+            if host:
+                partners.add(partner or f"unknown:{host}")
+        elif kind == KIND_RESPONSE:
+            unmatched.append((ts, url, params, slot_id))
+        # Known partner or not, HB-parameter traffic is HB activity;
+        # attribution differs, detection does not.
+        if not is_hb and any(k in HB_PARAM_KEYWORDS or k.startswith(HB_PARAM_PREFIX) for k in params):
+            is_hb = url_host(url) is not None
+    if not is_hb:
         return DetectionResult(trace.site_id, trace.round_index)
-    facet = facts.facet()
-    partners = facts.partners
+
+    # The ad server's responses: from the request's host, at or after it.
+    ad_host, ad_responses = None, []
+    if ad_request is not None:
+        ad_host = url_host(ad_request[1])
+        ad_responses = [(ts, params, slot_id) for ts, url, params, slot_id in unmatched
+                        if ts >= ad_request[0] and url_host(url) == ad_host]
+    if not wrapper:
+        facet = Facet.SERVER_SIDE
+    elif (ad_host and lookup(ad_host)) or any(
+        p.get("hb_partner") and p["hb_partner"] not in client_bidders for _, p, _ in ad_responses
+    ):
+        facet = Facet.HYBRID
+    else:
+        facet = Facet.CLIENT_SIDE
+
     warnings = 0
     late_count = 0
     slot_bids: dict[str, list[DetectedBid]] = {}
@@ -196,60 +175,55 @@ def extract_auction_metadata(trace: Trace, directory: PartnerDirectory) -> Detec
             if size and slot_id not in slot_sizes:
                 slot_sizes[slot_id] = size
 
-    auction_end = facts.auction_end
-    for event in facts.bid_responses:
-        cpm = _price(event.params)
+    for ts, params, slot_id in bid_responses:
+        cpm = _price(params)
         if cpm is None:
             warnings += 1
             continue
-        bidder = event.params.get("bidder", "")
-        note_slot(event.slot_id, event.params.get("hb_size"))
-        late = auction_end is not None and event.ts_ms > auction_end
+        bidder = params.get("bidder", "")
+        note_slot(slot_id, params.get("hb_size"))
+        late = auction_end is not None and ts > auction_end
         late_count += late
-        latency = event.ts_ms - facts.request_ts.get(bidder, Decimal(0))
+        latency = ts - request_ts.get(bidder, Decimal(0))
         bid = DetectedBid(bidder or "unknown:", cpm, quantize_ms(latency), late, "client")
-        slot_bids.setdefault(event.slot_id or "", []).append(bid)
+        slot_bids.setdefault(slot_id or "", []).append(bid)
 
-    for event in facts.slot_events:
-        if event.event_name == "bidWon":
-            cpm = _price(event.params)
+    for name, params, slot_id in slot_events:
+        if name == "bidWon":
+            cpm = _price(params)
             if cpm is None:
                 warnings += 1
                 continue
-            note_slot(event.slot_id, event.params.get("hb_size"))
-            slot_winner[event.slot_id or ""] = (event.params.get("bidder", ""), cpm)
+            note_slot(slot_id, params.get("hb_size"))
+            slot_winner[slot_id or ""] = (params.get("bidder", ""), cpm)
         else:
-            note_slot(event.slot_id, event.params.get("hb_size"))
+            note_slot(slot_id, params.get("hb_size"))
 
     hb_latency = None
-    request, responses = facts.ad_request, facts.ad_responses
-    if responses:
-        hb_latency = quantize_ms(responses[0].ts_ms - (facts.first_outbound or Decimal(0)))
-        host = facts.host(request.url)
-        if host:
-            resolved = facts.lookup(host)
-            if resolved:
-                partners.add(resolved)
+    if ad_responses:
+        hb_latency = quantize_ms(ad_responses[0][0] - (first_outbound or Decimal(0)))
+        if ad_host:
+            partner = lookup(ad_host)
+            if partner:
+                partners.add(partner)
             elif facet is Facet.SERVER_SIDE:
-                partners.add(f"unknown:{host}")
-        for response in responses:
-            named = response.params.get("hb_partner")
+                partners.add(f"unknown:{ad_host}")
+        for _, params, slot_id in ad_responses:
+            named = params.get("hb_partner")
             if not named:
-                note_slot(response.slot_id, None)
+                note_slot(slot_id, None)
                 continue
-            cpm = _price(response.params)
+            cpm = _price(params)
             if cpm is None:
                 warnings += 1
                 continue
-            note_slot(response.slot_id, response.params.get("hb_size"))
-            if response.slot_id not in slot_winner:
-                slot_winner[response.slot_id or ""] = (named, cpm)
-            if named not in facts.client_bidders:
+            note_slot(slot_id, params.get("hb_size"))
+            if slot_id not in slot_winner:
+                slot_winner[slot_id or ""] = (named, cpm)
+            if named not in client_bidders:
                 # New information only: a server-side price the client flow
                 # never showed.  Client winners echoed back are not re-added.
-                slot_bids.setdefault(response.slot_id or "", []).append(
-                    DetectedBid(named, cpm, None, False, "ad_server")
-                )
+                slot_bids.setdefault(slot_id or "", []).append(DetectedBid(named, cpm, None, False, "ad_server"))
 
     auctions = []
     for slot_id in sorted(slot_bids):

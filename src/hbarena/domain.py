@@ -22,6 +22,7 @@ from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple
+from urllib.parse import urlsplit
 from importlib import resources
 
 MS_QUANTUM = Decimal("0.001")
@@ -376,8 +377,9 @@ class DemandPartnerSpec(NamedTuple):
             out.append(f"{where}: partner_id must match {_ID_RE.pattern}")
         if not self.domains:
             out.append(f"{where}: domains must be non-empty")
-        if not all(map(_host_suffix, self.domains)):
-            out.append(f"{where}: domains must not hold an empty entry")
+        if not all(map(_bare_host, self.domains)):
+            out.append(f"{where}: domains must hold bare host names, with no scheme, port, path, "
+                       "userinfo or blank")
         if not (0 <= self.response_probability <= 1):
             out.append(f"{where}: response_probability must be in [0, 1]")
         out.extend(self.latency_model.violations(f"{where} latency_model"))
@@ -487,6 +489,16 @@ def _fails(part, checked: dict) -> bool:
 def _host_suffix(domain: str) -> str:
     """A directory entry's key: lower case, without surrounding blanks or dots."""
     return domain.lower().strip().strip(".")
+
+
+def _bare_host(domain: str) -> bool:
+    """Whether a domains entry is what the host of a URL on it gives back,
+    so that the directory entry it makes matches that URL."""
+    try:
+        host = urlsplit(f"https://{domain}/").hostname
+    except ValueError:  # an unbalanced IPv6 bracket
+        return False
+    return host == domain.lower() and bool(_host_suffix(domain)) and not any(map(str.isspace, domain))
 
 
 class PartnerDirectory(NamedTuple):

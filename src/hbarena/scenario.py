@@ -193,7 +193,7 @@ def load_scenario_file(path) -> ScenarioFile:
     return ScenarioFile(
         master_seed=master_seed,
         rounds_per_site=_integer(data.get("rounds_per_site", 1), "rounds_per_site"),
-        output_dir=data.get("output_dir"),
+        output_dir=_typed(data.get("output_dir"), (str, type(None)), "output_dir", "a string"),
         partners=partners,
         sites=sites,
         generator=generator,

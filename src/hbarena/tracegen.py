@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 from urllib.parse import urlsplit
 
-from .auction import AuctionOutcome, CHANNEL_CLIENT, SlotOutcome, WaterfallOutcome
+from .auction import AuctionOutcome, CHANNEL_CLIENT, WaterfallOutcome
 from .domain import (MS_QUANTUM, DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario, decimal_str,
                      json_text_lines, quantize_ms)
 
@@ -123,50 +123,6 @@ def _site_host(site_id: str) -> str:
     return "adserver." + re.sub(r"[^a-z0-9-]", "-", site_id.lower()) + ".example"
 
 
-def _partner_host(spec: DemandPartnerSpec) -> str:
-    return spec.domains[0]
-
-
-def _dom(ts, name, params=None, auction_id=None, slot_id=None) -> TraceEvent:
-    return TraceEvent(
-        ts_ms=ts,
-        kind=KIND_DOM,
-        event_name=name,
-        params=dict(params or {}),
-        auction_id=auction_id,
-        slot_id=slot_id,
-    )
-
-
-def _web(ts, kind, url, direction, params=None, auction_id=None, slot_id=None) -> TraceEvent:
-    return TraceEvent(
-        ts_ms=ts,
-        kind=kind,
-        url=url,
-        direction=direction,
-        params=dict(params or {}),
-        auction_id=auction_id,
-        slot_id=slot_id,
-    )
-
-
-def _winner_channel(slot: SlotOutcome) -> str | None:
-    if slot.winner is None:
-        return None
-    pid, _ = slot.winner
-    for bid in slot.bids:
-        if bid.partner_id == pid and not bid.late:
-            return bid.channel
-    return None
-
-
-def _render_events(slot: SlotOutcome, ts, aid) -> list[TraceEvent]:
-    if not slot.filled:
-        return []
-    name = "adRenderFailed" if slot.render_failed else "slotRenderEnded"
-    return [_dom(ts, name, {"hb_size": slot.size}, auction_id=aid, slot_id=slot.slot_id)]
-
-
 def _emit_wrapper_round(
     outcome: AuctionOutcome,
     scenario: WebsiteScenario,
@@ -175,13 +131,15 @@ def _emit_wrapper_round(
     aid = f"{outcome.site_id}:r{outcome.round_index}"
     send = outcome.wrapper_send_time_ms
 
-    events: list[TraceEvent] = []
-    events.append(_dom(_ROUND_START, "auctionInit", auction_id=aid))
-    events.append(_dom(_ROUND_START, "requestBids", auction_id=aid))
+    # No code mutates an event's params, so the events of one bid request or
+    # response share one dict.
+    events = [TraceEvent(_ROUND_START, KIND_DOM, "auctionInit", auction_id=aid),
+              TraceEvent(_ROUND_START, KIND_DOM, "requestBids", auction_id=aid)]
     for pid in scenario.partners:
-        url = f"https://{_partner_host(partners[pid])}/hb/bid?auction={aid}&bidder={pid}"
-        events.append(_dom(_ROUND_START, "bidRequested", {"bidder": pid}, auction_id=aid))
-        events.append(_web(_ROUND_START, KIND_REQUEST, url, "outbound", {"bidder": pid}, auction_id=aid))
+        url = f"https://{partners[pid].domains[0]}/hb/bid?auction={aid}&bidder={pid}"
+        params = {"bidder": pid}
+        events.append(TraceEvent(_ROUND_START, KIND_DOM, "bidRequested", params=params, auction_id=aid))
+        events.append(TraceEvent(_ROUND_START, KIND_REQUEST, None, url, "outbound", params, aid))
 
     # One response record per (partner, slot) bid keeps the flat parameter
     # map collision-free; all of one partner's bids share its arrival time.
@@ -189,21 +147,13 @@ def _emit_wrapper_round(
         for bid in slot.bids:
             if bid.channel != CHANNEL_CLIENT:
                 continue
-            url = f"https://{_partner_host(partners[bid.partner_id])}/hb/bid?auction={aid}&bidder={bid.partner_id}"
-            params = {
-                "bidder": bid.partner_id,
-                "hb_price": decimal_str(bid.cpm),
-                "hb_size": slot.size,
-            }
-            events.append(
-                _web(bid.arrived_at_ms, KIND_RESPONSE, url, "inbound", params,
-                     auction_id=aid, slot_id=slot.slot_id)
-            )
-            events.append(
-                _dom(bid.arrived_at_ms, "bidResponse", params, auction_id=aid, slot_id=slot.slot_id)
-            )
+            pid, ts, sid = bid.partner_id, bid.arrived_at_ms, slot.slot_id
+            url = f"https://{partners[pid].domains[0]}/hb/bid?auction={aid}&bidder={pid}"
+            params = {"bidder": pid, "hb_price": decimal_str(bid.cpm), "hb_size": slot.size}
+            events.append(TraceEvent(ts, KIND_RESPONSE, None, url, "inbound", params, aid, sid))
+            events.append(TraceEvent(ts, KIND_DOM, "bidResponse", params=params, auction_id=aid, slot_id=sid))
 
-    events.append(_dom(send, "auctionEnd", auction_id=aid))
+    events.append(TraceEvent(send, KIND_DOM, "auctionEnd", auction_id=aid))
     events += _ad_server_exchange(outcome, scenario, partners, send)
     return events
 
@@ -221,52 +171,48 @@ def _ad_server_exchange(
     """
     aid = f"{outcome.site_id}:r{outcome.round_index}"
     if scenario.ad_server_partner_id:
-        ad_host = _partner_host(partners[scenario.ad_server_partner_id])
+        ad_host = partners[scenario.ad_server_partner_id].domains[0]
     else:
         ad_host = _site_host(outcome.site_id)
     ad_url = f"https://{ad_host}/hb/auction?auction={aid}"
     response_at = outcome.ad_server_response_time_ms
 
-    events = [_web(sent_at, KIND_REQUEST, ad_url, "outbound", {"hb_auction": aid}, auction_id=aid)]
+    events = [TraceEvent(sent_at, KIND_REQUEST, None, ad_url, "outbound", {"hb_auction": aid}, aid)]
     for slot in outcome.slots:
         params = {"hb_auction": aid}
         if slot.winner is not None:
             pid, cpm = slot.winner
             params.update({"hb_partner": pid, "hb_price": decimal_str(cpm), "hb_size": slot.size})
-        events.append(
-            _web(response_at, KIND_RESPONSE, ad_url, "inbound", params,
-                 auction_id=aid, slot_id=slot.slot_id)
-        )
+        events.append(TraceEvent(response_at, KIND_RESPONSE, None, ad_url, "inbound", params, aid, slot.slot_id))
     for slot in outcome.slots:
-        if slot.winner is not None and _winner_channel(slot) == CHANNEL_CLIENT:
+        if slot.winner is not None:
             pid, cpm = slot.winner
-            events.append(
-                _dom(response_at, "bidWon",
-                     {"bidder": pid, "hb_price": decimal_str(cpm), "hb_size": slot.size},
-                     auction_id=aid, slot_id=slot.slot_id)
-            )
-        events.extend(_render_events(slot, response_at, aid))
+            # The winner's channel: that of its first bid that was not late.
+            channel = next((bid.channel for bid in slot.bids if bid.partner_id == pid and not bid.late), None)
+            if channel == CHANNEL_CLIENT:
+                params = {"bidder": pid, "hb_price": decimal_str(cpm), "hb_size": slot.size}
+                events.append(TraceEvent(response_at, KIND_DOM, "bidWon", params=params,
+                                         auction_id=aid, slot_id=slot.slot_id))
+        if slot.filled:
+            name = "adRenderFailed" if slot.render_failed else "slotRenderEnded"
+            events.append(TraceEvent(response_at, KIND_DOM, name, params={"hb_size": slot.size},
+                                     auction_id=aid, slot_id=slot.slot_id))
     return events
 
 
 def _emit_waterfall(
     outcome: WaterfallOutcome,
-    scenario: WebsiteScenario,
     partners: Mapping[str, DemandPartnerSpec],
 ) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     t = _ROUND_START
     for i, trial in enumerate(outcome.tiers_tried):
-        host = _partner_host(partners[trial.partner_id])
-        url = f"https://{host}/wf/ad?tier={i}"
-        events.append(_web(t, KIND_REQUEST, url, "outbound"))
+        url = f"https://{partners[trial.partner_id].domains[0]}/wf/ad?tier={i}"
+        events.append(TraceEvent(t, KIND_REQUEST, url=url, direction="outbound"))
         t += trial.latency_ms
         won = outcome.winner is not None and i == len(outcome.tiers_tried) - 1
-        if won:
-            params = {"price": decimal_str(outcome.winner[1])}
-        else:
-            params = {"nobid": "1"}
-        events.append(_web(t, KIND_RESPONSE, url, "inbound", params))
+        params = {"price": decimal_str(outcome.winner[1])} if won else {"nobid": "1"}
+        events.append(TraceEvent(t, KIND_RESPONSE, None, url, "inbound", params))
     return events
 
 
@@ -285,7 +231,7 @@ def emit_trace(
     if outcome is None:
         return Trace(scenario.site_id, round_index, ())
     if isinstance(outcome, WaterfallOutcome):
-        events = _emit_waterfall(outcome, scenario, partners)
+        events = _emit_waterfall(outcome, partners)
     elif outcome.facet is Facet.SERVER_SIDE:
         events = _ad_server_exchange(outcome, scenario, partners, _ROUND_START)
     else:

@@ -1217,6 +1217,13 @@ GEN = ("generator",)
         ("minimal", _set(("partners", 1, "domains"), ["ADNXS.com."]),
          "domain 'adnxs.com' is listed by partners 'appnexus' and 'criteo'"),
         ("market_mix", _set(GEN + ("site_prefix",), 7), "site_prefix"),
+        ("minimal", _set(("partners", 0, "domains"), ["adnxs.com:8080"]), "partner 'appnexus': domains"),
+        ("minimal", _set(("partners", 0, "domains"), ["https://adnxs.com"]), "partner 'appnexus': domains"),
+        ("minimal", _set(("partners", 0, "domains"), ["adnxs.com/path"]), "partner 'appnexus': domains"),
+        ("minimal", _set(("partners", 0, "domains"), [" adnxs.com"]), "partner 'appnexus': domains"),
+        ("minimal", _set(("output_dir",), 5), "output_dir"),
+        ("minimal", _set(("output_dir",), True), "output_dir"),
+        ("minimal", _set(("output_dir",), []), "output_dir"),
     ],
     ids=[
         "nan-facet-weight", "inf-slot-size-weight", "nan-partner-count-weight", "negative-inf-slot-count-weight",
@@ -1225,7 +1232,8 @@ GEN = ("generator",)
         "num-sites-2.5", "waterfall-tiers-minus-1", "rounds-x", "master-seed-x", "partner-not-object",
         "slot-floor-nan", "response-probability-nan", "site-render-fail-nan", "domains-string",
         "lognormal-mu-true", "lognormal-sigma-true", "domains-empty-entry", "domains-dot-entry",
-        "domain-of-two-partners", "site-prefix-7",
+        "domain-of-two-partners", "site-prefix-7", "domains-port", "domains-scheme", "domains-path",
+        "domains-leading-blank", "output-dir-5", "output-dir-true", "output-dir-list",
     ],
 )
 def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field):

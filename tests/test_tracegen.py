@@ -271,8 +271,10 @@ class TestRoundTrip:
         n_slots=st.integers(min_value=1, max_value=3),
         policy=st.sampled_from(list(WrapperPolicy)),
         respond=st.decimals(min_value=0, max_value=1, places=2),
+        render_fail=st.sampled_from(["0", "0.5", "1"]),
     )
-    def test_round_trip_over_randomized_rounds(self, seed, facet, n_partners, n_slots, policy, respond):
+    def test_round_trip_over_randomized_rounds(self, seed, facet, n_partners, n_slots, policy, respond,
+                                               render_fail):
         roster = {
             f"p{i}": make_partner(
                 f"p{i}", latency_ms=str(50 + 37 * i), bid_cpm=str(Decimal("0.05") * (i + 1)),
@@ -289,6 +291,7 @@ class TestRoundTrip:
             ad_server_partner_id=(
                 "adserve" if facet in (Facet.SERVER_SIDE, Facet.HYBRID) else None
             ),
+            render_fail_probability=render_fail,
         )
         outcome = run_scenario(scenario, roster, seed)
         trace = emit_trace(outcome, scenario, roster)
