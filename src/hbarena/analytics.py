@@ -4,9 +4,9 @@ paper's reports, each one grouping of the auctions.
 ``load_records`` reads a file once into integer columns: every time becomes
 a whole number of µs and every price a whole number of micro-CPM, appended
 to the column of the keys it can be grouped by.  A distribution report
-merges the columns of each group and gives the group's percentiles and
-mean.  A share report counts HB sites per group from facts kept per site,
-and every cell of its row is that count over all HB sites.
+sorts the values of each group's columns in one sort and gives the group's
+percentiles and mean.  A share report counts HB sites per group from facts
+kept per site, and every cell of its row is that count over all HB sites.
 
 Percentiles use linear interpolation between closest ranks, and each cell
 becomes one exact ``Decimal``, so grouped reports are exact and byte-stable.
@@ -20,11 +20,12 @@ import csv
 from array import array
 from collections import Counter, defaultdict
 from decimal import Decimal
-from heapq import merge
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
-from .domain import HB_FACETS, ConfigurationError, decimal_str, json_chunks, quantize_cpm, read_json_lines
+from .domain import (HB_FACETS, ConfigurationError, compact_json, decimal_str, json_chunks, quantize_cpm,
+                     read_json_lines)
 
 RANK_BIN_WIDTH = 500
 POPULARITY_BIN_WIDTH = 10
@@ -152,42 +153,82 @@ class _Shared(dict):
         return key
 
 
+_TIMES_KEPT = 1 << 14  # about 2 MiB; market_mix's 5,000 auctions hold 7,184 distinct bid times
+
+
+class _Times(dict):
+    """``times[value]`` is ``_scaled(value, MS_SCALE)``, converted once per
+    distinct string while at most ``_TIMES_KEPT`` are kept; past that, the
+    cache starts over.  Only strings are kept: as a key, ``True`` would find ``1``."""
+
+    def __missing__(self, value):
+        units = _scaled(value, MS_SCALE)
+        if type(value) is str:
+            if len(self) >= _TIMES_KEPT:
+                self.clear()
+            self[value] = units
+        return units
+
+
+
 class _Loader:
     """Files one row at a time into ``Records``.  ``one(value)`` is the
     first equal value seen, so each partner, size, facet, key and partner
-    set of a file is stored once."""
+    set of a file is stored once, and ``ms`` converts each bid time once."""
 
     def __init__(self, records: Records):
         self.records = records
         self.one = _Shared().__getitem__
+        self.ms = _Times()
 
-    def auction(self, site_id, facet, is_hb, partners, total, slot_count, rank, bids) -> None:
-        """``bids`` yields (partner, size, cpm, latency or None, late, channel)."""
-        rec, one = self.records, self.one
+    def auction(self, site_id, facet, is_hb, partners, total, slot_count, rank, slots, timed: bool) -> None:
+        """``slots`` holds a (size, bid dicts) pair per slot.  A bid without a
+        channel is a client bid.  Its latency is its ``latency_ms``, or when
+        ``timed``, its ``arrived_at_ms`` less its ``requested_at_ms`` if its
+        channel says client."""
+        rec, one, ms = self.records, self.one, self.ms
         if type(partners) is not list:
             raise TypeError(f"the partner list {partners!r} is not a list")
         if type(is_hb) is not bool:
             raise TypeError(f"is_hb {is_hb!r} is not true or false")
-        add_cpm, add_latency, client_bids = rec.cpm.add, rec.bid_latency.add, rec.client_bids
+        cpm, bid_latency, client_bids = rec.cpm, rec.bid_latency, rec.client_bids
         n_bids = n_client = n_late = 0
-        for partner, size, cpm, latency, late, channel in bids:
-            if partner is None:
-                raise TypeError("a bid's partner is null")
-            if late is not True and late is not False:
-                raise TypeError(f"a bid's late {late!r} is not true or false")
-            partner = one(partner)
-            n_bids += 1
-            add_cpm((partner, size, facet), _scaled(cpm, CPM_SCALE))
-            if latency is not None:
-                add_latency(partner, latency)
-            if channel == "client":
-                n_client += 1
-                n_late += late
-                tally = client_bids.get(partner)
-                if tally is None:
-                    tally = client_bids[partner] = [0, 0]
-                tally[0] += 1
-                tally[1] += late
+        for size, bids in slots:
+            for bid in bids:
+                partner, late, channel = bid["partner"], bid.get("late", False), bid.get("channel", "client")
+                if partner is None:
+                    raise TypeError("a bid's partner is null")
+                if late is not True and late is not False:
+                    raise TypeError(f"a bid's late {late!r} is not true or false")
+                partner = one(partner)
+                n_bids += 1
+                units = _scaled(bid["cpm"], CPM_SCALE)
+                if units and type(units) is int:
+                    cpm[(partner, size, facet)].append(units)
+                else:
+                    cpm.odd.append(((partner, size, facet), _exact(units, CPM_SCALE)))
+                if not timed:
+                    latency = bid.get("latency_ms")
+                    if latency is not None:
+                        latency = ms[latency]
+                elif bid.get("channel") == "client" and (arrived := bid.get("arrived_at_ms")) is not None \
+                        and (requested := bid.get("requested_at_ms")) is not None:
+                    latency = _difference(ms[arrived], ms[requested])
+                else:
+                    latency = None
+                if latency is not None:
+                    if latency and type(latency) is int:
+                        bid_latency[partner].append(latency)
+                    else:
+                        bid_latency.odd.append((partner, _exact(latency, MS_SCALE)))
+                if channel == "client":
+                    n_client += 1
+                    n_late += late
+                    tally = client_bids.get(partner)
+                    if tally is None:
+                        tally = client_bids[partner] = [0, 0]
+                    tally[0] += 1
+                    tally[1] += late
         rec.bid_counts.append(n_bids)
         if n_client:
             rec.late_counts[(n_late, n_client)] += 1
@@ -202,44 +243,25 @@ class _Loader:
 
     def outcome_row(self, row: dict) -> None:
         facet = self.one(row.get("facet"))
-        if facet == "waterfall_only":
-            bids = ((tier["partner"], None, tier["bid"],
-                     None if tier["latency_ms"] is None else _scaled(tier["latency_ms"], MS_SCALE), False, "client")
-                    for tier in row.get("tiers_tried", ()) if tier.get("bid") is not None)
+        if facet == "waterfall_only":  # each tier that bid is a client bid, never late
+            slots = [(None, [{"partner": tier["partner"], "cpm": tier["bid"], "latency_ms": tier["latency_ms"]}
+                             for tier in row.get("tiers_tried", ()) if tier.get("bid") is not None])]
         else:
-            bids = self._slot_bids(row)
+            slots = [(self.one(slot.get("size")), slot.get("bids", ())) for slot in row.get("slots", ())]
         for key in ("slot_count", "rank"):
             if isinstance(row.get(key), (bool, float)):  # int() would file 2.5 as 2 and true as 1
                 raise TypeError(f"{key} {row[key]!r} is not an integer")
         rank = row.get("rank")
         self.auction(row["site_id"], facet, facet in HB_FACETS, row.get("partner_ids", []),
                      row.get("total_latency_ms"), int(row.get("slot_count", 0)),
-                     None if rank is None else int(rank), bids)
-
-    def _slot_bids(self, row: dict):
-        for slot in row.get("slots", ()):
-            size = self.one(slot.get("size"))
-            for bid in slot.get("bids", ()):
-                latency = None
-                if bid.get("channel") == "client":
-                    arrived, requested = bid.get("arrived_at_ms"), bid.get("requested_at_ms")
-                    if arrived is not None and requested is not None:
-                        latency = _difference(_scaled(arrived, MS_SCALE), _scaled(requested, MS_SCALE))
-                yield bid["partner"], size, bid["cpm"], latency, bid.get("late", False), bid.get("channel", "client")
+                     None if rank is None else int(rank), slots, facet != "waterfall_only")
 
     def result_row(self, row: dict, rank_by_site: dict[str, int] | None) -> None:
         site_id = row["site_id"]
+        slots = [(self.one(auction.get("size")), auction.get("bids", ())) for auction in row.get("auctions", ())]
         self.auction(site_id, self.one(row.get("facet")), row["is_hb"], row.get("partners", []),
-                     row.get("hb_latency_ms"), len(row.get("auctions", ())),
-                     rank_by_site.get(site_id) if rank_by_site else None, self._result_bids(row))
-
-    def _result_bids(self, row: dict):
-        for auction in row.get("auctions", ()):
-            size = self.one(auction.get("size"))
-            for bid in auction.get("bids", ()):
-                latency = bid.get("latency_ms")
-                yield (bid["partner"], size, bid["cpm"], None if latency is None else _scaled(latency, MS_SCALE),
-                       bid.get("late", False), bid.get("channel", "client"))
+                     row.get("hb_latency_ms"), len(slots),
+                     rank_by_site.get(site_id) if rank_by_site else None, slots, False)
 
 
 def load_records(path, rank_by_site: dict[str, int] | None = None) -> Records:
@@ -324,9 +346,9 @@ class StatsSummary(NamedTuple):
 
 
 # Distribution groupings: (records, include_zero_bid_auctions) ->
-# ((group, the sorted columns it merges) pairs, the scale of their whole units).
+# ((group, its sorted columns) pairs, the scale of their whole units).
 
-def _merged(columns: _Columns, group_of):
+def _grouped(columns: _Columns, group_of):
     """The columns of each ``group_of(key)``, then its odd values as one-value
     columns in file order; a None group leaves the key out."""
     groups = defaultdict(list)
@@ -343,13 +365,13 @@ def _merged(columns: _Columns, group_of):
 def _total_latency_by(table: str, part: int):
     """Each auction's total latency under one part of its key in ``table``."""
     def grouping(records, include_zero_bid_auctions):
-        return _merged(getattr(records, table),
-                       lambda key: key[part] if include_zero_bid_auctions or key[-1] else None), MS_SCALE
+        return _grouped(getattr(records, table),
+                        lambda key: key[part] if include_zero_bid_auctions or key[-1] else None), MS_SCALE
     return grouping
 
 
 def _bid_latency_by_partner(records, _):
-    return _merged(records.bid_latency, lambda partner: partner), MS_SCALE
+    return _grouped(records.bid_latency, lambda partner: partner), MS_SCALE
 
 
 def _late_fractions(records, _):
@@ -371,7 +393,7 @@ def _late_by_partner(records, _):
 
 
 def _price_by(part: int):
-    return lambda records, _: (_merged(records.cpm, lambda key: key[part]), CPM_SCALE)
+    return lambda records, _: (_grouped(records.cpm, lambda key: key[part]), CPM_SCALE)
 
 
 def _price_by_popularity_bin(records, _):
@@ -379,7 +401,7 @@ def _price_by_popularity_bin(records, _):
     presence = _partner_shares(records)[0]
     order = sorted(presence, key=lambda pid: (-presence[pid], pid))
     bin_of = {pid: _bin_label(i, POPULARITY_BIN_WIDTH) for i, pid in enumerate(order)}
-    return _merged(records.cpm, lambda key: bin_of.get(key[0])), CPM_SCALE
+    return _grouped(records.cpm, lambda key: bin_of.get(key[0])), CPM_SCALE
 
 
 # Share groupings: records -> ({group: HB sites}, all HB sites).
@@ -411,7 +433,7 @@ def _flat_row(group: str, count: int, value: Decimal) -> dict:
 
 
 def _decimals(columns: list, scale: int | None) -> list[Decimal]:
-    """A group's exact values in ascending order.  ``_merged`` puts odd values
+    """A group's exact values in ascending order.  ``_grouped`` puts odd values
     last, in file order, and the sort is stable, so of equal values that
     print differently (0 and -0, always odd) the earlier in the file comes first."""
     return sorted([_exact(value, scale) for column in columns for value in column])
@@ -421,7 +443,7 @@ def _stats_row(group: str, columns: list, scale: int | None) -> dict:
     if not all(type(column) is array for column in columns):
         s = StatsSummary.of(_decimals(columns, scale))
     else:
-        data = array("q", merge(*columns)) if len(columns) > 1 else columns[0]
+        data = sorted(chain.from_iterable(columns)) if len(columns) > 1 else columns[0]
         if len(data) == 1:
             return _flat_row(group, 1, Decimal(data[0]).scaleb(-scale))
         s = StatsSummary.of_units(data, scale)
@@ -504,13 +526,17 @@ def build_report(
 
 def write_report_csv(path, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(map(itemgetter(*CSV_COLUMNS), rows))
 
 
-def write_report_json(path, reports: dict[str, list[dict]]) -> None:
-    """The text of ``json.dump({"reports": reports}, indent=2, sort_keys=True)`` and a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json_chunks({"reports": reports}))
-        fh.write("\n")
+def write_report_json(fh, name: str, rows: list[dict], first: bool, last: bool) -> None:
+    """Writes report ``name`` to the text file ``fh`` as its entry in the text
+    of ``json.dump({"reports": reports}, indent=2, sort_keys=True)`` and a
+    newline.  Each report takes one call, in name order: ``first`` opens the
+    text, ``last`` closes it."""
+    fh.write(('{\n  "reports": {\n    ' if first else ",\n    ") + compact_json(name) + ": ")
+    fh.writelines(json_chunks(rows, "    "))
+    if last:
+        fh.write("\n  }\n}\n")

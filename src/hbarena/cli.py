@@ -203,6 +203,21 @@ class _Helper:
             self._wait()
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file, ``path`` with ".part" appended, that replaces ``path``
+    when the block ends and is removed if the block raises."""
+    part_path = path + ".part"
+    try:
+        with open(part_path, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(part_path, path)
+    except BaseException:
+        if os.path.exists(part_path):
+            os.remove(part_path)
+        raise
+
+
 def _simulate_site(task) -> tuple[list[tuple[str, str]], list[str]]:
     """Run all rounds for one site.
 
@@ -398,27 +413,20 @@ def cmd_detect(args) -> int:
         raise ConfigurationError(f"cannot write {out_path}: it is a directory")
     # Rows are written as they come, to a file that replaces out_path only
     # when every trace is done; --score keeps one small tuple per trace.
-    part_path = out_path + ".part"
     per_trace: list[tuple] = []
     errors = 0
     with (_Helper("truth reader", lambda _: _read_truth(args.trace_dir)) if args.score
           else contextlib.nullcontext()) as reader:
         rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
-        try:
-            with open(part_path, "w", encoding="utf-8") as fh:
-                for row in rows:
-                    failed = "error" in row
-                    errors += failed
-                    if args.score:
-                        # An error row's site_id is the name of the trace file it failed on.
-                        key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
-                        per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
-                    fh.write(compact_json(row) + "\n")
-            os.replace(part_path, out_path)
-        except BaseException:
-            if os.path.exists(part_path):
-                os.remove(part_path)
-            raise
+        with _replacing(out_path) as fh:
+            for row in rows:
+                failed = "error" in row
+                errors += failed
+                if args.score:
+                    # An error row's site_id is the name of the trace file it failed on.
+                    key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
+                    per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
+                fh.write(compact_json(row) + "\n")
         print(f"detected over {len(trace_names)} traces -> {out_path}"
               + (f" ({errors} errors)" if errors else ""))
         if args.score:
@@ -443,22 +451,20 @@ def _rank_by_site(manifest_path) -> dict[str, int] | None:
 
 
 def cmd_report(args) -> int:
-    names = REPORT_NAMES if args.report == "all" else (args.report,)
-    for name in names:
-        if name not in REPORT_NAMES:
-            print(
-                f"unknown report {name!r}; valid names: all, {', '.join(REPORT_NAMES)}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
+    if args.report != "all" and args.report not in REPORT_NAMES:
+        print(f"unknown report {args.report!r}; valid names: all, {', '.join(REPORT_NAMES)}", file=sys.stderr)
+        return EXIT_CONFIG
+    # One report at a time, in name order as report.json holds them: each
+    # report's rows are dropped before the next one is built.
+    names = sorted(REPORT_NAMES) if args.report == "all" else [args.report]
     records = load_records(args.input, _rank_by_site(args.manifest))
     _make_out_dir(args.out)
-    reports = {}
-    for name in names:
-        rows = build_report(name, records, args.include_zero_bid_auctions)
-        reports[name] = rows
-        write_report_csv(os.path.join(args.out, f"{name}.csv"), rows)
-    write_report_json(os.path.join(args.out, "report.json"), reports)
+    with _replacing(os.path.join(args.out, "report.json")) as fh:
+        for i, name in enumerate(names):
+            rows = build_report(name, records, args.include_zero_bid_auctions)
+            write_report_csv(os.path.join(args.out, f"{name}.csv"), rows)
+            write_report_json(fh, name, rows, i == 0, i == len(names) - 1)
+            del rows
     print(f"wrote {len(names)} report(s) to {args.out}")
     return EXIT_OK
 

@@ -521,6 +521,10 @@ class PartnerDirectory(NamedTuple):
             isinstance(k, str) and isinstance(v, str) for k, v in data.items()
         ):
             raise ConfigurationError(f"{path}: directory must be a JSON object of suffix -> partner_id")
+        for key in data:
+            if not _bare_host(key):  # no URL host could match it
+                raise ConfigurationError(f"{path}: directory key {key!r} is not a bare host name, with no scheme, "
+                                         "port, path, userinfo or blank")
         return cls.from_mapping(data)
 
     def to_json(self) -> dict[str, str]:

@@ -1,8 +1,10 @@
 """Shared builders for scenario and partner fixtures, and a guard against
 child processes that a test leaves behind."""
 
+import json
 import os
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,9 @@ from hbarena.domain import (
     WebsiteScenario,
     WrapperPolicy,
 )
+from hbarena.cli import main
+
+MARKET_MIX = Path(__file__).resolve().parent.parent / "scenarios" / "market_mix_5000.json"
 
 
 @pytest.fixture(autouse=True)
@@ -90,3 +95,18 @@ def directory():
             "adserve.example.org": "adserve",
         }
     )
+
+
+@pytest.fixture(scope="session")
+def market_mix_corpora(tmp_path_factory) -> dict[int, Path]:
+    """market_mix_5000.json cut to 60 and to 600 sites, simulated."""
+    root = tmp_path_factory.mktemp("market_mix")
+    scenario = json.loads(MARKET_MIX.read_text())
+    corpora = {}
+    for sites in (60, 600):
+        scenario["generator"]["num_sites"] = sites
+        path = root / f"market_mix_{sites}.json"
+        path.write_text(json.dumps(scenario))
+        corpora[sites] = root / f"run_{sites}"
+        assert main(["simulate", "--scenario", str(path), "--out", str(corpora[sites])]) == 0
+    return corpora

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from hbarena import analytics
 from hbarena.analytics import (
     StatsSummary,
     REPORT_NAMES,
@@ -24,7 +25,7 @@ from hbarena.analytics import (
     report_values,
     write_report_json,
 )
-from hbarena.domain import indented_json
+from hbarena.domain import ConfigurationError, decimal_str, indented_json, quantize_cpm
 
 D = Decimal
 
@@ -221,6 +222,29 @@ class TestPriceStats:
         assert stats["1-10"].count > stats["11-20"].count
 
 
+    def test_group_of_many_columns_is_summarized_as_one(self):
+        """A facet's prices lie in a column per (partner, size), equal values
+        in several of them; a zero is an odd value, kept out of the columns."""
+        cpms = ["0.25", "1.5", "3", "0.000001", "2.25", "1.5", "0.25", "7", "1.5"]
+        rows, values = [], {}
+        for site, facet in enumerate(["client_side", "hybrid"] * 4):
+            bids = [bid(partner=f"p{i % 4}", size=("300x250", "728x90")[i // 4 % 2], cpm=cpms[(i + site) % len(cpms)])
+                    for i in range(9)]
+            if site == 1:
+                bids.append(bid(partner="p2", cpm="0"))
+            rows.append(record(site=f"s{site}", facet=facet, bids=bids))
+            values.setdefault(facet, []).extend(D(b["cpm"]) for b in bids)
+        records = load(rows)
+        assert len([key for key in records.cpm if key[2] == "client_side"]) == 8
+        expected = []
+        for facet, exact in sorted(values.items()):
+            s = StatsSummary.of(exact)
+            expected.append({"group": facet, "count": s.count,
+                             **{column: decimal_str(quantize_cpm(value)) for column, value in zip(CSV_COLUMNS[2:], s[1:])}})
+        assert build_report("prices_by_facet", records) == expected
+        assert expected[1]["count"] == 37 and expected[1]["p5"] == "0.000001"
+
+
 class TestBreakdownAndPopularity:
     def test_breakdown_counts(self):
         records = (
@@ -376,6 +400,25 @@ class TestLoadRecords:
         assert [",".join(str(r[c]) for c in CSV_COLUMNS) for r in build_report("latency_by_partner", load(timed))] == [
             "p1,21,0,100,100,100,100,90.47619", "p2,21,-0,100,100,100,100,90.47619"]
 
+    def test_a_time_of_true_is_unusable_after_a_time_of_1(self):
+        """Each distinct bid time string is converted once per file; ``true``,
+        equal to ``1`` as a key, must not find the time ``1`` converted before it."""
+        rows = [{"site_id": f"s{i}", "round_index": 0, "is_hb": True, "facet": "client_side", "partners": ["p1"],
+                 "hb_latency_ms": "300", "auctions": [{"size": "300x250", "bids": [
+                     {"partner": "p1", "cpm": "1", "latency_ms": latency, "late": False, "channel": "client"}]}]}
+                for i, latency in enumerate([1, "1", 1.0, True])]
+        assert report_values("latency_by_partner", load(rows[:3])) == {"p1": [D(1)] * 3}
+        with pytest.raises(ConfigurationError, match=r"rows.jsonl:4: unusable row"):
+            load(rows)
+
+    def test_more_distinct_times_than_the_cache_keeps_give_the_same_reports(self, monkeypatch):
+        rows = [record(site=f"s{i}", partners=("p1", "p2"), bids=[bid(latency=f"{100 + i % 7}.5"),
+                                                                  bid(partner="p2", latency=str(50 + i))])
+                for i in range(30)]
+        expected = {name: build_report(name, load(rows)) for name in REPORT_NAMES}
+        monkeypatch.setattr(analytics, "_TIMES_KEPT", 4)
+        assert {name: build_report(name, load(rows)) for name in REPORT_NAMES} == expected
+
     def test_outcome_bid_without_channel_is_a_client_bid_without_latency(self):
         rows = [record(bids=[bid(partner="p1", late=True), bid(partner="p2", latency="80")])]
         del rows[0]["slots"][0]["bids"][0]["channel"]
@@ -454,10 +497,14 @@ _ROW_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), _ROW_TEXT,
 
 @settings(max_examples=200, deadline=None)
 @given(reports=st.dictionaries(_ROW_TEXT, st.lists(st.dictionaries(_ROW_TEXT, _ROW_VALUES, max_size=8), max_size=4),
-                               max_size=4))
+                               min_size=1, max_size=4))
 def test_report_json_equals_indented_json_dump(tmp_path_factory, reports):
+    """Written one report at a time, in name order; ``report`` always writes at least one."""
     path = tmp_path_factory.mktemp("report") / "report.json"
-    write_report_json(path, reports)
+    names = sorted(reports)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, name in enumerate(names):
+            write_report_json(fh, name, reports[name], i == 0, i == len(names) - 1)
     assert path.read_text(encoding="utf-8") == json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n"
 
 

@@ -1,8 +1,10 @@
-"""tools/bench_pairs.py: its pair statistics, and its refusal to compare
-checkouts whose benchmarks differ."""
+"""tools/bench_pairs.py: its pair statistics, its refusal to compare
+checkouts whose benchmarks differ, and how it records each side's code."""
 
+import hashlib
 import importlib.util
 import shutil
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +73,25 @@ def test_refuses_checkouts_whose_benchmarks_differ(tmp_path, capsys):
     assert tool.main(["--base", str(base), "--workload", "market_mix", "--pairs", "2", "--seed-from", "1"]) == 1
     assert "differ" in capsys.readouterr().err
     assert sorted(ROOT.glob("BENCH_*.json")) == before
+
+
+def test_records_a_dirty_side_by_the_sha256_of_its_diff(tmp_path):
+    tool = load_tool()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@example.com",
+                               *args], capture_output=True, check=True).stdout
+
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "a.py")
+    git("commit", "-q", "-m", "a")
+    head = git("rev-parse", "HEAD").decode().strip()
+    (tmp_path / "untracked.py").write_text("y = 2\n")  # not part of the measured code
+    assert tool.commit(tmp_path) == {"commit": head, "dirty": False, "diff_sha256": None}
+    (tmp_path / "a.py").write_text("x = 2\n")
+    diff = git("diff", "HEAD")
+    assert b"+x = 2" in diff
+    assert tool.commit(tmp_path) == {"commit": head, "dirty": True, "diff_sha256": hashlib.sha256(diff).hexdigest()}
+    (tmp_path / "a.py").write_text("x = 3\n")
+    assert tool.commit(tmp_path)["diff_sha256"] != hashlib.sha256(diff).hexdigest()

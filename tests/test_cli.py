@@ -21,6 +21,7 @@ import oracles
 from hbarena.analytics import REPORT_NAMES, build_report, load_records
 from hbarena import cli
 from hbarena.cli import main
+from hbarena.domain import PartnerDirectory
 
 MINIMAL_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "minimal.json"
 MINIMAL_TRACE = "demo-site__r0.trace.jsonl"
@@ -360,6 +361,38 @@ def test_detect_missing_directory_exits_1(tmp_path):
     assert main(["detect", str(out), "--directory", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("key", ["adnxs.com:8080", "https://adnxs.com", "adnxs.com/x", "u@adnxs.com", " adnxs.com", ""],
+                         ids=["port", "scheme", "path", "userinfo", "leading-blank", "empty"])
+def test_directory_key_not_a_bare_host_exits_1(tmp_path, capsys, key):
+    """A key that no URL's host can equal would attribute nothing; the
+    partner it names would show up as ``unknown:<host>``."""
+    run = tmp_path / "run"
+    simulate_minimal(run)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({key: "appnexus", "criteo.com": "criteo"}))
+    assert main(["detect", str(run), "--directory", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(key) in err
+    assert "runtime error" not in err
+    assert not (run / "results.jsonl").exists()
+
+
+def test_every_directory_simulate_writes_loads(tmp_path):
+    """The built-in directory's 16 keys, and each canned scenario's directory.json."""
+    builtin = Path(cli.__file__).parent / "data" / "partners.json"
+    assert len(PartnerDirectory.from_file(builtin).entries) == 16
+    for scenario in sorted(MINIMAL_SCENARIO.parent.glob("*.json")):
+        data = json.loads(scenario.read_text())
+        if "generator" in data:
+            data["generator"]["num_sites"] = 3
+        data.pop("output_dir", None)
+        path = tmp_path / scenario.name
+        path.write_text(json.dumps(data))
+        out = tmp_path / scenario.stem
+        assert main(["simulate", "--scenario", str(path), "--out", str(out), "--seed", "1"]) == 0
+        assert PartnerDirectory.from_file(out / "directory.json").entries
+
+
 @pytest.mark.parametrize(
     "command, content",
     [
@@ -509,6 +542,49 @@ def test_report_malformed_row_exits_1_naming_line(tmp_path, capsys, line, words)
     assert f"{path}:3: " in err
     assert "runtime error" not in err
     assert not (tmp_path / "reports").exists()
+
+
+def test_each_report_alone_writes_the_bytes_of_all(market_mix_corpora, tmp_path):
+    """``report`` writes one report at a time; alone or among all, a report's
+    CSV is the same, and report.json is the indented dump of every report's rows."""
+    source = market_mix_corpora[600] / "outcomes.jsonl"
+    every = tmp_path / "all"
+    assert main(["report", str(source), "--out", str(every)]) == 0
+    records = load_records(source)
+    reports = {name: build_report(name, records) for name in REPORT_NAMES}
+    assert (every / "report.json").read_text(encoding="utf-8") == (
+        json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n")
+    for name in REPORT_NAMES:
+        out = tmp_path / name
+        assert main(["report", str(source), "--report", name, "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [f"{name}.csv", "report.json"]
+        assert (out / f"{name}.csv").read_bytes() == (every / f"{name}.csv").read_bytes()
+        assert (out / "report.json").read_text(encoding="utf-8") == (
+            json.dumps({"reports": {name: reports[name]}}, indent=2, sort_keys=True) + "\n")
+
+
+def test_report_whose_build_raises_leaves_no_partial_report_json(market_mix_corpora, tmp_path, monkeypatch, capsys):
+    """report.json is written as report.json.part and replaces the old one
+    only once every report is in it."""
+    source = market_mix_corpora[600] / "outcomes.jsonl"
+    kept = tmp_path / "kept"
+    assert main(["report", str(source), "--out", str(kept)]) == 0
+    before = (kept / "report.json").read_bytes()
+    build, last = cli.build_report, sorted(REPORT_NAMES)[-1]
+
+    def build_or_fail(name, *rest):
+        if name == last:  # every other report is in report.json.part by now
+            raise RuntimeError(f"cannot build {name}")
+        return build(name, *rest)
+
+    monkeypatch.setattr(cli, "build_report", build_or_fail)
+    fresh = tmp_path / "fresh"
+    for out in (kept, fresh):
+        assert main(["report", str(source), "--out", str(out)]) == 2
+        assert f"cannot build {last}" in capsys.readouterr().err
+        assert not (out / "report.json.part").exists()
+    assert (kept / "report.json").read_bytes() == before
+    assert sorted(path.name for path in fresh.iterdir()) == sorted(f"{name}.csv" for name in REPORT_NAMES if name != last)
 
 
 def test_report_accepts_the_error_rows_detect_writes(tmp_path):

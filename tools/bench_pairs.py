@@ -18,7 +18,9 @@ for neither side), and whether a gain claimed on the metric holds
 (``claim_met``, see ``compare``).  It also records the machine, both
 commits, and the SHA-256 of ``tools/pipeline_digests.py``'s output on
 each side, which are equal exactly when both sides produce the same bytes
-(``byte_identical``).  ``--workload`` may be repeated.  Standard library
+(``byte_identical``).  A side whose tracked files differ from its commit
+is recorded as ``dirty``, with the SHA-256 of its ``git diff HEAD``
+(``diff_sha256``, null for a clean side).  ``--workload`` may be repeated.  Standard library
 only.
 """
 
@@ -45,15 +47,17 @@ def tree_files(root: Path) -> dict[str, bytes]:
 
 
 def commit(checkout: Path) -> dict:
-    """The checkout's HEAD commit and whether its tracked files differ from it."""
-    def git(*args: str) -> str:
-        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True,
-                              check=True).stdout.strip()
+    """The checkout's HEAD commit, whether its tracked files differ from it,
+    and if they do, the SHA-256 of ``git diff HEAD``: the code measured."""
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, check=True).stdout
 
     try:
-        return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+        return {"commit": git("rev-parse", "HEAD").decode().strip(), "dirty": dirty,
+                "diff_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest() if dirty else None}
     except (OSError, subprocess.CalledProcessError):
-        return {"commit": None, "dirty": None}
+        return {"commit": None, "dirty": None, "diff_sha256": None}
 
 
 def digests_sha256(checkout: Path) -> str:

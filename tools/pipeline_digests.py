@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Digest every artifact of the whole pipeline, to prove a change byte-identical.
 
-For each scenario (by default the seven canned ones under ``scenarios/``) it
-runs, in a temporary directory:
+For each scenario it runs, in a temporary directory:
 
     simulate --scenario S --out NAME
     detect NAME --score
@@ -12,7 +11,12 @@ runs, in a temporary directory:
     report NAME/results.jsonl --out NAME/report_results_nonzero --manifest NAME/manifest.json
            --no-include-zero-bid-auctions
 
-and prints each command's exit code and stdout, then one ``NAME/path sha256``
+The default scenarios are the seven canned ones under ``scenarios/`` and
+``market_mix_500x5.json``: ``market_mix_5000.json`` cut to 500 sites of 5
+rounds each, written into the temporary directory, so that output of more
+than one round per site is digested too.
+
+It prints each command's exit code and stdout, then one ``NAME/path sha256``
 line per file the commands wrote.  Commands run with relative paths, so the
 output does not depend on where the temporary directory is.  Two runs agree
 exactly when the two checkouts produce the same bytes:
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -44,6 +49,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def multi_round_scenario(work: Path) -> Path:
+    """``market_mix_5000.json`` with 500 sites of 5 rounds each, written into ``work``."""
+    data = json.loads((ROOT / "scenarios" / "market_mix_5000.json").read_text(encoding="utf-8"))
+    data["generator"]["num_sites"] = 500
+    data["rounds_per_site"] = 5
+    path = work / "market_mix_500x5.json"
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    return path
 
 
 def commands(name: str, scenario: Path, seed: int | None) -> list[list[str]]:
@@ -116,18 +131,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout whose src/ runs (default: this one)")
     parser.add_argument("--scenario", type=Path, action="append",
-                        help="scenario file (repeatable; default: every scenarios/*.json)")
+                        help="scenario file (repeatable; default: every scenarios/*.json and market_mix_500x5.json)")
     parser.add_argument("--seed", type=int, default=None, help="master seed for every scenario")
     parser.add_argument("--simulate-jobs", type=int, default=1,
                         help="simulate --jobs N (default 1: no option passed)")
     parser.add_argument("--detect-jobs", type=int, default=1, help="detect --jobs N (default 1: no option passed)")
     args = parser.parse_args(argv)
-    scenarios = [p.resolve() for p in args.scenario] if args.scenario else sorted((ROOT / "scenarios").glob("*.json"))
     env = dict(os.environ)
     env["PYTHONPATH"] = str((args.repo / "src").resolve())
     jobs = {"simulate": args.simulate_jobs, "detect": args.detect_jobs}
     failed = False
     with tempfile.TemporaryDirectory(prefix="hbarena-digests-") as tmp:
+        scenarios = ([p.resolve() for p in args.scenario] if args.scenario
+                     else [*sorted((ROOT / "scenarios").glob("*.json")), multi_round_scenario(Path(tmp))])
         for scenario in scenarios:
             lines, failures = run_scenario(scenario, args.seed, Path(tmp), env, jobs)
             print("\n".join(lines + failures), flush=True)
