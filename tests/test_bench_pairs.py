@@ -80,7 +80,7 @@ def test_records_a_dirty_side_by_the_sha256_of_its_diff(tmp_path):
 
     def git(*args):
         return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@example.com",
-                               *args], capture_output=True, check=True).stdout
+                               "-c", "commit.gpgsign=false", *args], capture_output=True, check=True).stdout
 
     git("init", "-q")
     (tmp_path / "a.py").write_text("x = 1\n")

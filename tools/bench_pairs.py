@@ -20,8 +20,8 @@ commits, and the SHA-256 of ``tools/pipeline_digests.py``'s output on
 each side, which are equal exactly when both sides produce the same bytes
 (``byte_identical``).  A side whose tracked files differ from its commit
 is recorded as ``dirty``, with the SHA-256 of its ``git diff HEAD``
-(``diff_sha256``, null for a clean side).  ``--workload`` may be repeated.  Standard library
-only.
+(``diff_sha256``, null for a clean side).  ``--workload`` may be repeated.
+Standard library only.
 """
 
 from __future__ import annotations
