@@ -1,10 +1,27 @@
 """Protocol state machines: client-side, server-side, and hybrid header
-bidding plus the sequential waterfall baseline.
+bidding in one round, plus the sequential waterfall baseline.
 
 Each run is a pure function of (scenario, resolved partner specs, seed,
-round index) and produces a ground-truth outcome.  A bid is late exactly
-when it arrives strictly after the wrapper hands the collected bids to the
-ad server; a bid arriving at the handoff instant still counts.
+round index) and produces a ground-truth outcome.  A header-bidding round
+has two partner lists: the client partners, which the wrapper in the page
+asks for bids (the roster of a client-side or hybrid site), and the server
+partners, whose bids the ad-server entity collects itself (the roster of a
+server-side site, the entity alone for a hybrid one).
+
+- Every client partner is asked at t=0; one that answers arrives after its
+  sampled latency with a bid for every slot.
+- The wrapper hands the collected bids to the ad server at the send time:
+  at once under the ``immediate`` policy, otherwise when the last client
+  partner has answered, capped at the timeout.  A silent client partner
+  keeps a waiting wrapper until the timeout.  A server-side site has no
+  client partners, so it sends at 0.
+- A client bid is late exactly when it arrives strictly after the send
+  time; one arriving at the send time still counts.  Server bids are filed
+  after the client bids, each list in its order, requested and arrived at
+  the send time, and are never late.
+- Each slot goes to its highest on-time bid meeting the floor; a filled
+  slot then fails to render with the site's ``render_fail_probability``.
+- The ad server answers at the send time plus its sampled latency.
 """
 
 from __future__ import annotations
@@ -42,9 +59,15 @@ class SlotOutcome(NamedTuple):
     floor_price: Decimal
     bids: tuple[Bid, ...]
     winner: tuple[str, Decimal] | None
-    filled: bool
-    fallback_used: bool
-    render_failed: bool = False
+    render_failed: bool
+
+    @property
+    def filled(self) -> bool:
+        return self.winner is not None
+
+    @property
+    def fallback_used(self) -> bool:
+        return self.winner is None
 
 
 class AuctionOutcome(NamedTuple):
@@ -54,8 +77,14 @@ class AuctionOutcome(NamedTuple):
     slots: tuple[SlotOutcome, ...]
     wrapper_send_time_ms: Decimal
     ad_server_response_time_ms: Decimal
-    total_latency_ms: Decimal
-    winner_notified: bool
+
+    @property
+    def total_latency_ms(self) -> Decimal:
+        return self.ad_server_response_time_ms
+
+    @property
+    def winner_notified(self) -> bool:
+        return any(slot.filled and not slot.render_failed for slot in self.slots)
 
     @property
     def late_bid_count(self) -> int:
@@ -75,9 +104,12 @@ class WaterfallOutcome(NamedTuple):
     tiers_tried: tuple[TierTrial, ...]
     winner: tuple[str, Decimal] | None
     total_latency_ms: Decimal
-    fallback_used: bool
 
     facet: Facet = Facet.WATERFALL_ONLY
+
+    @property
+    def fallback_used(self) -> bool:
+        return self.winner is None
 
 
 def select_winner(bids, floor: Decimal) -> tuple[str, Decimal] | None:
@@ -118,101 +150,6 @@ def _resolve(partners: Mapping[str, DemandPartnerSpec], pid: str, site_id: str) 
     return spec
 
 
-def _client_responses(scenario, partners, master_seed, round_index):
-    """Sample (arrival, per-slot cpms) for each responding roster partner."""
-    responses: dict[str, tuple[Decimal, list[Decimal]]] = {}
-    n_slots = len(scenario.slots)
-    for pid in scenario.partners:
-        spec = _resolve(partners, pid, scenario.site_id)
-        bid_stream = RngStream(master_seed, scenario.site_id, round_index, f"bid:{pid}")
-        cpms = sample_partner_bids(spec.bid_model, bid_stream, spec.response_probability, n_slots)
-        if cpms is None:
-            continue
-        lat_stream = RngStream(master_seed, scenario.site_id, round_index, f"latency:{pid}")
-        responses[pid] = (sample_latency(spec.latency_model, lat_stream), cpms)
-    return responses
-
-
-def _effective_send_time(scenario, responses) -> Decimal:
-    # A partner that never answers keeps a waiting wrapper on the hook until
-    # the timeout; the immediate policy does not wait for anyone.
-    if scenario.wrapper_policy is WrapperPolicy.IMMEDIATE:
-        return Decimal(0)
-    if len(responses) < len(scenario.partners):
-        return quantize_ms(scenario.timeout_ms)
-    return compute_send_time(
-        scenario.wrapper_policy, scenario.timeout_ms, [arr for arr, _ in responses.values()]
-    )
-
-
-def _render_failures(scenario, filled_slot_ids, master_seed, round_index) -> set[str]:
-    if scenario.render_fail_probability <= 0:
-        return set()
-    failed = set()
-    for slot_id in filled_slot_ids:
-        stream = RngStream(master_seed, scenario.site_id, round_index, f"render:{slot_id}")
-        if stream.uniform() < float(scenario.render_fail_probability):
-            failed.add(slot_id)
-    return failed
-
-
-def _slot_outcomes(scenario, bids_by_slot, master_seed, round_index) -> tuple[SlotOutcome, ...]:
-    """Per-slot winners, then the render failures of the filled slots."""
-    out = []
-    for slot in scenario.slots:
-        bids = tuple(bids_by_slot.get(slot.slot_id, ()))
-        winner = select_winner(bids, slot.floor_price)
-        filled = winner is not None
-        out.append(
-            SlotOutcome(
-                slot_id=slot.slot_id,
-                size=slot.size,
-                floor_price=slot.floor_price,
-                bids=bids,
-                winner=winner,
-                filled=filled,
-                fallback_used=not filled,
-            )
-        )
-    failed = _render_failures(scenario, [s.slot_id for s in out if s.filled], master_seed, round_index)
-    return tuple(s._replace(render_failed=True) if s.slot_id in failed else s for s in out)
-
-
-def _add_bids(bids_by_slot, slots, pid, cpms, requested_at, arrived_at, late, channel) -> None:
-    """Append one partner's bid for each slot; all share the same timing."""
-    for slot, cpm in zip(slots, cpms):
-        bids_by_slot[slot.slot_id].append(Bid(pid, slot.slot_id, cpm, requested_at, arrived_at, late, channel))
-
-
-def _add_server_bids(bids_by_slot, scenario, spec, master_seed, round_index, at) -> None:
-    """The bids the ad-server entity collects from spec; they materialize at
-    the ad server at time `at` and can never be late."""
-    stream = RngStream(master_seed, scenario.site_id, round_index, f"server_bid:{spec.partner_id}")
-    cpms = sample_partner_bids(spec.bid_model, stream, spec.response_probability, len(scenario.slots))
-    if cpms is not None:
-        _add_bids(bids_by_slot, scenario.slots, spec.partner_id, cpms, at, at, False, CHANNEL_AD_SERVER)
-
-
-def _auction_outcome(scenario, bids_by_slot, master_seed, round_index, send_time) -> AuctionOutcome:
-    """Per-slot winners and the ad server's answer, sent at send_time."""
-    adserver_latency = sample_latency(
-        scenario.ad_server_latency,
-        RngStream(master_seed, scenario.site_id, round_index, "adserver_latency"),
-    )
-    slots = _slot_outcomes(scenario, bids_by_slot, master_seed, round_index)
-    response_at = quantize_ms(send_time + adserver_latency)
-    return AuctionOutcome(
-        site_id=scenario.site_id,
-        round_index=round_index,
-        facet=scenario.facet,
-        slots=slots,
-        wrapper_send_time_ms=send_time,
-        ad_server_response_time_ms=response_at,
-        total_latency_ms=response_at,
-        winner_notified=any(s.filled and not s.render_failed for s in slots),
-    )
-
-
 def run_scenario(
     scenario: WebsiteScenario,
     partners: Mapping[str, DemandPartnerSpec],
@@ -226,41 +163,50 @@ def run_scenario(
         return _waterfall_round(scenario, partners, master_seed, round_index)
     if facet is Facet.NO_ADS:
         return None
-    entity = None
+    site_id = scenario.site_id
+    entity = []
     if facet is not Facet.CLIENT_SIDE:
         if not scenario.ad_server_partner_id:
-            raise ConfigurationError(f"site {scenario.site_id!r}: {facet.value} requires ad_server_partner_id")
-        entity = _resolve(partners, scenario.ad_server_partner_id, scenario.site_id)
-    if facet is Facet.SERVER_SIDE:
-        return _server_round(scenario, partners, master_seed, round_index)
-    return _wrapper_round(scenario, partners, master_seed, round_index, entity)
+            raise ConfigurationError(f"site {site_id!r}: {facet.value} requires ad_server_partner_id")
+        entity = [_resolve(partners, scenario.ad_server_partner_id, site_id)]
+    roster = [_resolve(partners, pid, site_id) for pid in scenario.partners]
+    client, server = ([], roster) if facet is Facet.SERVER_SIDE else (roster, entity)
 
+    def stream(purpose: str) -> RngStream:
+        return RngStream(master_seed, site_id, round_index, purpose)
 
-def _wrapper_round(scenario, partners, master_seed, round_index, server_entity):
-    """Client-side, and hybrid with ``server_entity``: parallel bid requests
-    at t=0, wrapper handoff, then the ad server picks per-slot winners from
-    the on-time bids.  A hybrid's entity merges its own bid (its internal
-    auction's result) with them."""
-    responses = _client_responses(scenario, partners, master_seed, round_index)
-    send_time = _effective_send_time(scenario, responses)
-    bids_by_slot: dict[str, list[Bid]] = {slot.slot_id: [] for slot in scenario.slots}
-    for pid, (arrival, cpms) in responses.items():
-        _add_bids(bids_by_slot, scenario.slots, pid, cpms, Decimal(0), arrival, arrival > send_time,
-                  CHANNEL_CLIENT)
-    if server_entity is not None:
-        # The entity's own bids are pinned to the handoff instant.
-        _add_server_bids(bids_by_slot, scenario, server_entity, master_seed, round_index, send_time)
-    return _auction_outcome(scenario, bids_by_slot, master_seed, round_index, send_time)
+    n_slots = len(scenario.slots)
+    filed = []  # (partner id, cpm per slot, requested, arrived, channel), client bids first
+    arrivals = []  # a silent client partner counts as arriving at the timeout
+    for spec in client:
+        pid = spec.partner_id
+        cpms = sample_partner_bids(spec.bid_model, stream(f"bid:{pid}"), spec.response_probability, n_slots)
+        if cpms is None:
+            arrivals.append(scenario.timeout_ms)
+        else:
+            arrivals.append(sample_latency(spec.latency_model, stream(f"latency:{pid}")))
+            filed.append((pid, cpms, Decimal(0), arrivals[-1], CHANNEL_CLIENT))
+    send_time = compute_send_time(scenario.wrapper_policy, scenario.timeout_ms, arrivals)
+    for spec in server:
+        pid = spec.partner_id
+        cpms = sample_partner_bids(spec.bid_model, stream(f"server_bid:{pid}"), spec.response_probability,
+                                   n_slots)
+        if cpms is not None:
+            filed.append((pid, cpms, send_time, send_time, CHANNEL_AD_SERVER))
 
+    render_fail = float(scenario.render_fail_probability)
+    slots = []
+    for i, slot in enumerate(scenario.slots):
+        bids = tuple(Bid(pid, slot.slot_id, cpms[i], requested, arrived, arrived > send_time, channel)
+                     for pid, cpms, requested, arrived, channel in filed)
+        winner = select_winner(bids, slot.floor_price)
+        failed = (winner is not None and render_fail > 0
+                  and stream(f"render:{slot.slot_id}").uniform() < render_fail)
+        slots.append(SlotOutcome(slot.slot_id, slot.size, slot.floor_price, bids, winner, failed))
 
-def _server_round(scenario, partners, master_seed, round_index) -> AuctionOutcome:
-    """Single round trip to the ad-server entity, which auctions the
-    scenario's partner roster internally and returns only winner metadata."""
-    bids_by_slot: dict[str, list[Bid]] = {slot.slot_id: [] for slot in scenario.slots}
-    for pid in scenario.partners:
-        spec = _resolve(partners, pid, scenario.site_id)
-        _add_server_bids(bids_by_slot, scenario, spec, master_seed, round_index, Decimal(0))
-    return _auction_outcome(scenario, bids_by_slot, master_seed, round_index, Decimal(0))
+    adserver_latency = sample_latency(scenario.ad_server_latency, stream("adserver_latency"))
+    return AuctionOutcome(site_id, round_index, facet, tuple(slots), send_time,
+                          quantize_ms(send_time + adserver_latency))
 
 
 def _waterfall_round(scenario, partners, master_seed, round_index) -> WaterfallOutcome:
@@ -300,6 +246,5 @@ def _waterfall_round(scenario, partners, master_seed, round_index) -> WaterfallO
         tiers_tried=tuple(tried),
         winner=winner,
         total_latency_ms=total,
-        fallback_used=winner is None,
     )
 

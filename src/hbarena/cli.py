@@ -438,7 +438,7 @@ def _rank_by_site(manifest_path) -> dict[str, int] | None:
     if not manifest_path:
         return None
     manifest = read_json_file(manifest_path, "manifest")
-    site_meta = manifest.get("site_meta", {}) if isinstance(manifest, dict) else None
+    site_meta = manifest.get("site_meta") if isinstance(manifest, dict) else None
     if not isinstance(site_meta, dict):
         raise ConfigurationError(f"manifest {manifest_path} is not a JSON object with a site_meta object")
     ranks = {}

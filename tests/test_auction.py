@@ -1,12 +1,15 @@
 """Protocol state machines checked against independent straight-line oracles."""
 
+import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_partner, make_scenario, make_slot
+from golden.make_simulate_golden import digests, simulate_cases
 from hbarena.auction import (
     Bid,
     compute_send_time,
@@ -23,6 +26,7 @@ from hbarena.domain import (
 )
 
 D = Decimal
+SIMULATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "simulate_golden.json").read_text())["cases"]
 
 
 def bid(pid, cpm, arrived="100", late=False, slot="slot0"):
@@ -192,7 +196,10 @@ class TestServerSide:
         wait_all = run_scenario(
             make_scenario(policy=WrapperPolicy.WAIT_ALL, **base), roster, master_seed=1
         )
-        assert wait_timeout == wait_all
+        immediate = run_scenario(
+            make_scenario(policy=WrapperPolicy.IMMEDIATE, **base), roster, master_seed=1
+        )
+        assert wait_timeout == wait_all == immediate
 
     def test_missing_entity_is_config_error(self):
         roster = {"b1": make_partner("b1")}
@@ -234,6 +241,22 @@ class TestHybrid:
         scenario = make_scenario(facet=Facet.HYBRID, partners=("A",), ad_server_partner_id="srv")
         outcome = run_scenario(scenario, self._roster("0.3", "0.5"), master_seed=1)
         assert outcome.total_latency_ms == D(100) + D(150)
+
+    def test_silent_roster_partner_holds_entity_bid_until_timeout(self):
+        roster = {
+            "A": make_partner("A", bid_cpm="0.9", response_probability="0"),
+            "srv": make_partner("srv", bid_cpm="0.5"),
+        }
+        scenario = make_scenario(
+            facet=Facet.HYBRID, partners=("A",), ad_server_partner_id="srv", timeout_ms=800
+        )
+        outcome = run_scenario(scenario, roster, master_seed=1)
+        assert outcome.wrapper_send_time_ms == D(800)
+        (entity_bid,) = outcome.slots[0].bids
+        assert entity_bid.partner_id == "srv" and entity_bid.channel == "ad_server"
+        assert entity_bid.requested_at_ms == entity_bid.arrived_at_ms == D(800)
+        assert not entity_bid.late
+        assert outcome.slots[0].winner == ("srv", D("0.5"))
 
 
 class TestWaterfall:
@@ -381,3 +404,10 @@ def test_hb_beats_waterfall_structurally():
     wf = run_scenario(wf_scenario, roster, master_seed=5)
     assert len(wf.tiers_tried) == 2
     assert hb.total_latency_ms <= wf.total_latency_ms
+
+
+def test_simulation_matches_golden_digests(tmp_path):
+    """Outcome rows, truth records and traces of every canned scenario at its
+    own seed and of a render-failure cut of market_mix, pinned by digest."""
+    seen = {name: {"seed": seed, **digests(sf, seed)} for name, sf, seed in simulate_cases(tmp_path)}
+    assert seen == SIMULATE_GOLDEN

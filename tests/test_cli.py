@@ -458,12 +458,14 @@ RESULT_ROW = {"site_id": "s1", "round_index": 0, "is_hb": True, "facet": "client
         ("{not json", "is not JSON"),
         ("[1, 2]", "not a JSON object"),
         ('{"site_meta": [1]}', "site_meta object"),
+        ('{}', "site_meta object"),
         ('{"site_meta": {"s1": {"rank": "1"}}}', "integer rank"),
         ('{"site_meta": {"s1": {"facet": "hybrid"}}}', "integer rank"),
         ('{"site_meta": {"s1": 3}}', "integer rank"),
         ('{"site_meta": {"s1": {"rank": 0}}}', "'s1' has no positive integer rank"),
     ],
-    ids=["missing", "not-json", "list", "site-meta-list", "rank-string", "no-rank", "meta-not-object", "rank-0"],
+    ids=["missing", "not-json", "list", "site-meta-list", "no-site-meta", "rank-string", "no-rank", "meta-not-object",
+         "rank-0"],
 )
 def test_report_bad_manifest_exits_1(tmp_path, capsys, manifest_text, words):
     """A manifest that cannot give site ranks is a usage error naming the file, not a runtime error."""

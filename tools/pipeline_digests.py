@@ -12,9 +12,12 @@ For each scenario it runs, in a temporary directory:
            --no-include-zero-bid-auctions
 
 The default scenarios are the seven canned ones under ``scenarios/`` and
-``market_mix_500x5.json``: ``market_mix_5000.json`` cut to 500 sites of 5
-rounds each, written into the temporary directory, so that output of more
-than one round per site is digested too.
+two cuts of ``market_mix_5000.json``, written into the temporary directory:
+``market_mix_500x5.json``, 500 sites of 5 rounds each, so that output of
+more than one round per site is digested too, and
+``market_mix_500_render_fail.json``, 500 sites with a
+``render_fail_probability`` of 0.2, so that render failures are digested
+too.
 
 It prints each command's exit code and stdout, then one ``NAME/path sha256``
 line per file the commands wrote.  Commands run with relative paths, so the
@@ -51,14 +54,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def multi_round_scenario(work: Path) -> Path:
-    """``market_mix_5000.json`` with 500 sites of 5 rounds each, written into ``work``."""
+def market_mix_cut(work: Path, name: str, generator: dict, **fields) -> Path:
+    """``market_mix_5000.json`` with ``generator`` and ``fields`` set, written as ``work/name``."""
     data = json.loads((ROOT / "scenarios" / "market_mix_5000.json").read_text(encoding="utf-8"))
-    data["generator"]["num_sites"] = 500
-    data["rounds_per_site"] = 5
-    path = work / "market_mix_500x5.json"
+    data["generator"].update(generator)
+    data.update(fields)
+    path = work / name
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return path
+
+
+def default_scenarios(work: Path) -> list[Path]:
+    """The canned scenarios, then the two cuts of ``market_mix_5000.json``."""
+    return [
+        *sorted((ROOT / "scenarios").glob("*.json")),
+        market_mix_cut(work, "market_mix_500x5.json", {"num_sites": 500}, rounds_per_site=5),
+        market_mix_cut(work, "market_mix_500_render_fail.json",
+                       {"num_sites": 500, "render_fail_probability": "0.2"}),
+    ]
 
 
 def commands(name: str, scenario: Path, seed: int | None) -> list[list[str]]:
@@ -131,7 +144,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout whose src/ runs (default: this one)")
     parser.add_argument("--scenario", type=Path, action="append",
-                        help="scenario file (repeatable; default: every scenarios/*.json and market_mix_500x5.json)")
+                        help="scenario file (repeatable; default: every scenarios/*.json and two market_mix cuts)")
     parser.add_argument("--seed", type=int, default=None, help="master seed for every scenario")
     parser.add_argument("--simulate-jobs", type=int, default=1,
                         help="simulate --jobs N (default 1: no option passed)")
@@ -142,8 +155,7 @@ def main(argv=None) -> int:
     jobs = {"simulate": args.simulate_jobs, "detect": args.detect_jobs}
     failed = False
     with tempfile.TemporaryDirectory(prefix="hbarena-digests-") as tmp:
-        scenarios = ([p.resolve() for p in args.scenario] if args.scenario
-                     else [*sorted((ROOT / "scenarios").glob("*.json")), multi_round_scenario(Path(tmp))])
+        scenarios = [p.resolve() for p in args.scenario] if args.scenario else default_scenarios(Path(tmp))
         for scenario in scenarios:
             lines, failures = run_scenario(scenario, args.seed, Path(tmp), env, jobs)
             print("\n".join(lines + failures), flush=True)
