@@ -425,19 +425,6 @@ def validate_scenario(scenario: WebsiteScenario) -> ValidationReport:
     """
     v: list[str] = []
     w: list[str] = []
-    check_scenario(scenario, v, w, {})
-    return ValidationReport(tuple(v), tuple(w))
-
-
-def check_scenario(scenario: WebsiteScenario, v: list[str], w: list[str], checked: dict) -> None:
-    """``validate_scenario``'s checks, appended to the violations ``v`` and
-    warnings ``w``.
-
-    ``checked`` maps each slot spec and latency model seen so far to whether
-    it passed its own checks.  Sites that share them (generated sites do)
-    have each checked once, and a site's message about one is formatted
-    only when it fails.
-    """
     sid = scenario.site_id
     if not _ID_RE.match(sid or ""):
         v.append(f"site {sid!r}: site_id must match {_ID_RE.pattern}")
@@ -452,10 +439,8 @@ def check_scenario(scenario: WebsiteScenario, v: list[str], w: list[str], checke
         v.append(f"site {sid!r}: slots empty")
     seen_slots = set()
     for slot in scenario.slots:
-        duplicate = slot.slot_id in seen_slots
+        v.extend(slot.violations(f"site {sid!r} slot {slot.slot_id!r}", slot.slot_id in seen_slots))
         seen_slots.add(slot.slot_id)
-        if duplicate or _fails(slot, checked):
-            v.extend(slot.violations(f"site {sid!r} slot {slot.slot_id!r}", duplicate))
     if len(scenario.slots) > SLOT_COUNT_WARNING_THRESHOLD:
         w.append(
             f"site {sid!r}: {len(scenario.slots)} ad slots auctioned; "
@@ -474,16 +459,8 @@ def check_scenario(scenario: WebsiteScenario, v: list[str], w: list[str], checke
         if pid in seen_partners:
             v.append(f"site {sid!r}: duplicate partner {pid!r} in roster")
         seen_partners.add(pid)
-    if _fails(scenario.ad_server_latency, checked):
-        v.extend(scenario.ad_server_latency.violations(f"site {sid!r} ad_server_latency"))
-
-
-def _fails(part, checked: dict) -> bool:
-    """Whether a slot spec or latency model fails its own checks, memoized in ``checked``."""
-    ok = checked.get(part)
-    if ok is None:
-        ok = checked[part] = not part.violations("")
-    return not ok
+    v.extend(scenario.ad_server_latency.violations(f"site {sid!r} ad_server_latency"))
+    return ValidationReport(tuple(v), tuple(w))
 
 
 def _host_suffix(domain: str) -> str:

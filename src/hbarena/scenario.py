@@ -26,6 +26,7 @@ from typing import NamedTuple
 from .domain import (
     AdSlotSpec,
     BidModel,
+    SLOT_COUNT_WARNING_THRESHOLD,
     ConfigurationError,
     DemandPartnerSpec,
     Facet,
@@ -36,9 +37,9 @@ from .domain import (
     WrapperPolicy,
     _host_suffix,
     _ID_RE,
-    check_scenario,
     finite_decimal,
     read_json_file,
+    validate_scenario,
 )
 from .netsim import RngStream
 
@@ -290,12 +291,18 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
             raise ConfigurationError(f"generator slot_sizes: size {key!r} needs a positive width and height")
         return wh
 
+    def at_least_one(value, where):
+        n = _integer(value, f"generator {where}")
+        if n < 1:
+            raise ConfigurationError(f"generator {where} must be >= 1, got {n}")
+        return n
+
     facet_weights = _weights(cfg["facet_weights"], "generator facet_weights")
     facets = [_member(Facet, key, "generator facet_weights: unknown facet") for key, _ in facet_weights]
     policies = _table(_weights(cfg["wrapper_policy_weights"], "generator wrapper_policy_weights"),
                       lambda key: _member(WrapperPolicy, key, "generator wrapper_policy_weights: unknown policy"))
     slot_counts = _table(_weights(cfg["slot_count_weights"], "generator slot_count_weights"),
-                         lambda key: _integer(key, "generator slot_count_weights key"))
+                         lambda key: at_least_one(key, "slot_count_weights key"))
     slot_sizes = _table(_weights(cfg["slot_sizes"], "generator slot_sizes"), size)
 
     ad_server = _typed(cfg.get("ad_server_partner"), (str, type(None)), "generator ad_server_partner", "a string")
@@ -304,23 +311,23 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
     if ad_server and ad_server not in sf.partners:
         raise ConfigurationError(f"generator ad_server_partner {ad_server!r} is not a defined partner")
 
-    pool = _strings(cfg.get("partner_pool") or [pid for pid in sf.partners if pid != ad_server],
+    pool = cfg.get("partner_pool")  # absent or null: every partner but the ad server
+    pool = _strings([pid for pid in sf.partners if pid != ad_server] if pool is None else pool,
                     "generator partner_pool")
-    for pid in pool:
+    for i, pid in enumerate(pool):
         if pid not in sf.partners:
             raise ConfigurationError(f"generator partner_pool references undefined partner {pid!r}")
+        if pid in pool[:i]:
+            raise ConfigurationError(f"generator partner_pool lists partner {pid!r} twice")
     if not pool and any(f is not Facet.NO_ADS for f in facets):
-        raise ConfigurationError("generator partner pool is empty")
+        raise ConfigurationError("generator partner_pool is empty")
     if ad_server in pool and Facet.HYBRID in facets:
         raise ConfigurationError(f"generator partner_pool holds ad_server_partner {ad_server!r}, "
                                  "which hybrid sites must not also have as a client bidder")
 
     def roster_size(value, where):
         """A roster length of at least 1, cut to the pool."""
-        n = _integer(value, f"generator {where}")
-        if n < 1:
-            raise ConfigurationError(f"generator {where} must be >= 1, got {n}")
-        return min(n, len(pool))
+        return min(at_least_one(value, where), len(pool))
 
     partner_counts = _table(_weights(cfg["partner_count_weights"], "generator partner_count_weights"),
                             lambda key: roster_size(key, "partner_count_weights key"))
@@ -422,7 +429,11 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
 def validate_scenario_file(
     sf: ScenarioFile, sites: tuple[WebsiteScenario, ...]
 ) -> ValidationReport:
-    """Whole-file validation: partner specs, cross-references, per-site checks."""
+    """Whole-file validation of ``sites``, which is ``expand_sites(sf, seed)``:
+    partner specs, unique site ids, and the per-site and cross-reference
+    checks of the explicit sites.  The generator has checked each field its
+    sites inherit; generated sites of over 20 slots give one warning.
+    """
     violations: list[str] = []
     warnings: list[str] = []
     if sf.rounds_per_site < 1:
@@ -434,13 +445,16 @@ def validate_scenario_file(
             owner = owners.setdefault(domain, spec.partner_id)
             if owner != spec.partner_id:
                 violations.append(f"domain {domain!r} is listed by partners {owner!r} and {spec.partner_id!r}")
-    checked: dict = {}  # slot specs and latency models, each checked once
     seen = set()
-    for site in sites:
+    for i, site in enumerate(sites):
         if site.site_id in seen:
             violations.append(f"duplicate site_id {site.site_id!r}")
         seen.add(site.site_id)
-        check_scenario(site, violations, warnings, checked)
+        if i >= len(sf.sites):
+            continue
+        report = validate_scenario(site)
+        violations.extend(report.violations)
+        warnings.extend(report.warnings)
         for pid in site.partners:
             if pid not in sf.partners:
                 violations.append(f"site {site.site_id!r}: unknown partner {pid!r}")
@@ -452,4 +466,7 @@ def validate_scenario_file(
             violations.append(
                 f"site {site.site_id!r}: hybrid ad server entity must not also be a client bidder"
             )
+    if any(len(site.slots) > SLOT_COUNT_WARNING_THRESHOLD for site in sites[len(sf.sites):]):
+        warnings.append(f"generator slot_count_weights gives sites more than {SLOT_COUNT_WARNING_THRESHOLD} "
+                        "ad slots, which is unusual and may indicate a misconfigured wrapper")
     return ValidationReport(tuple(violations), tuple(warnings))

@@ -1343,9 +1343,14 @@ def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field)
         ("site_prefix", "-x"),
         ("site_prefix", "a b"),
         ("partner_pool", ["dfp", "appnexus", "rubicon"]),
+        ("slot_count_weights", {"0": 1}),
+        ("slot_count_weights", {"-2": 1}),
+        ("partner_pool", ["appnexus", "rubicon", "appnexus"]),
+        ("partner_pool", []),
     ],
     ids=["timeout-0", "render-fail-1.5", "floor-minus-1", "rank-start-minus-3", "slot-size-0x250",
-         "ad-server-latency-0", "site-prefix-dash", "site-prefix-blank", "partner-pool-holds-ad-server"],
+         "ad-server-latency-0", "site-prefix-dash", "site-prefix-blank", "partner-pool-holds-ad-server",
+         "slot-count-0", "slot-count-minus-2", "partner-pool-twice", "partner-pool-empty"],
 )
 def test_generator_field_out_of_range_is_one_error(tmp_path, capsys, field, value):
     """A generator field every generated site would inherit is reported once,
@@ -1358,3 +1363,16 @@ def test_generator_field_out_of_range_is_one_error(tmp_path, capsys, field, valu
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert f"generator {field}" in err[0]
+
+
+def test_generator_slot_count_above_20_is_one_warning(tmp_path, capsys):
+    """Generated sites of more than 20 slots give one warning naming the
+    field, not one per site."""
+    scenario = json.loads((MINIMAL_SCENARIO.parent / "market_mix_5000.json").read_text())
+    scenario["generator"]["num_sites"] = 20
+    scenario["generator"]["slot_count_weights"] = {"25": 1}
+    scen = write(tmp_path, scenario)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("warning: generator slot_count_weights"), err

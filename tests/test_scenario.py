@@ -148,6 +148,45 @@ def test_unknown_partner_reference_is_violation(tmp_path):
     assert any("unknown partner 'ghost'" in v for v in report.violations)
 
 
+def explicit_site(site_id="s1", **overrides):
+    site = {
+        "site_id": site_id,
+        "facet": "client_side",
+        "slots": [{"slot_id": "slot0", "width": 300, "height": 250, "floor_price": "0"}],
+        "partners": ["alpha"],
+        "ad_server_latency": {"kind": "fixed", "value_ms": "80"},
+    }
+    site.update(overrides)
+    return site
+
+
+def file_violations(tmp_path, payload):
+    sf = load_scenario_file(write_scenario(tmp_path, payload))
+    return validate_scenario_file(sf, expand_sites(sf, 1)).violations
+
+
+def test_duplicate_explicit_site_id_is_violation(tmp_path):
+    payload = {"master_seed": 1, "partners": PARTNERS, "sites": [explicit_site(), explicit_site()]}
+    assert file_violations(tmp_path, payload) == ("duplicate site_id 's1'",)
+
+
+def test_duplicate_slot_id_is_violation(tmp_path):
+    slot = {"slot_id": "slot0", "width": 300, "height": 250, "floor_price": "0"}
+    payload = {"master_seed": 1, "partners": PARTNERS, "sites": [explicit_site(slots=[slot, slot])]}
+    assert file_violations(tmp_path, payload) == ("site 's1' slot 'slot0': duplicate slot_id",)
+
+
+def test_duplicate_roster_partner_is_violation(tmp_path):
+    payload = {"master_seed": 1, "partners": PARTNERS, "sites": [explicit_site(partners=["alpha", "alpha"])]}
+    assert file_violations(tmp_path, payload) == ("site 's1': duplicate partner 'alpha' in roster",)
+
+
+def test_explicit_site_colliding_with_generated_site_is_one_violation(tmp_path):
+    payload = generator_payload(num_sites=10)
+    payload["sites"] = [explicit_site("site00003")]
+    assert file_violations(tmp_path, payload) == ("duplicate site_id 'site00003'",)
+
+
 def test_directory_covers_all_partner_domains(tmp_path):
     sf = load_scenario_file(write_scenario(tmp_path, generator_payload()))
     directory = sf.directory()
@@ -191,7 +230,10 @@ def generator_blocks(draw):
         "ad_server_partner": "entity",
         "roster_order": draw(st.sampled_from(["shuffle", "pool"])),
         "partner_count_weights": draw(weight_map([str(k) for k in range(1, 15)])),
-        "slot_count_weights": draw(weight_map([str(k) for k in range(0, 9)])),
+        # Sometimes a slot count key below 1, which the generator rejects, or
+        # one above 20, which gives a warning.
+        "slot_count_weights": draw(weight_map([str(k) for k in range(1, 9)]
+                                              + draw(st.sampled_from([[], [], ["0", "-2"], ["21", "25"]])))),
         "slot_sizes": draw(weight_map(["300x250", "728x90", "300x600", "1x1", "320x50"])),
         "wrapper_policy_weights": draw(weight_map(["wait_all", "wait_timeout", "immediate"])),
         "waterfall_tiers": draw(st.integers(min_value=1, max_value=14)),
@@ -202,14 +244,51 @@ def generator_blocks(draw):
     }
     if draw(st.booleans()):
         pool = [pid for pid in partners if pid != "entity"]
-        gen["partner_pool"] = draw(st.permutations(pool))[: draw(st.integers(min_value=1, max_value=len(pool)))]
+        pool = draw(st.permutations(pool))[: draw(st.integers(min_value=1, max_value=len(pool)))]
+        if draw(st.integers(min_value=0, max_value=4)) == 0:  # sometimes a partner twice
+            pool.insert(draw(st.integers(min_value=0, max_value=len(pool))), draw(st.sampled_from(pool)))
+        gen["partner_pool"] = pool
     return partners, gen
+
+
+def generator_file(partners, gen):
+    return ScenarioFile(master_seed=None, rounds_per_site=1, output_dir=None, partners=partners,
+                        sites=(), generator=gen)
 
 
 @settings(max_examples=80, deadline=None)
 @given(block=generator_blocks(), seed=st.integers(min_value=0, max_value=2**64 - 1))
 def test_expansion_equals_generator_oracle(block, seed):
+    """The generator's sites are the oracle's, or, for a slot count key below
+    1 or a pool that lists a partner twice, one error naming the field."""
     partners, gen = block
-    sf = ScenarioFile(master_seed=None, rounds_per_site=1, output_dir=None, partners=partners,
-                      sites=(), generator=gen)
-    assert canonical_json(expand_sites(sf, seed)) == canonical_json(oracles.generate_sites(partners, gen, seed))
+    sf = generator_file(partners, gen)
+    pool = gen.get("partner_pool", [])
+    if any(int(key) < 1 and Decimal(str(w)) > 0 for key, w in gen["slot_count_weights"].items()):
+        field = "slot_count_weights"
+    elif len(set(pool)) < len(pool):
+        field = "partner_pool"
+    else:
+        assert canonical_json(expand_sites(sf, seed)) == canonical_json(oracles.generate_sites(partners, gen, seed))
+        return
+    with pytest.raises(ConfigurationError, match=f"generator {field}"):
+        expand_sites(sf, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(block=generator_blocks(), seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_generator_checks_cover_the_per_site_checks(block, seed):
+    """A generator block either raises or gives sites that pass every per-site
+    check; it warns once about oversized sites exactly when some site would."""
+    partners, gen = block
+    sf = generator_file(partners, gen)
+    try:
+        sites = expand_sites(sf, seed)
+    except ConfigurationError:
+        return
+    full = validate_scenario_file(sf._replace(sites=sites, generator=None), sites)
+    assert full.violations == ()
+    report = validate_scenario_file(sf, sites)
+    assert report.violations == ()
+    assert len(report.warnings) == (1 if full.warnings else 0)
+    assert all("generator slot_count_weights" in w for w in report.warnings)
