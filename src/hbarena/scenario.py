@@ -26,12 +26,12 @@ from typing import NamedTuple
 from .domain import (
     AdSlotSpec,
     BidModel,
-    SLOT_COUNT_WARNING_THRESHOLD,
     ConfigurationError,
     DemandPartnerSpec,
     Facet,
     LatencyModel,
     PartnerDirectory,
+    SLOT_COUNT_WARNING_THRESHOLD,
     ValidationReport,
     WebsiteScenario,
     WrapperPolicy,
