@@ -17,6 +17,7 @@ time.
 from __future__ import annotations
 
 import csv
+import json
 from array import array
 from collections import Counter, defaultdict
 from decimal import Decimal
@@ -24,8 +25,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .domain import (HB_FACETS, ConfigurationError, compact_json, decimal_str, json_chunks, quantize_cpm,
-                     read_json_lines)
+from .domain import HB_FACETS, ConfigurationError, compact_json, decimal_str, quantize_cpm, read_json_lines
 
 RANK_BIN_WIDTH = 500
 POPULARITY_BIN_WIDTH = 10
@@ -531,12 +531,21 @@ def write_report_csv(path, rows: list[dict]) -> None:
         writer.writerows(map(itemgetter(*CSV_COLUMNS), rows))
 
 
+# The items of a flat row, each on a line of its own at the indent of report.json's row items.  The
+# C encoder writes them; indent= would take the pure-Python one.
+_row_items = json.JSONEncoder(separators=(",\n        ", ": "), sort_keys=True, check_circular=False).encode
+
+
 def write_report_json(fh, name: str, rows: list[dict], first: bool, last: bool) -> None:
     """Writes report ``name`` to the text file ``fh`` as its entry in the text
     of ``json.dump({"reports": reports}, indent=2, sort_keys=True)`` and a
-    newline.  Each report takes one call, in name order: ``first`` opens the
-    text, ``last`` closes it."""
-    fh.write(('{\n  "reports": {\n    ' if first else ",\n    ") + compact_json(name) + ": ")
-    fh.writelines(json_chunks(rows, "    "))
+    newline, one flat row at a time.  Each report takes one call, in name
+    order: ``first`` opens the text, ``last`` closes it."""
+    fh.write(('{\n  "reports": {\n    ' if first else ",\n    ") + compact_json(name) + ": [")
+    separator = "\n      "
+    for row in rows:
+        fh.write(separator + ("{\n        " + _row_items(row)[1:-1] + "\n      }" if row else "{}"))
+        separator = ",\n      "
+    fh.write("\n    ]" if rows else "]")
     if last:
         fh.write("\n  }\n}\n")

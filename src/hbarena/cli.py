@@ -12,6 +12,7 @@ import collections
 import contextlib
 import functools
 import hashlib
+import json
 import marshal
 import os
 import signal
@@ -24,7 +25,7 @@ from .analytics import REPORT_NAMES, build_report, load_records, write_report_cs
 from .auction import run_scenario
 from .detector import extract_auction_metadata, result_row
 from .domain import (HB_FACETS, ConfigurationError, PartnerDirectory, TraceParseError, builtin_directory,
-                     compact_json, decimal_str, indented_json, read_json_file, read_json_lines)
+                     compact_json, decimal_str, indented_json, quantize_cpm, read_json_file, read_json_lines)
 from .scenario import expand_sites, load_scenario_file, validate_scenario_file
 from .tracegen import (
     emit_trace,
@@ -315,7 +316,10 @@ def cmd_simulate(args) -> int:
         },
         "files": digests,  # sorted once, by sort_keys
     }
-    _write(os.path.join(out_dir, "manifest.json"), [indented_json(manifest), "\n"])
+    # Streamed to the file: the text grows with the corpus and is never held whole.
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     stale = sorted(
         name for name in os.listdir(out_dir) if name.endswith(_CORPUS_SUFFIXES) and name not in digests
     )
@@ -385,7 +389,7 @@ def _score(per_trace: list[tuple], truth: dict[tuple[str, int], str]) -> None:
     def ratio(num, den):
         if den == 0:
             return "n/a"
-        return decimal_str((Decimal(num) / Decimal(den)).quantize(Decimal("0.000001")))
+        return decimal_str(quantize_cpm(Decimal(num) / Decimal(den)))
 
     print(f"scored {scored} traces against sidecar truth" + (f" ({errors} errors)" if errors else ""))
     print(f"precision={ratio(tp, tp + fp)} recall={ratio(tp, tp + fn)} "

@@ -14,14 +14,12 @@ unit, quantizer and lower bound.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
-from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 from urllib.parse import urlsplit
 from importlib import resources
 
@@ -133,18 +131,17 @@ def read_json_lines(path) -> Iterator[tuple[int, dict]]:
         raise ConfigurationError(f"{path}:{exc.line_no}: {exc.message}") from None
 
 
-def quantize_ms(value) -> Decimal:
-    """Canonical milliseconds: 3 fractional digits, round-half-even."""
-    if not isinstance(value, Decimal):
-        value = Decimal(repr(value)) if isinstance(value, float) else Decimal(value)
-    return value.quantize(MS_QUANTUM, rounding=ROUND_HALF_EVEN)
+def _quantizer(quantum: Decimal):
+    """The canonical ``Decimal`` of a number: whole ``quantum``s, round-half-even."""
+    def quantize(value) -> Decimal:
+        if not isinstance(value, Decimal):
+            value = Decimal(repr(value)) if isinstance(value, float) else Decimal(value)
+        return value.quantize(quantum, rounding=ROUND_HALF_EVEN)
+    return quantize
 
 
-def quantize_cpm(value) -> Decimal:
-    """Canonical CPM: 6 fractional digits, round-half-even."""
-    if not isinstance(value, Decimal):
-        value = Decimal(repr(value)) if isinstance(value, float) else Decimal(value)
-    return value.quantize(CPM_QUANTUM, rounding=ROUND_HALF_EVEN)
+quantize_ms = _quantizer(MS_QUANTUM)  # 3 fractional digits
+quantize_cpm = _quantizer(CPM_QUANTUM)  # 6 fractional digits
 
 
 def finite_decimal(value) -> Decimal:
@@ -163,59 +160,13 @@ def decimal_str(value: Decimal) -> str:
     return text or "0"
 
 
-@functools.cache
-def _json_encoder(item_separator: str, key_separator: str, sort_keys: bool) -> Callable[[object], str]:
-    """json.dumps with these separators and sort_keys, for values without cycles."""
-    encoder = json.JSONEncoder(sort_keys=sort_keys, separators=(item_separator, key_separator))
-    if c_make_encoder is None:
-        return encoder.encode
-    # JSONEncoder.encode makes a new C encoder on every call; this one is made
-    # once.  It keeps no cycle markers, which a failed call would leave behind.
-    encode = c_make_encoder(None, encoder.default, encode_basestring_ascii, None, key_separator, item_separator,
-                            sort_keys, False, True)
-    return lambda value: "".join(encode(value, 0))
-
-
 # The text of json.dumps(value, separators=(",", ":")): one JSON Lines row.
-compact_json = _json_encoder(",", ":", False)
-
-
-# json.dumps(indent=...) falls back to the pure-Python encoder.  The C encoder
-# writes each container of scalars, with every item after the first on a line
-# of its own at ``indent``: encoded JSON holds no other newline.
-@functools.cache
-def _items_json(indent: str) -> Callable[[object], str]:
-    return _json_encoder(",\n" + indent, ": ", True)
-
-
-_CONTAINERS = frozenset((dict, list, tuple))
-
-
-def json_chunks(value, indent: str = "") -> Iterator[str]:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for plain
-    dicts with string keys, lists, tuples and scalars, nested at ``indent``,
-    in pieces that each hold at most one container of scalars."""
-    kind = type(value)
-    if kind not in _CONTAINERS or not value:
-        yield _items_json("")(value)
-        return
-    inner = indent + "  "
-    opening, closing = ("{\n", "}") if kind is dict else ("[\n", "]")
-    items = value.values() if kind is dict else value
-    if _CONTAINERS.isdisjoint(map(type, items)):
-        yield opening + inner + _items_json(inner)(value)[1:-1] + "\n" + indent + closing
-        return
-    separator, key = opening + inner, _items_json("")
-    for k, v in sorted(value.items()) if kind is dict else enumerate(value):
-        yield separator + key(k) + ": " if kind is dict else separator
-        yield from json_chunks(v, inner)
-        separator = ",\n" + inner
-    yield "\n" + indent + closing
+compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def indented_json(value) -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, as ``json_chunks`` gives it."""
-    return "".join(json_chunks(value))
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``."""
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
 class Facet(str, Enum):

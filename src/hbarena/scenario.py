@@ -13,7 +13,8 @@ Generator block fields, all optional unless noted:
   timeout_ms, ad_server_partner, ad_server_latency, waterfall_tiers,
   server_backend_count, render_fail_probability
 
-A field of the wrong type or out of range is a ConfigurationError naming it.
+A field of the wrong type or out of range, or a key that names no field, is
+a ConfigurationError naming it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ _GENERATOR_DEFAULTS = {
     "server_backend_count": 3,
     "render_fail_probability": Decimal(0),
 }
+
+_GENERATOR_FIELDS = {*_GENERATOR_DEFAULTS, "num_sites", "partner_pool", "ad_server_partner", "ad_server_latency"}
 
 
 class ScenarioFile(NamedTuple):
@@ -104,6 +107,14 @@ def _typed(value, kind, where: str, noun: str):
     return value
 
 
+def _known(obj: dict, fields, where: str) -> None:
+    """A key of ``obj`` outside ``fields`` is a ConfigurationError naming it:
+    a misspelt field must not leave its default silently in place."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigurationError(f"{where}: unknown field {key!r}")
+
+
 def _strings(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ConfigurationError(f"{where} must be a list of strings, got {value!r}")
@@ -113,6 +124,7 @@ def _strings(value, where: str) -> tuple[str, ...]:
 def _parse_partner(obj) -> DemandPartnerSpec:
     obj = _typed(obj, dict, "partner entry", "a JSON object")
     where = f"partner {obj.get('partner_id')!r}"
+    _known(obj, DemandPartnerSpec._fields, where)
     try:
         return DemandPartnerSpec(
             partner_id=_typed(obj["partner_id"], str, "partner_id", "a string"),
@@ -128,6 +140,7 @@ def _parse_partner(obj) -> DemandPartnerSpec:
 def _parse_slot(obj, site_id: str) -> AdSlotSpec:
     where = f"site {site_id!r} slot"
     obj = _typed(obj, dict, where, "a JSON object")
+    _known(obj, AdSlotSpec._fields, where)
     try:
         return AdSlotSpec(
             slot_id=_typed(obj["slot_id"], str, f"{where} slot_id", "a string"),
@@ -143,6 +156,7 @@ def _parse_site(obj) -> WebsiteScenario:
     obj = _typed(obj, dict, "site entry", "a JSON object")
     site_id = obj.get("site_id", "<missing>")
     where = f"site {site_id!r}"
+    _known(obj, WebsiteScenario._fields, where)
     try:
         facet = Facet(obj["facet"])
         policy = WrapperPolicy(obj.get("wrapper_policy", "wait_timeout"))
@@ -173,6 +187,7 @@ def load_scenario_file(path) -> ScenarioFile:
     data = read_json_file(path, "scenario file")
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: scenario file must be a JSON object")
+    _known(data, ScenarioFile._fields, "scenario file")
 
     partners: dict[str, DemandPartnerSpec] = {}
     for entry in _typed(data.get("partners", []), list, "partners", "a list"):
@@ -183,8 +198,8 @@ def load_scenario_file(path) -> ScenarioFile:
 
     sites = tuple(_parse_site(entry) for entry in _typed(data.get("sites", []), list, "sites", "a list"))
     generator = data.get("generator")
-    if generator is not None and not isinstance(generator, dict):
-        raise ConfigurationError("generator block must be a JSON object")
+    if generator is not None:
+        _known(_typed(generator, dict, "generator block", "a JSON object"), _GENERATOR_FIELDS, "generator")
     if not sites and generator is None:
         raise ConfigurationError("scenario file needs a sites list or a generator block")
 

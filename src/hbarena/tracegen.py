@@ -26,15 +26,15 @@ from __future__ import annotations
 import functools
 import os
 import re
-from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 from urllib.parse import urlsplit
 
 from .auction import AuctionOutcome, CHANNEL_CLIENT, WaterfallOutcome
-from .domain import (MS_QUANTUM, DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario, decimal_str,
-                     json_text_lines, quantize_ms)
+from .domain import (DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario, decimal_str, json_text_lines,
+                     quantize_ms)
 
 DOM_EVENT_NAMES = (
     "auctionInit",
@@ -284,7 +284,7 @@ def _checked_ts(obj: dict, line_no: int) -> Decimal:
     # millisecond precision in the default 28-digit context.
     if not ts.is_finite() or abs(ts) >= _TS_LIMIT_MS:
         raise TraceParseError(line_no, f"bad ts_ms: out of range: {obj['ts_ms']!r}")
-    return ts.quantize(MS_QUANTUM, rounding=ROUND_HALF_EVEN)
+    return quantize_ms(ts)
 
 
 # A trace repeats its own few timestamps within a few lines, so a small cache

@@ -25,7 +25,7 @@ from hbarena.analytics import (
     report_values,
     write_report_json,
 )
-from hbarena.domain import ConfigurationError, decimal_str, indented_json, quantize_cpm
+from hbarena.domain import ConfigurationError, compact_json, decimal_str, indented_json, quantize_cpm
 
 D = Decimal
 
@@ -518,3 +518,4 @@ _JSON_VALUES = st.recursive(
 def test_indented_json_equals_indented_json_dump(value):
     """Nested values, such as the manifest's map of flat site maps, and empty containers."""
     assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert compact_json(value) == json.dumps(value, separators=(",", ":"))

@@ -1302,6 +1302,11 @@ GEN = ("generator",)
         ("minimal", _set(("output_dir",), 5), "output_dir"),
         ("minimal", _set(("output_dir",), True), "output_dir"),
         ("minimal", _set(("output_dir",), []), "output_dir"),
+        ("market_mix", _set(GEN + ("facet_weight",), {"hybrid": 1}), "facet_weight"),
+        ("market_mix", _set(("rounds_per_sites",), 3), "rounds_per_sites"),
+        ("minimal", _set(("partners", 0, "response_probabilty"), "0.5"), "response_probabilty"),
+        ("minimal", _set(("sites", 0, "wrapper_polcy"), "immediate"), "wrapper_polcy"),
+        ("minimal", _set(("sites", 0, "slots", 0, "floor_cpm"), "1"), "floor_cpm"),
     ],
     ids=[
         "nan-facet-weight", "inf-slot-size-weight", "nan-partner-count-weight", "negative-inf-slot-count-weight",
@@ -1311,7 +1316,8 @@ GEN = ("generator",)
         "slot-floor-nan", "response-probability-nan", "site-render-fail-nan", "domains-string",
         "lognormal-mu-true", "lognormal-sigma-true", "domains-empty-entry", "domains-dot-entry",
         "domain-of-two-partners", "site-prefix-7", "domains-port", "domains-scheme", "domains-path",
-        "domains-leading-blank", "output-dir-5", "output-dir-true", "output-dir-list",
+        "domains-leading-blank", "output-dir-5", "output-dir-true", "output-dir-list", "generator-unknown-key",
+        "top-level-unknown-key", "partner-unknown-key", "site-unknown-key", "slot-unknown-key",
     ],
 )
 def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field):

@@ -26,6 +26,20 @@ def test_module_imports_only_the_standard_library(path):
     assert outside == []
 
 
+def test_json_is_written_through_the_public_api():
+    """Nothing is taken from json.encoder but the string escaper that tracegen's event writer is built on."""
+    taken = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json.encoder":
+                taken += [(path.name, node.lineno, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                taken += [(path.name, node.lineno, alias.name) for alias in node.names if alias.name == "json.encoder"]
+            elif isinstance(node, ast.Attribute) and node.attr == "encoder" and getattr(node.value, "id", None) == "json":
+                taken.append((path.name, node.lineno, "json.encoder"))
+    assert [(name, what) for name, _, what in taken] == [("tracegen.py", "encode_basestring_ascii")], taken
+
+
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
