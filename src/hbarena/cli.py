@@ -13,7 +13,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import marshal
 import os
 import signal
 import sys
@@ -110,7 +109,7 @@ def _map_ordered(fn, tasks: list, jobs: int, initializer=None, initargs=()) -> I
 
 
 def _create_files(out_dir: str, frames) -> None:
-    """The file writer's ``run``: creates in out_dir each file framed on
+    """The file writer's work: creates in out_dir each file framed on
     ``frames`` until EOF."""
     while len(head := frames.read(8)) == 8:
         name = frames.read(int.from_bytes(head[:4], "little"))
@@ -122,43 +121,37 @@ def _create_files(out_dir: str, frames) -> None:
             fh.write(data)
 
 
-class _Helper:
+class _FileWriter:
     """One child process, forked before any thread or pool worker of this
-    process starts, that runs ``run(stream)`` while this process goes on.
-    ``stream`` reads what ``send`` writes; the pipe bounds the bytes in
-    flight, so ``send`` blocks while the child is behind.  ``result()`` ends
-    the stream, waits for the child and returns what ``run`` returned, or
-    raises what it raised: a ConfigurationError again as one, any other
-    exception as a RuntimeError, with the same text.  A child that exits
-    without a reply is a RuntimeError naming ``what``.  Leaving the ``with``
-    block before ``result()`` kills the child."""
+    process starts, that runs ``_create_files(out_dir, stream)`` while this
+    process goes on.  ``stream`` reads what ``send`` writes; the pipe bounds
+    the bytes in flight, so ``send`` blocks while the child is behind.
+    ``finish()`` ends the stream and waits for the child; the error that
+    stopped it is raised as a RuntimeError with the same text, and a child
+    that exits without one gives a RuntimeError with its exit code.  Leaving
+    the ``with`` block before ``finish()`` kills the child."""
 
-    def __init__(self, what: str, run):
+    def __init__(self, out_dir: str):
         stream_in, stream_out = os.pipe()
-        reply_in, reply_out = os.pipe()
+        error_in, error_out = os.pipe()
         self._pid = os.fork()
         if self._pid == 0:
             code = 1
             try:
                 os.close(stream_out)  # else this process would hold its own stream open
-                os.close(reply_in)
+                os.close(error_in)
                 with open(stream_in, "rb") as stream:
-                    try:
-                        reply = (EXIT_OK, run(stream))
-                    except ConfigurationError as exc:
-                        reply = (EXIT_CONFIG, str(exc))
-                    except Exception as exc:  # noqa: BLE001 - raised again by the parent
-                        reply = (EXIT_RUNTIME, str(exc))
-                with open(reply_out, "wb") as fh:
-                    marshal.dump(reply, fh)
+                    _create_files(out_dir, stream)
                 code = 0
+            except Exception as exc:  # noqa: BLE001 - raised again by the parent
+                with open(error_out, "wb") as fh:
+                    fh.write(str(exc).encode("utf-8", "surrogatepass"))
             finally:
                 os._exit(code)  # never back into this process's code
         os.close(stream_in)
-        os.close(reply_out)
-        self._what = what
+        os.close(error_out)
         self._stream = open(stream_out, "wb")
-        self._reply = reply_in
+        self._error = error_in
 
     def fileno(self) -> int:
         """The stream's write end, which processes forked later must close."""
@@ -170,36 +163,34 @@ class _Helper:
         try:
             self._stream.write(len(encoded).to_bytes(4, "little") + len(data).to_bytes(4, "little") + encoded)
             self._stream.write(data)
-        except BrokenPipeError:  # the child stopped early: result() raises why
-            self.result()
+        except BrokenPipeError:  # the child stopped early: finish() raises why
+            self.finish()
             raise
 
     def _wait(self) -> tuple[bytes, int]:
-        """Ends the stream; the child's reply and exit code, once it has exited."""
+        """Ends the stream; the child's error text and exit code, once it has exited."""
         try:
             self._stream.close()
-        except BrokenPipeError:  # the child stopped early; its reply says why
+        except BrokenPipeError:  # the child stopped early; its error text says why
             pass
-        with open(self._reply, "rb") as fh:
-            reply = fh.read()
+        with open(self._error, "rb") as fh:
+            error = fh.read()
         code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
         self._pid = None
-        return reply, code
+        return error, code
 
-    def result(self):
-        reply, code = self._wait()
+    def finish(self) -> None:
+        error, code = self._wait()
+        if error:
+            raise RuntimeError(error.decode("utf-8", "surrogatepass"))
         if code:
-            raise RuntimeError(f"the {self._what} process exited with code {code}")
-        status, value = marshal.loads(reply)
-        if status != EXIT_OK:
-            raise (ConfigurationError if status == EXIT_CONFIG else RuntimeError)(value)
-        return value
+            raise RuntimeError(f"the file writer process exited with code {code}")
 
-    def __enter__(self) -> "_Helper":
+    def __enter__(self) -> "_FileWriter":
         return self
 
     def __exit__(self, *_) -> None:
-        if self._pid is not None:  # left before result()
+        if self._pid is not None:  # left before finish()
             os.kill(self._pid, signal.SIGKILL)
             self._wait()
 
@@ -285,7 +276,7 @@ def cmd_simulate(args) -> int:
     tasks = [(site, sf.partners, master_seed, sf.rounds_per_site)
              for site in sorted(sites, key=lambda site: site.site_id)]
     digests: dict[str, str] = {}
-    with _Helper("file writer", lambda frames: _create_files(out_dir, frames)) as writer:
+    with _FileWriter(out_dir) as writer:
 
         def outcome_lines():
             for texts, rows in _map_ordered(_simulate_site, tasks, args.jobs, os.close, (writer.fileno(),)):
@@ -296,7 +287,7 @@ def cmd_simulate(args) -> int:
                 yield from rows
 
         digests["outcomes.jsonl"] = _write(os.path.join(out_dir, "outcomes.jsonl"), outcome_lines())
-        writer.result()
+        writer.finish()
     directory = indented_json(sf.directory().to_json())
     digests["directory.json"] = _write(os.path.join(out_dir, "directory.json"), [directory, "\n"])
 
@@ -419,22 +410,20 @@ def cmd_detect(args) -> int:
     # when every trace is done; --score keeps one small tuple per trace.
     per_trace: list[tuple] = []
     errors = 0
-    with (_Helper("truth reader", lambda _: _read_truth(args.trace_dir)) if args.score
-          else contextlib.nullcontext()) as reader:
-        rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
-        with _replacing(out_path) as fh:
-            for row in rows:
-                failed = "error" in row
-                errors += failed
-                if args.score:
-                    # An error row's site_id is the name of the trace file it failed on.
-                    key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
-                    per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
-                fh.write(compact_json(row) + "\n")
-        print(f"detected over {len(trace_names)} traces -> {out_path}"
-              + (f" ({errors} errors)" if errors else ""))
-        if args.score:
-            _score(per_trace, reader.result())
+    rows = _map_ordered(functools.partial(_detect_trace, args.trace_dir, directory), trace_names, args.jobs)
+    with _replacing(out_path) as fh:
+        for row in rows:
+            failed = "error" in row
+            errors += failed
+            if args.score:
+                # An error row's site_id is the name of the trace file it failed on.
+                key = trace_key(row["site_id"]) if failed else (row["site_id"], row["round_index"])
+                per_trace.append((key, failed, row.get("is_hb"), row.get("facet")))
+            fh.write(compact_json(row) + "\n")
+    print(f"detected over {len(trace_names)} traces -> {out_path}"
+          + (f" ({errors} errors)" if errors else ""))
+    if args.score:
+        _score(per_trace, _read_truth(args.trace_dir))
     return EXIT_PARSE_ERRORS if errors else EXIT_OK
 
 

@@ -25,6 +25,9 @@ from importlib import resources
 
 MS_QUANTUM = Decimal("0.001")
 CPM_QUANTUM = Decimal("0.000001")
+# Times in milliseconds stay below this bound, which keeps every difference
+# of two exact at millisecond precision in the default 28-digit context.
+MS_LIMIT = Decimal(10**15)
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.:-]*$")
 
@@ -47,6 +50,14 @@ def read_json_file(path, what: str):
         raise ConfigurationError(f"cannot read {what} {path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError among them
         raise ConfigurationError(f"{what} {path} is not JSON: {exc}") from None
+
+
+def _known(obj: dict, fields, where: str) -> None:
+    """A key of ``obj`` outside ``fields`` is a ConfigurationError naming it:
+    a misspelt field must not leave its default silently in place."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigurationError(f"{where}: unknown field {key!r}")
 
 
 class TraceParseError(ValueError):
@@ -251,16 +262,19 @@ class Distribution(NamedTuple):
         if not isinstance(obj, dict):
             raise ConfigurationError(f"{where}: expected a JSON object, got {obj!r}")
         kind = obj.get("kind")
+        schemas = {"fixed": ("kind", f"value_{cls.unit}"), "lognormal": ("kind", "mu", "sigma"),
+                   "empirical": ("kind", f"samples_{cls.unit}")}
+        if not isinstance(kind, str) or kind not in schemas:
+            raise ConfigurationError(f"{where}: unknown kind {kind!r}")
+        _known(obj, schemas[kind], where)
         try:
             if kind == "fixed":
                 return cls.fixed(finite_decimal(obj[f"value_{cls.unit}"]))
             if kind == "lognormal":
                 return cls.lognormal(_real(obj, "mu"), _real(obj, "sigma"))
-            if kind == "empirical":
-                return cls.empirical(finite_decimal(s) for s in obj[f"samples_{cls.unit}"])
+            return cls.empirical(finite_decimal(s) for s in obj[f"samples_{cls.unit}"])
         except (KeyError, InvalidOperation, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{where}: bad parameters for kind {kind!r}: {exc}") from exc
-        raise ConfigurationError(f"{where}: unknown kind {kind!r}")
 
 
 def _real(obj: dict, key: str) -> float:
@@ -383,6 +397,8 @@ def validate_scenario(scenario: WebsiteScenario) -> ValidationReport:
         v.append(f"site {sid!r}: rank must be >= 1")
     if scenario.timeout_ms <= 0:
         v.append(f"site {sid!r}: timeout_ms must be positive")
+    elif scenario.timeout_ms >= MS_LIMIT:
+        v.append(f"site {sid!r}: timeout_ms must be below {MS_LIMIT}")
     if not (0 <= scenario.render_fail_probability <= 1):
         v.append(f"site {sid!r}: render_fail_probability must be in [0, 1]")
 

@@ -31,6 +31,7 @@ from .domain import (
     DemandPartnerSpec,
     Facet,
     LatencyModel,
+    MS_LIMIT,
     PartnerDirectory,
     SLOT_COUNT_WARNING_THRESHOLD,
     ValidationReport,
@@ -38,6 +39,7 @@ from .domain import (
     WrapperPolicy,
     _host_suffix,
     _ID_RE,
+    _known,
     finite_decimal,
     read_json_file,
     validate_scenario,
@@ -59,6 +61,10 @@ _GENERATOR_DEFAULTS = {
     "server_backend_count": 3,
     "render_fail_probability": Decimal(0),
 }
+
+# A site's rounds are all held in memory until the site is done; the paper
+# measures about 23 auctions per site.
+MAX_ROUNDS_PER_SITE = 10_000
 
 _GENERATOR_FIELDS = {*_GENERATOR_DEFAULTS, "num_sites", "partner_pool", "ad_server_partner", "ad_server_latency"}
 
@@ -105,14 +111,6 @@ def _typed(value, kind, where: str, noun: str):
     if not isinstance(value, kind):
         raise ConfigurationError(f"{where} must be {noun}, got {value!r}")
     return value
-
-
-def _known(obj: dict, fields, where: str) -> None:
-    """A key of ``obj`` outside ``fields`` is a ConfigurationError naming it:
-    a misspelt field must not leave its default silently in place."""
-    for key in obj:
-        if key not in fields:
-            raise ConfigurationError(f"{where}: unknown field {key!r}")
 
 
 def _strings(value, where: str) -> tuple[str, ...]:
@@ -361,8 +359,8 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
     if floor < 0:
         raise ConfigurationError(f"generator floor_price must be non-negative, got {floor}")
     timeout_ms = _integer(cfg["timeout_ms"], "generator timeout_ms")
-    if timeout_ms <= 0:
-        raise ConfigurationError(f"generator timeout_ms must be positive, got {timeout_ms}")
+    if not 0 < timeout_ms < MS_LIMIT:
+        raise ConfigurationError(f"generator timeout_ms must be positive and below {MS_LIMIT}, got {timeout_ms}")
     roster_order = cfg["roster_order"]
     if roster_order not in ("shuffle", "pool"):
         raise ConfigurationError("generator roster_order must be 'shuffle' or 'pool'")
@@ -453,6 +451,8 @@ def validate_scenario_file(
     warnings: list[str] = []
     if sf.rounds_per_site < 1:
         violations.append("rounds_per_site must be >= 1")
+    elif sf.rounds_per_site > MAX_ROUNDS_PER_SITE:
+        violations.append(f"rounds_per_site must be at most {MAX_ROUNDS_PER_SITE}")
     owners: dict[str, str] = {}  # normalised domain -> the first partner that lists it
     for spec in sf.partners.values():
         violations.extend(spec.violations())

@@ -33,8 +33,8 @@ from typing import Mapping, NamedTuple
 from urllib.parse import urlsplit
 
 from .auction import AuctionOutcome, CHANNEL_CLIENT, WaterfallOutcome
-from .domain import (DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario, decimal_str, json_text_lines,
-                     quantize_ms)
+from .domain import (MS_LIMIT, DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario, decimal_str,
+                     json_text_lines, quantize_ms)
 
 DOM_EVENT_NAMES = (
     "auctionInit",
@@ -59,7 +59,6 @@ _DOM_NAMES = frozenset(DOM_EVENT_NAMES)
 _DIRECTIONS = frozenset(("outbound", "inbound"))
 _WEB_SCHEMES = frozenset(("http", "https"))
 _STR_OR_NONE = (str, type(None))
-_TS_LIMIT_MS = Decimal("1e15")
 # Round start; every other time an emitter stamps was quantized when sampled.
 _ROUND_START = Decimal("0.000")
 
@@ -280,9 +279,7 @@ def _checked_ts(obj: dict, line_no: int) -> Decimal:
         ts = Decimal(raw)
     except (KeyError, TypeError, ValueError, InvalidOperation) as exc:
         raise TraceParseError(line_no, f"bad ts_ms: {exc}") from exc
-    # The bound keeps every difference of two timestamps exact at
-    # millisecond precision in the default 28-digit context.
-    if not ts.is_finite() or abs(ts) >= _TS_LIMIT_MS:
+    if not ts.is_finite() or abs(ts) >= MS_LIMIT:
         raise TraceParseError(line_no, f"bad ts_ms: out of range: {obj['ts_ms']!r}")
     return quantize_ms(ts)
 

@@ -1,7 +1,6 @@
-"""Only ``cli._Helper`` makes child processes by hand: nothing else in the
-runtime calls ``os.fork``, ``os.waitpid`` or ``os._exit`` or uses
-``marshal``, so that every forked helper shares one protocol and one way of
-relaying its errors.  Pool workers are ``concurrent.futures``'s own."""
+"""Only ``cli._FileWriter`` makes a child process by hand: nothing else in
+the runtime calls ``os.fork``, ``os.waitpid`` or ``os._exit``, and no
+module uses ``marshal``.  Pool workers are ``concurrent.futures``'s own."""
 
 import ast
 from pathlib import Path
@@ -9,7 +8,7 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "hbarena").glob("*.py"))
-HELPER = ("cli.py", "_Helper")
+HELPER = ("cli.py", "_FileWriter")
 _OS_NAMES = {"fork", "waitpid", "_exit"}
 
 
@@ -22,25 +21,32 @@ def _outside(node: ast.AST, skipped_class: str | None):
 
 
 def process_uses(source: str, skipped_class: str | None = None) -> list[int]:
-    """The line of each use of ``os.fork``, ``os.waitpid``, ``os._exit`` or
-    of anything of ``marshal`` in a module, outside the class named
-    ``skipped_class``, under whatever name it imported them by."""
+    """The line of each use of ``os.fork``, ``os.waitpid`` or ``os._exit``
+    outside the class named ``skipped_class``, and of each use of anything
+    of ``marshal`` anywhere in a module, under whatever name it imported
+    them by."""
     tree = ast.parse(source)
-    os_modules, marshal_modules, functions = set(), set(), set()
+    os_modules, marshal_modules, os_functions, marshal_functions = set(), set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             os_modules.update(alias.asname or alias.name for alias in node.names if alias.name == "os")
             marshal_modules.update(alias.asname or alias.name for alias in node.names if alias.name == "marshal")
-        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "marshal"):
-            functions.update(alias.asname or alias.name for alias in node.names
-                             if node.module == "marshal" or alias.name in _OS_NAMES)
-    return sorted(
-        node.lineno
-        for node in _outside(tree, skipped_class)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
-            node.value.id in os_modules and node.attr in _OS_NAMES or node.value.id in marshal_modules)
-        or isinstance(node, ast.Name) and node.id in functions
-    )
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            os_functions.update(alias.asname or alias.name for alias in node.names if alias.name in _OS_NAMES)
+        elif isinstance(node, ast.ImportFrom) and node.module == "marshal":
+            marshal_functions.update(alias.asname or alias.name for alias in node.names)
+
+    def used(nodes, modules, attributes, functions):
+        return {
+            node.lineno
+            for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and (attributes is None or node.attr in attributes)
+            or isinstance(node, ast.Name) and node.id in functions
+        }
+
+    return sorted(used(_outside(tree, skipped_class), os_modules, _OS_NAMES, os_functions)
+                  | used(ast.walk(tree), marshal_modules, None, marshal_functions))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -58,13 +64,15 @@ def test_process_uses_are_found():
     source = (
         "import os, os as o, marshal as m\n"
         "from os import fork as f, getpid\n"
+        "from marshal import dumps as dm\n"
         "a = os.fork()\n"
-        "class _Helper:\n"
+        "class _FileWriter:\n"
         "    b = os.waitpid(1, 0)\n"
+        "    h = m.loads(b'') + dm(0)\n"
         "c = o._exit\n"
         "d = f() + getpid() + os.getpid()\n"
         "e = m.loads(b'')\n"
         "g = other.fork()\n"
     )
-    assert process_uses(source, "_Helper") == [3, 6, 7, 8]
-    assert process_uses(source) == [3, 5, 6, 7, 8]
+    assert process_uses(source, "_FileWriter") == [4, 7, 8, 9, 10]
+    assert process_uses(source) == [4, 6, 7, 8, 9, 10]

@@ -897,28 +897,24 @@ def test_bad_sidecar_with_jobs_2_matches_jobs_1(mixed_run, tmp_path, capsys, sid
     assert outputs[0][0] == 1 and outputs[1] == outputs[0]
 
 
-def test_truth_sidecars_are_read_in_another_process(tmp_path, capsys, monkeypatch):
-    """detect --score reads the sidecars in a child process, not in this one."""
+def test_score_with_jobs_1_starts_no_child(tmp_path, capsys, monkeypatch):
+    """detect --score --jobs 1 reads the sidecars in its own process: it forks nothing."""
     out = tmp_path / "run"
     simulate_minimal(out)
-    readers = tmp_path / "readers"
+    capsys.readouterr()
 
-    def read_json_lines(path):
-        with open(readers, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real_read_json_lines(path)
+    def fork():
+        raise AssertionError("detect forked")
 
-    real_read_json_lines = cli.read_json_lines
-    monkeypatch.setattr(cli, "read_json_lines", read_json_lines)
-    assert main(["detect", str(out), "--score"]) == 0
+    monkeypatch.setattr(os, "fork", fork)
+    assert main(["detect", str(out), "--score", "--jobs", "1"]) == 0
     assert "precision=1 recall=1 facet_accuracy=1" in capsys.readouterr().out
-    pids = readers.read_text().split()
-    assert len(pids) == 1 and int(pids[0]) != os.getpid()
 
 
 def test_failing_sidecar_listing_exits_2_after_writing_results(tmp_path, capsys, monkeypatch):
-    """An error in the sidecar reader, here listing the directory a second
-    time, is a runtime error with its own message once results.jsonl is written."""
+    """An error while the sidecars are read, here listing the directory a
+    second time, is a runtime error with its own message once results.jsonl
+    is written."""
     out = tmp_path / "run"
     simulate_minimal(out)
     assert main(["detect", str(out)]) == 0
@@ -943,8 +939,9 @@ def test_failing_sidecar_listing_exits_2_after_writing_results(tmp_path, capsys,
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_error_while_sidecars_are_read_leaves_no_child(mixed_run, tmp_path, capsys, monkeypatch, jobs):
-    """A detect --score that fails in this process ends its sidecar reader
-    (the conftest fixture fails a test that leaves a child behind)."""
+    """A detect --score that fails before it reads the sidecars leaves no
+    pool worker behind (the conftest fixture fails a test that leaves a
+    child behind)."""
     run = tmp_path / "run"
     shutil.copytree(mixed_run, run)
 
@@ -969,19 +966,47 @@ def test_writer_that_dies_without_a_word_exits_2(tmp_path, capsys, monkeypatch, 
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_truth_reader_that_dies_without_a_word_exits_2_after_writing_results(mixed_run, tmp_path, capsys,
-                                                                             monkeypatch, jobs):
-    run = tmp_path / "run"
-    shutil.copytree(mixed_run, run)
-    (run / "results.jsonl").unlink()
-    monkeypatch.setattr(cli, "_read_truth", kill_self)  # the reader is forked with it
-    capsys.readouterr()
-    assert main(["detect", str(run), "--score", "--jobs", jobs]) == 2
-    captured = capsys.readouterr()
-    assert captured.out.startswith("detected over ") and "scored" not in captured.out
-    assert captured.err == "runtime error: the truth reader process exited with code -9\n"
-    assert (run / "results.jsonl").read_bytes() == (mixed_run / "results.jsonl").read_bytes()
+SIMULATE_SITE = cli._simulate_site
+
+
+def simulate_site_where_no_fd_is_the_stream(task):
+    """``cli._simulate_site``, in a pool worker that first checks that none of
+    its file descriptors is the pipe named by $STREAM_PIPE, "st_dev st_ino",
+    and appends its pid to the file $WORKER_PIDS."""
+    stream = tuple(map(int, os.environ["STREAM_PIPE"].split()))
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            st = os.stat(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        if (st.st_dev, st.st_ino) == stream:
+            raise RuntimeError(f"pool worker {os.getpid()} holds the writer's stream as fd {fd}")
+    with open(os.environ["WORKER_PIDS"], "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return SIMULATE_SITE(task)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_pool_workers_do_not_hold_the_writer_stream(tmp_path, capsys, monkeypatch):
+    """Each pool worker closes the stream's write end that it inherits, so
+    only this process holds it, and the writer sees the end of the stream
+    when this process ends it."""
+    def fileno(writer):
+        fd = real_fileno(writer)
+        st = os.fstat(fd)
+        monkeypatch.setenv("STREAM_PIPE", f"{st.st_dev} {st.st_ino}")  # before the pool forks its workers
+        return fd
+
+    real_fileno = cli._FileWriter.fileno
+    monkeypatch.setattr(cli._FileWriter, "fileno", fileno)
+    monkeypatch.setattr(cli, "_simulate_site", simulate_site_where_no_fd_is_the_stream)
+    pids = tmp_path / "pids"
+    monkeypatch.setenv("WORKER_PIDS", str(pids))
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(write(tmp_path, MIXED)), "--out", str(out), "--jobs", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    workers = set(map(int, pids.read_text().split()))
+    assert workers and os.getpid() not in workers
 
 
 def test_cli_import_leaves_out_the_process_pool():
@@ -1307,6 +1332,14 @@ GEN = ("generator",)
         ("minimal", _set(("partners", 0, "response_probabilty"), "0.5"), "response_probabilty"),
         ("minimal", _set(("sites", 0, "wrapper_polcy"), "immediate"), "wrapper_polcy"),
         ("minimal", _set(("sites", 0, "slots", 0, "floor_cpm"), "1"), "floor_cpm"),
+        ("minimal", _set(("sites", 0, "timeout_ms"), 1e25), "site 'demo-site': timeout_ms"),
+        ("minimal", _set(("rounds_per_site",), 1e25), "rounds_per_site"),
+        ("minimal", _set(("partners", 0, "latency_model"), {"kind": "lognormal", "mu": 5.0, "sigma": 0.4, "sigmaa": 9}),
+         "partner 'appnexus' latency_model: unknown field 'sigmaa'"),
+        ("minimal", _set(("partners", 1, "bid_model"), {"kind": "fixed", "value_cpm": "0.5", "samples_cpm": ["9"]}),
+         "partner 'criteo' bid_model: unknown field 'samples_cpm'"),
+        ("market_mix", _set(GEN + ("ad_server_latency", "value_ms"), "50"),
+         "generator ad_server_latency: unknown field 'value_ms'"),
     ],
     ids=[
         "nan-facet-weight", "inf-slot-size-weight", "nan-partner-count-weight", "negative-inf-slot-count-weight",
@@ -1318,6 +1351,8 @@ GEN = ("generator",)
         "domain-of-two-partners", "site-prefix-7", "domains-port", "domains-scheme", "domains-path",
         "domains-leading-blank", "output-dir-5", "output-dir-true", "output-dir-list", "generator-unknown-key",
         "top-level-unknown-key", "partner-unknown-key", "site-unknown-key", "slot-unknown-key",
+        "site-timeout-1e25", "rounds-1e25", "latency-model-unknown-key", "bid-model-unknown-key",
+        "ad-server-latency-unknown-key",
     ],
 )
 def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field):
@@ -1353,10 +1388,12 @@ def test_malformed_scenario_fields_exit_1(tmp_path, capsys, base, mutate, field)
         ("slot_count_weights", {"-2": 1}),
         ("partner_pool", ["appnexus", "rubicon", "appnexus"]),
         ("partner_pool", []),
+        ("timeout_ms", 10**25),
     ],
     ids=["timeout-0", "render-fail-1.5", "floor-minus-1", "rank-start-minus-3", "slot-size-0x250",
          "ad-server-latency-0", "site-prefix-dash", "site-prefix-blank", "partner-pool-holds-ad-server",
-         "slot-count-0", "slot-count-minus-2", "partner-pool-twice", "partner-pool-empty"],
+         "slot-count-0", "slot-count-minus-2", "partner-pool-twice", "partner-pool-empty",
+         "timeout-10-to-25"],
 )
 def test_generator_field_out_of_range_is_one_error(tmp_path, capsys, field, value):
     """A generator field every generated site would inherit is reported once,
