@@ -25,7 +25,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .domain import HB_FACETS, ConfigurationError, compact_json, decimal_str, quantize_cpm, read_json_lines
+from .domain import (CHANNEL_CLIENT, HB_FACETS, ConfigurationError, compact_json, decimal_str, quantize_cpm,
+                     read_json_lines)
 
 RANK_BIN_WIDTH = 500
 POPULARITY_BIN_WIDTH = 10
@@ -195,33 +196,26 @@ class _Loader:
         n_bids = n_client = n_late = 0
         for size, bids in slots:
             for bid in bids:
-                partner, late, channel = bid["partner"], bid.get("late", False), bid.get("channel", "client")
+                partner, late, channel = bid["partner"], bid.get("late", False), bid.get("channel", CHANNEL_CLIENT)
                 if partner is None:
                     raise TypeError("a bid's partner is null")
                 if late is not True and late is not False:
                     raise TypeError(f"a bid's late {late!r} is not true or false")
                 partner = one(partner)
                 n_bids += 1
-                units = _scaled(bid["cpm"], CPM_SCALE)
-                if units and type(units) is int:
-                    cpm[(partner, size, facet)].append(units)
-                else:
-                    cpm.odd.append(((partner, size, facet), _exact(units, CPM_SCALE)))
+                cpm.add((partner, size, facet), _scaled(bid["cpm"], CPM_SCALE))
                 if not timed:
                     latency = bid.get("latency_ms")
                     if latency is not None:
                         latency = ms[latency]
-                elif bid.get("channel") == "client" and (arrived := bid.get("arrived_at_ms")) is not None \
+                elif bid.get("channel") == CHANNEL_CLIENT and (arrived := bid.get("arrived_at_ms")) is not None \
                         and (requested := bid.get("requested_at_ms")) is not None:
                     latency = _difference(ms[arrived], ms[requested])
                 else:
                     latency = None
                 if latency is not None:
-                    if latency and type(latency) is int:
-                        bid_latency[partner].append(latency)
-                    else:
-                        bid_latency.odd.append((partner, _exact(latency, MS_SCALE)))
-                if channel == "client":
+                    bid_latency.add(partner, latency)
+                if channel == CHANNEL_CLIENT:
                     n_client += 1
                     n_late += late
                     tally = client_bids.get(partner)

@@ -27,9 +27,12 @@ server-side site, the entity alone for a hybrid one).
 from __future__ import annotations
 
 from decimal import Decimal
+from functools import partial
 from typing import Mapping, NamedTuple
 
 from .domain import (
+    CHANNEL_AD_SERVER,
+    CHANNEL_CLIENT,
     ConfigurationError,
     DemandPartnerSpec,
     Facet,
@@ -38,9 +41,6 @@ from .domain import (
     quantize_ms,
 )
 from .netsim import RngStream, sample_latency, sample_partner_bids
-
-CHANNEL_CLIENT = "client"
-CHANNEL_AD_SERVER = "ad_server"
 
 
 class Bid(NamedTuple):
@@ -159,11 +159,12 @@ def run_scenario(
     """One round of the site's protocol, dispatched on its facet; no_ads
     sites produce no auction at all."""
     facet = scenario.facet
-    if facet is Facet.WATERFALL_ONLY:
-        return _waterfall_round(scenario, partners, master_seed, round_index)
     if facet is Facet.NO_ADS:
         return None
     site_id = scenario.site_id
+    stream = partial(RngStream, master_seed, site_id, round_index)  # the round's stream for a purpose
+    if facet is Facet.WATERFALL_ONLY:
+        return _waterfall_round(scenario, partners, round_index, stream)
     entity = []
     if facet is not Facet.CLIENT_SIDE:
         if not scenario.ad_server_partner_id:
@@ -171,9 +172,6 @@ def run_scenario(
         entity = [_resolve(partners, scenario.ad_server_partner_id, site_id)]
     roster = [_resolve(partners, pid, site_id) for pid in scenario.partners]
     client, server = ([], roster) if facet is Facet.SERVER_SIDE else (roster, entity)
-
-    def stream(purpose: str) -> RngStream:
-        return RngStream(master_seed, site_id, round_index, purpose)
 
     n_slots = len(scenario.slots)
     filed = []  # (partner id, cpm per slot, requested, arrived, channel), client bids first
@@ -209,7 +207,7 @@ def run_scenario(
                           quantize_ms(send_time + adserver_latency))
 
 
-def _waterfall_round(scenario, partners, master_seed, round_index) -> WaterfallOutcome:
+def _waterfall_round(scenario, partners, round_index, stream) -> WaterfallOutcome:
     """Sequential tier trial for the site's primary slot: each tier costs its
     full response time, and the first floor-meeting bid stops the cascade."""
     if not scenario.partners:
@@ -223,16 +221,8 @@ def _waterfall_round(scenario, partners, master_seed, round_index) -> WaterfallO
     winner = None
     total = Decimal(0)
     for spec in tier_specs:
-        lat = sample_latency(
-            spec.latency_model,
-            RngStream(master_seed, scenario.site_id, round_index, f"latency:{spec.partner_id}"),
-        )
-        bids = sample_partner_bids(
-            spec.bid_model,
-            RngStream(master_seed, scenario.site_id, round_index, f"bid:{spec.partner_id}"),
-            spec.response_probability,
-            1,
-        )
+        lat = sample_latency(spec.latency_model, stream(f"latency:{spec.partner_id}"))
+        bids = sample_partner_bids(spec.bid_model, stream(f"bid:{spec.partner_id}"), spec.response_probability, 1)
         cpm = bids[0] if bids else None
         tried.append(TierTrial(spec.partner_id, cpm, lat))
         total = quantize_ms(total + lat)
@@ -247,4 +237,3 @@ def _waterfall_round(scenario, partners, master_seed, round_index) -> WaterfallO
         winner=winner,
         total_latency_ms=total,
     )
-

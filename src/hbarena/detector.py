@@ -36,7 +36,8 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 from typing import NamedTuple
 
-from .domain import Facet, PartnerDirectory, decimal_str, lookup_partner, quantize_cpm, quantize_ms
+from .domain import (CHANNEL_AD_SERVER, CHANNEL_CLIENT, Facet, PartnerDirectory, decimal_str, lookup_partner,
+                     quantize_cpm, quantize_ms)
 from .tracegen import KIND_DOM, KIND_REQUEST, KIND_RESPONSE, Trace, url_host
 
 HB_PARAM_KEYWORDS = ("bidder", "hb_partner", "hb_price", "hb_size")
@@ -185,7 +186,7 @@ def extract_auction_metadata(trace: Trace, directory: PartnerDirectory) -> Detec
         late = auction_end is not None and ts > auction_end
         late_count += late
         latency = ts - request_ts.get(bidder, Decimal(0))
-        bid = DetectedBid(bidder or "unknown:", cpm, quantize_ms(latency), late, "client")
+        bid = DetectedBid(bidder or "unknown:", cpm, quantize_ms(latency), late, CHANNEL_CLIENT)
         slot_bids.setdefault(slot_id or "", []).append(bid)
 
     for name, params, slot_id in slot_events:
@@ -223,7 +224,7 @@ def extract_auction_metadata(trace: Trace, directory: PartnerDirectory) -> Detec
             if named not in client_bidders:
                 # New information only: a server-side price the client flow
                 # never showed.  Client winners echoed back are not re-added.
-                slot_bids.setdefault(slot_id or "", []).append(DetectedBid(named, cpm, None, False, "ad_server"))
+                slot_bids.setdefault(slot_id or "", []).append(DetectedBid(named, cpm, None, False, CHANNEL_AD_SERVER))
 
     auctions = []
     for slot_id in sorted(slot_bids):

@@ -190,6 +190,10 @@ class Facet(str, Enum):
 
 HB_FACETS = (Facet.CLIENT_SIDE, Facet.SERVER_SIDE, Facet.HYBRID)
 
+# A bid's channel: asked for by the wrapper in the page, or collected by the ad server.
+CHANNEL_CLIENT = "client"
+CHANNEL_AD_SERVER = "ad_server"
+
 
 class WrapperPolicy(str, Enum):
     WAIT_ALL = "wait_all"

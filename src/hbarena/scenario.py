@@ -107,6 +107,15 @@ def _integer(value, where: str) -> int:
     raise ConfigurationError(f"{where} must be an integer, got {value!r}")
 
 
+def _bounded(parse, value, where: str, rule: str, within):
+    """``parse(value, where)``, which ``within`` must accept; else a
+    ConfigurationError saying that ``where`` must be ``rule``."""
+    parsed = parse(value, where)
+    if not within(parsed):
+        raise ConfigurationError(f"{where} must be {rule}, got {parsed}")
+    return parsed
+
+
 def _typed(value, kind, where: str, noun: str):
     if not isinstance(value, kind):
         raise ConfigurationError(f"{where} must be {noun}, got {value!r}")
@@ -305,10 +314,7 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
         return wh
 
     def at_least_one(value, where):
-        n = _integer(value, f"generator {where}")
-        if n < 1:
-            raise ConfigurationError(f"generator {where} must be >= 1, got {n}")
-        return n
+        return _bounded(_integer, value, f"generator {where}", ">= 1", lambda n: n >= 1)
 
     facet_weights = _weights(cfg["facet_weights"], "generator facet_weights")
     facets = [_member(Facet, key, "generator facet_weights: unknown facet") for key, _ in facet_weights]
@@ -355,24 +361,18 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
         if problems := ad_server_latency.violations("generator ad_server_latency"):
             raise ConfigurationError("; ".join(problems))
 
-    floor = _number(cfg["floor_price"], "generator floor_price")
-    if floor < 0:
-        raise ConfigurationError(f"generator floor_price must be non-negative, got {floor}")
-    timeout_ms = _integer(cfg["timeout_ms"], "generator timeout_ms")
-    if not 0 < timeout_ms < MS_LIMIT:
-        raise ConfigurationError(f"generator timeout_ms must be positive and below {MS_LIMIT}, got {timeout_ms}")
+    floor = _bounded(_number, cfg["floor_price"], "generator floor_price", "non-negative", lambda v: v >= 0)
+    timeout_ms = _bounded(_integer, cfg["timeout_ms"], "generator timeout_ms", f"positive and below {MS_LIMIT}",
+                          lambda v: 0 < v < MS_LIMIT)
     roster_order = cfg["roster_order"]
     if roster_order not in ("shuffle", "pool"):
         raise ConfigurationError("generator roster_order must be 'shuffle' or 'pool'")
-    render_fail = _number(cfg["render_fail_probability"], "generator render_fail_probability")
-    if not 0 <= render_fail <= 1:
-        raise ConfigurationError(f"generator render_fail_probability must be in [0, 1], got {render_fail}")
+    render_fail = _bounded(_number, cfg["render_fail_probability"], "generator render_fail_probability", "in [0, 1]",
+                           lambda v: 0 <= v <= 1)
     prefix = _typed(cfg["site_prefix"], str, "generator site_prefix", "a string")
     if not _ID_RE.match(prefix + "0"):
         raise ConfigurationError(f"generator site_prefix {prefix!r} gives site ids not matching {_ID_RE.pattern}")
-    rank_start = _integer(cfg["rank_start"], "generator rank_start")
-    if rank_start < 1:
-        raise ConfigurationError(f"generator rank_start must be >= 1, got {rank_start}")
+    rank_start = at_least_one(cfg["rank_start"], "rank_start")
 
     counts = _quota_counts(facet_weights, num_sites)
     facet_list: list[Facet] = []

@@ -29,12 +29,14 @@ import re
 from decimal import Decimal, InvalidOperation
 from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 from urllib.parse import urlsplit
 
-from .auction import AuctionOutcome, CHANNEL_CLIENT, WaterfallOutcome
-from .domain import (MS_LIMIT, DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario, decimal_str,
-                     json_text_lines, quantize_ms)
+from .domain import (CHANNEL_CLIENT, MS_LIMIT, DemandPartnerSpec, Facet, TraceParseError, WebsiteScenario,
+                     decimal_str, json_text_lines, quantize_ms)
+
+if TYPE_CHECKING:  # the simulator's types, for annotations only: reading traces never imports it
+    from .auction import AuctionOutcome, WaterfallOutcome
 
 DOM_EVENT_NAMES = (
     "auctionInit",
@@ -229,7 +231,7 @@ def emit_trace(
     """
     if outcome is None:
         return Trace(scenario.site_id, round_index, ())
-    if isinstance(outcome, WaterfallOutcome):
+    if outcome.facet is Facet.WATERFALL_ONLY:
         events = _emit_waterfall(outcome, partners)
     elif outcome.facet is Facet.SERVER_SIDE:
         events = _ad_server_exchange(outcome, scenario, partners, _ROUND_START)
@@ -388,7 +390,7 @@ def truth_record(
             "late_bid_count": 0,
             "total_latency_ms": "0.000",
         }
-    if isinstance(outcome, WaterfallOutcome):
+    if outcome.facet is Facet.WATERFALL_ONLY:
         winner, late = {outcome.slot_id: _winner_json(outcome.winner)}, 0
     else:
         winner = {slot.slot_id: _winner_json(slot.winner) for slot in outcome.slots}
@@ -431,7 +433,7 @@ def outcome_row(
     }
     if outcome is None:
         row.update({"partner_ids": [], "total_latency_ms": None})
-    elif isinstance(outcome, WaterfallOutcome):
+    elif outcome.facet is Facet.WATERFALL_ONLY:
         row["tiers_tried"] = [
             {
                 "partner": t.partner_id,
