@@ -33,6 +33,7 @@ from typing import Mapping, NamedTuple
 from .domain import (
     CHANNEL_AD_SERVER,
     CHANNEL_CLIENT,
+    MS_LIMIT,
     ConfigurationError,
     DemandPartnerSpec,
     Facet,
@@ -150,6 +151,13 @@ def _resolve(partners: Mapping[str, DemandPartnerSpec], pid: str, site_id: str) 
     return spec
 
 
+def _time(value: Decimal, site_id: str, what: str) -> Decimal:
+    """``value``, a time in the site's round, which its trace can hold only below ``MS_LIMIT``."""
+    if value >= MS_LIMIT:
+        raise ConfigurationError(f"site {site_id!r}: {what} {value} ms is not below {MS_LIMIT} ms")
+    return value
+
+
 def run_scenario(
     scenario: WebsiteScenario,
     partners: Mapping[str, DemandPartnerSpec],
@@ -203,8 +211,8 @@ def run_scenario(
         slots.append(SlotOutcome(slot.slot_id, slot.size, slot.floor_price, bids, winner, failed))
 
     adserver_latency = sample_latency(scenario.ad_server_latency, stream("adserver_latency"))
-    return AuctionOutcome(site_id, round_index, facet, tuple(slots), send_time,
-                          quantize_ms(send_time + adserver_latency))
+    response = _time(quantize_ms(send_time + adserver_latency), site_id, "the ad server's response time")
+    return AuctionOutcome(site_id, round_index, facet, tuple(slots), send_time, response)
 
 
 def _waterfall_round(scenario, partners, round_index, stream) -> WaterfallOutcome:
@@ -235,5 +243,5 @@ def _waterfall_round(scenario, partners, round_index, stream) -> WaterfallOutcom
         slot_id=slot.slot_id,
         tiers_tried=tuple(tried),
         winner=winner,
-        total_latency_ms=total,
+        total_latency_ms=_time(total, scenario.site_id, "the waterfall's total latency"),
     )

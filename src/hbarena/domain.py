@@ -208,8 +208,9 @@ class Distribution(NamedTuple):
 
     Subclasses set the class attributes that the schema and the shared
     checks read: ``noun``; ``unit``, the JSON key suffix (value_<unit>,
-    samples_<unit>); ``quantize``, to a canonical ``Decimal``; and
-    ``minimum``, the smallest value a draw may take.
+    samples_<unit>); ``quantize``, to a canonical ``Decimal``;
+    ``minimum``, the smallest value a draw may take; and ``limit``, which
+    every draw stays below.
     """
 
     kind: str
@@ -231,14 +232,17 @@ class Distribution(NamedTuple):
         return cls(kind="empirical", samples=tuple(cls.quantize(s) for s in samples))
 
     @classmethod
-    def bound(cls) -> str:
-        return "strictly positive" if cls.minimum > 0 else "non-negative"
+    def out_of_range(cls, value: Decimal | None) -> str | None:
+        """The rule a fixed value or sample breaks, as "must be ..."; None if it is in range."""
+        if value is None or value < cls.minimum:
+            return "must be strictly positive" if cls.minimum > 0 else "must be non-negative"
+        return f"must be below {cls.limit}" if value >= cls.limit else None
 
     def violations(self, where: str) -> list[str]:
         noun = self.noun
         if self.kind == "fixed":
-            if self.value is None or self.value < self.minimum:
-                return [f"{where}: fixed {noun} must be {self.bound()}"]
+            if problem := self.out_of_range(self.value):
+                return [f"{where}: fixed {noun} {problem}"]
         elif self.kind == "lognormal":
             if self.mu is None or self.sigma is None or self.sigma < 0:
                 return [f"{where}: lognormal {noun} needs mu and sigma >= 0"]
@@ -247,8 +251,8 @@ class Distribution(NamedTuple):
         elif self.kind == "empirical":
             if not self.samples:
                 return [f"{where}: empirical {noun} needs at least one sample"]
-            if any(s < self.minimum for s in self.samples):
-                return [f"{where}: empirical {noun} samples must be {self.bound()}"]
+            if problem := self.out_of_range(min(self.samples)) or self.out_of_range(max(self.samples)):
+                return [f"{where}: empirical {noun} samples {problem}"]
         else:
             return [f"{where}: unknown {noun} model kind {self.kind!r}"]
         return []
@@ -293,6 +297,7 @@ class LatencyModel(Distribution):
 
     noun, unit, quantize = "latency", "ms", staticmethod(quantize_ms)
     minimum = MS_QUANTUM  # strictly positive: values are whole quanta
+    limit = MS_LIMIT  # a trace's timestamps stay below it
 
 
 class BidModel(Distribution):
@@ -300,6 +305,7 @@ class BidModel(Distribution):
 
     noun, unit, quantize = "bid", "cpm", staticmethod(quantize_cpm)
     minimum = Decimal(0)  # non-negative
+    limit = Decimal("Infinity")
 
 
 class AdSlotSpec(NamedTuple):

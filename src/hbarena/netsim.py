@@ -60,28 +60,31 @@ class RngStream:
 
 
 def _draw(model: Distribution, stream: RngStream) -> Decimal:
-    """One quantized draw, never below the model's minimum."""
+    """One quantized draw, never below the model's minimum nor at or above its limit."""
     kind = model.kind
     if kind == "lognormal":
         try:
             # A latency that rounds to zero takes the smallest positive value.
-            return max(model.quantize(math.exp(model.mu + model.sigma * stream.normal())), model.minimum)
-        except (OverflowError, InvalidOperation) as exc:
+            value = max(model.quantize(math.exp(model.mu + model.sigma * stream.normal())), model.minimum)
+        except (OverflowError, InvalidOperation):
+            value = None
+        if value is None or value >= model.limit:
             raise ConfigurationError(
                 f"lognormal {model.noun} model (mu={model.mu}, sigma={model.sigma}) drew a value out of range"
-            ) from exc
+            )
+        return value
     if kind == "fixed":
         value = model.value
-        if value is None or value < model.minimum:
-            raise ConfigurationError(f"fixed {model.noun} must be {model.bound()}")
+        if value is None or not model.minimum <= value < model.limit:
+            raise ConfigurationError(f"fixed {model.noun} {model.out_of_range(value)}")
         return value
     if kind == "empirical":
         samples = model.samples
         if not samples:
             raise ConfigurationError(f"empirical {model.noun} model has no samples")
         value = samples[stream.choice_index(len(samples))]
-        if value < model.minimum:
-            raise ConfigurationError(f"empirical {model.noun} samples must be {model.bound()}")
+        if not model.minimum <= value < model.limit:
+            raise ConfigurationError(f"empirical {model.noun} samples {model.out_of_range(value)}")
         return value
     raise ConfigurationError(f"unknown {model.noun} model kind {kind!r}")
 

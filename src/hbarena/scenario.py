@@ -65,6 +65,9 @@ _GENERATOR_DEFAULTS = {
 # A site's rounds are all held in memory until the site is done; the paper
 # measures about 23 auctions per site.
 MAX_ROUNDS_PER_SITE = 10_000
+# The generated sites are all held in memory, about 350 bytes each; the
+# paper crawls 35,000 sites.
+MAX_GENERATED_SITES = 1_000_000
 
 _GENERATOR_FIELDS = {*_GENERATOR_DEFAULTS, "num_sites", "partner_pool", "ad_server_partner", "ad_server_latency"}
 
@@ -299,9 +302,8 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
     cfg.update(gen)
     if "num_sites" not in cfg:
         raise ConfigurationError("generator block needs num_sites")
-    num_sites = _integer(cfg["num_sites"], "generator num_sites")
-    if num_sites <= 0:
-        raise ConfigurationError("generator num_sites must be positive")
+    num_sites = _bounded(_integer, cfg["num_sites"], "generator num_sites", f"from 1 to {MAX_GENERATED_SITES}",
+                         lambda n: 1 <= n <= MAX_GENERATED_SITES)
 
     def size(key):
         width, x, height = key.partition("x")

@@ -22,6 +22,7 @@ from hbarena.analytics import REPORT_NAMES, build_report, load_records
 from hbarena import cli
 from hbarena.cli import main
 from hbarena.domain import PartnerDirectory
+from hbarena.scenario import MAX_GENERATED_SITES
 
 MINIMAL_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "minimal.json"
 MINIMAL_TRACE = "demo-site__r0.trace.jsonl"
@@ -1406,6 +1407,69 @@ def test_generator_field_out_of_range_is_one_error(tmp_path, capsys, field, valu
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert f"generator {field}" in err[0]
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("num_sites", 1e25,
+         f"error: generator num_sites must be from 1 to {MAX_GENERATED_SITES}, got {10**25}"),
+        ("num_sites", MAX_GENERATED_SITES + 1,
+         f"error: generator num_sites must be from 1 to {MAX_GENERATED_SITES}, got {MAX_GENERATED_SITES + 1}"),
+        ("ad_server_latency", {"kind": "empirical", "samples_ms": ["1e15"]},
+         "error: generator ad_server_latency: empirical latency samples must be below 1000000000000000"),
+    ],
+    ids=["num-sites-1e25", "num-sites-past-the-bound", "ad-server-latency-1e15"],
+)
+def test_generator_field_past_its_upper_bound_exits_1(tmp_path, capsys, field, value, expected):
+    """A generator field past its upper bound exits 1 naming it.  The
+    timeout_ms of 0 is checked after these fields, so that a generator that
+    lets one pass stops there rather than making a million sites."""
+    scenario = json.loads((MINIMAL_SCENARIO.parent / "market_mix_5000.json").read_text())
+    scenario["generator"]["num_sites"] = 20
+    scenario["generator"]["timeout_ms"] = 0
+    scenario["generator"][field] = value
+    scen = write(tmp_path, scenario)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == [expected]
+
+
+_LATENCY_6E14 = {"kind": "fixed", "value_ms": "6e14"}
+
+
+@pytest.mark.parametrize(
+    "mutations, expected",
+    [
+        ([_set(("partners", 0, "latency_model"), {"kind": "fixed", "value_ms": "1e20"})],
+         "invalid scenario: partner 'appnexus' latency_model: fixed latency must be below 1000000000000000"),
+        ([_set(("partners", 0, "latency_model"), {"kind": "empirical", "samples_ms": ["100", "1e15"]})],
+         "invalid scenario: partner 'appnexus' latency_model: empirical latency samples must be below "
+         "1000000000000000"),
+        ([_set(("sites", 0, "ad_server_latency"), {"kind": "fixed", "value_ms": "1e20"})],
+         "invalid scenario: site 'demo-site' ad_server_latency: fixed latency must be below 1000000000000000"),
+        ([_set(("partners", 0, "latency_model"), {"kind": "lognormal", "mu": 40, "sigma": 0})],
+         "error: lognormal latency model (mu=40.0, sigma=0.0) drew a value out of range"),
+        ([_set(("partners", 0, "latency_model"), _LATENCY_6E14), _set(("sites", 0, "ad_server_latency"), _LATENCY_6E14),
+          _set(("sites", 0, "timeout_ms"), 6 * 10**14)],
+         "error: site 'demo-site': the ad server's response time 1200000000000000.000 ms is not below "
+         "1000000000000000 ms"),
+        ([_set(("partners", 0, "latency_model"), _LATENCY_6E14), _set(("partners", 1, "latency_model"), _LATENCY_6E14),
+          _set(("sites", 0, "facet"), "waterfall_only"), _set(("sites", 0, "slots", 0, "floor_price"), "1")],
+         "error: site 'demo-site': the waterfall's total latency 1200000000000000.000 ms is not below "
+         "1000000000000000 ms"),
+    ],
+    ids=["fixed-1e20", "empirical-sample-1e15", "ad-server-fixed-1e20", "lognormal-mu-40", "ad-server-sum",
+         "waterfall-sum"],
+)
+def test_times_a_trace_cannot_hold_exit_1(tmp_path, capsys, mutations, expected):
+    """A latency, or a sum of two, at or past the 10**15 ms bound on trace
+    timestamps is a configuration error, not a trace that detect rejects."""
+    scenario = json.loads(MINIMAL_SCENARIO.read_text())
+    for mutate in mutations:
+        mutate(scenario)
+    scen = write(tmp_path, scenario)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == [expected]
 
 
 def test_generator_slot_count_above_20_is_one_warning(tmp_path, capsys):

@@ -176,6 +176,16 @@ _MODEL_CONTRACT = {
             "w: empirical latency samples must be strictly positive",
             "empirical latency samples must be strictly positive",
         ),
+        "fixed-at-limit": (
+            LatencyModel.fixed("1e15"),
+            "w: fixed latency must be below 1000000000000000",
+            "fixed latency must be below 1000000000000000",
+        ),
+        "empirical-at-limit": (
+            LatencyModel.empirical(["1e15"]),
+            "w: empirical latency samples must be below 1000000000000000",
+            "empirical latency samples must be below 1000000000000000",
+        ),
         "unknown-kind": (
             LatencyModel(kind="gaussian"),
             "w: unknown latency model kind 'gaussian'",

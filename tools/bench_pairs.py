@@ -102,6 +102,13 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def claim_met(wins: int, ties: int, pairs: int, gain: float, base: dict) -> bool:
+    """The claim rule: the change won at least 9 in 10 of the pairs that were
+    not ties, and its median gain exceeds the Q3 - Q1 of ``base``, the base
+    side's ``summary``."""
+    return wins >= 0.9 * (pairs - ties) and gain > base["q3"] - base["q1"]
+
+
 def compare(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the ratio of
     the medians, and the change's wins.  ``gain_exceeds_base_iqr``: the
@@ -109,9 +116,8 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
     ``within_bound``: the change's median is worse than the base's by no more
     than the metric's bound, a fraction of the base's.  ``unresolved``: the
     base's Q3 - Q1 is wider than that bound, and the runs do not separate
-    (some base run is as good as some change run).  ``claim_met``: the change
-    won at least 9 in 10 of the pairs that were not ties, and its gain
-    exceeds the base's Q3 - Q1."""
+    (some base run is as good as some change run).  ``claim_met``: see
+    ``claim_met``."""
     out = {}
     for metric in metrics:
         name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
@@ -131,7 +137,7 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
             "gain_exceeds_base_iqr": gain > b["q3"] - b["q1"],
             "within_bound": -gain <= bound * abs(b["median"]),
             "unresolved": b["q3"] - b["q1"] > bound * abs(b["median"]) and not separated,
-            "claim_met": wins >= 0.9 * (len(runs) - ties) and gain > b["q3"] - b["q1"],
+            "claim_met": claim_met(wins, ties, len(runs), gain, b),
         }
     return out
 
