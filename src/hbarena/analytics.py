@@ -25,16 +25,16 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
-from .domain import (CHANNEL_CLIENT, HB_FACETS, ConfigurationError, compact_json, decimal_str, quantize_cpm,
-                     read_json_lines)
+from .domain import (CHANNEL_CLIENT, CPM_QUANTUM, HB_FACETS, MS_QUANTUM, ConfigurationError, Facet, compact_json,
+                     read_json_lines, rounded_str)
 
 RANK_BIN_WIDTH = 500
 POPULARITY_BIN_WIDTH = 10
 
 CSV_COLUMNS = ("group", "count", "p5", "p25", "p50", "p75", "p95", "mean")
 
-MS_SCALE = 3  # a time is kept as whole µs
-CPM_SCALE = 6  # a price is kept as whole micro-CPM
+MS_SCALE = -MS_QUANTUM.as_tuple().exponent  # a time is kept as whole µs
+CPM_SCALE = -CPM_QUANTUM.as_tuple().exponent  # a price is kept as whole micro-CPM
 _POW10 = tuple(10 ** k for k in range(19))
 _LIMIT = Decimal(10) ** 22  # past it a report cell, at 6 fraction digits, needs over 28 digits
 
@@ -111,9 +111,8 @@ class Records:
 
     def __init__(self):
         # Each auction's total latency in µs, keyed (partner count, slot
-        # count, rank bin or None, drew bids), and keyed (site, drew bids).
+        # count, rank bin or None, site, drew bids).
         self.total_latency = _Columns(MS_SCALE)
-        self.site_latency = _Columns(MS_SCALE)
         self.bid_latency = _Columns(MS_SCALE)  # µs, keyed by partner
         self.cpm = _Columns(CPM_SCALE)  # micro-CPM, keyed (partner, slot size, auction facet)
         self.client_bids: dict[str, list[int]] = {}  # partner -> [client bids, late ones]
@@ -229,15 +228,16 @@ class _Loader:
         if total is not None:
             total = _scaled(total, MS_SCALE)
             rank_bin = None if rank is None else rank_bin_label(rank)
-            rec.total_latency.add(one((str(len(partners)), str(slot_count), rank_bin, n_bids > 0)), total)
-            rec.site_latency.add((site_id, n_bids > 0), total)
+            # A site's key is kept as long as the table, so its parts are shared, not held per site.
+            key = (one(str(len(partners))), one(str(slot_count)), one(rank_bin), site_id, n_bids > 0)
+            rec.total_latency.add(one(key), total)
         if is_hb:
             last_facet, seen = rec.hb_sites.get(site_id, (None, frozenset()))
             rec.hb_sites[site_id] = one((facet or last_facet, one(seen.union(map(one, partners)))))
 
     def outcome_row(self, row: dict) -> None:
         facet = self.one(row.get("facet"))
-        if facet == "waterfall_only":  # each tier that bid is a client bid, never late
+        if facet == Facet.WATERFALL_ONLY:  # each tier that bid is a client bid, never late
             slots = [(None, [{"partner": tier["partner"], "cpm": tier["bid"], "latency_ms": tier["latency_ms"]}
                              for tier in row.get("tiers_tried", ()) if tier.get("bid") is not None])]
         else:
@@ -248,7 +248,7 @@ class _Loader:
         rank = row.get("rank")
         self.auction(row["site_id"], facet, facet in HB_FACETS, row.get("partner_ids", []),
                      row.get("total_latency_ms"), int(row.get("slot_count", 0)),
-                     None if rank is None else int(rank), slots, facet != "waterfall_only")
+                     None if rank is None else int(rank), slots, facet != Facet.WATERFALL_ONLY)
 
     def result_row(self, row: dict, rank_by_site: dict[str, int] | None) -> None:
         site_id = row["site_id"]
@@ -277,7 +277,7 @@ def load_records(path, rank_by_site: dict[str, int] | None = None) -> Records:
                 loader.outcome_row(row)
         except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"{path}:{line_no}: unusable row ({type(exc).__name__}: {exc})") from None
-    for columns in (records.total_latency, records.site_latency, records.bid_latency, records.cpm):
+    for columns in (records.total_latency, records.bid_latency, records.cpm):
         columns.sort()
     return records
 
@@ -344,28 +344,28 @@ class StatsSummary(NamedTuple):
 
 def _grouped(columns: _Columns, group_of):
     """The columns of each ``group_of(key)``, then its odd values as one-value
-    columns in file order; a None group leaves the key out."""
+    columns in file order; a None group leaves the key out.  Returned with
+    the scale of the columns' units."""
     groups = defaultdict(list)
     for key, column in chain(columns.items(), ((key, (value,)) for key, value in columns.odd)):
         group = group_of(key)
         if group is not None:
             groups[group].append(column)
-    return groups.items()
+    return groups.items(), columns.scale
 
 
 # Auctions that drew no bids can be left out of latency groupings, since a
 # wrapper waiting on silence measures only its timeout.
 
-def _total_latency_by(table: str, part: int):
-    """Each auction's total latency under one part of its key in ``table``."""
+def _total_latency_by(part: int):
+    """Each auction's total latency under one part of its key."""
     def grouping(records, include_zero_bid_auctions):
-        return _grouped(getattr(records, table),
-                        lambda key: key[part] if include_zero_bid_auctions or key[-1] else None), MS_SCALE
+        return _grouped(records.total_latency, lambda key: key[part] if include_zero_bid_auctions or key[-1] else None)
     return grouping
 
 
 def _bid_latency_by_partner(records, _):
-    return _grouped(records.bid_latency, lambda partner: partner), MS_SCALE
+    return _grouped(records.bid_latency, lambda partner: partner)
 
 
 def _late_fractions(records, _):
@@ -387,7 +387,7 @@ def _late_by_partner(records, _):
 
 
 def _price_by(part: int):
-    return lambda records, _: (_grouped(records.cpm, lambda key: key[part]), CPM_SCALE)
+    return lambda records, _: _grouped(records.cpm, lambda key: key[part])
 
 
 def _price_by_popularity_bin(records, _):
@@ -395,7 +395,7 @@ def _price_by_popularity_bin(records, _):
     presence = _partner_shares(records)[0]
     order = sorted(presence, key=lambda pid: (-presence[pid], pid))
     bin_of = {pid: _bin_label(i, POPULARITY_BIN_WIDTH) for i, pid in enumerate(order)}
-    return _grouped(records.cpm, lambda key: bin_of.get(key[0])), CPM_SCALE
+    return _grouped(records.cpm, lambda key: bin_of.get(key[0]))
 
 
 # Share groupings: records -> ({group: HB sites}, all HB sites).
@@ -418,12 +418,8 @@ def _combination_shares(records):
     return Counter("+".join(sorted(pids)) for _, pids in sites), len(sites)
 
 
-def _fmt(value: Decimal) -> str:
-    return decimal_str(quantize_cpm(value))
-
-
 def _flat_row(group: str, count: int, value: Decimal) -> dict:
-    return {"group": group, "count": count, **dict.fromkeys(CSV_COLUMNS[2:], _fmt(value))}
+    return {"group": group, "count": count, **dict.fromkeys(CSV_COLUMNS[2:], rounded_str(value))}
 
 
 def _decimals(columns: list, scale: int | None) -> list[Decimal]:
@@ -441,8 +437,7 @@ def _stats_row(group: str, columns: list, scale: int | None) -> dict:
         if len(data) == 1:
             return _flat_row(group, 1, Decimal(data[0]).scaleb(-scale))
         s = StatsSummary.of_units(data, scale)
-    return {"group": group, "count": s.count, "p5": _fmt(s.p5), "p25": _fmt(s.p25), "p50": _fmt(s.p50),
-            "p75": _fmt(s.p75), "p95": _fmt(s.p95), "mean": _fmt(s.mean)}
+    return {"group": group, "count": s.count, **dict(zip(CSV_COLUMNS[2:], map(rounded_str, s[1:])))}
 
 
 def _by_group(row: dict):
@@ -462,11 +457,11 @@ def _most_first(row: dict):
 
 
 _DISTRIBUTIONS = {
-    "latency_by_site": (_total_latency_by("site_latency", 0), _by_group),
+    "latency_by_site": (_total_latency_by(3), _by_group),
     "latency_by_partner": (_bid_latency_by_partner, _by_group),
-    "latency_by_partner_count": (_total_latency_by("total_latency", 0), _by_number),
-    "latency_by_slot_count": (_total_latency_by("total_latency", 1), _by_number),
-    "latency_by_rank_bin": (_total_latency_by("total_latency", 2), _by_bin_start),
+    "latency_by_partner_count": (_total_latency_by(0), _by_number),
+    "latency_by_slot_count": (_total_latency_by(1), _by_number),
+    "latency_by_rank_bin": (_total_latency_by(2), _by_bin_start),
     "late_bid_fractions": (_late_fractions, _by_group),
     "late_by_partner": (_late_by_partner, _by_group),
     "prices_by_slot_size": (_price_by(1), _by_group),

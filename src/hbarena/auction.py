@@ -46,7 +46,6 @@ from .netsim import RngStream, sample_latency, sample_partner_bids
 
 class Bid(NamedTuple):
     partner_id: str
-    slot_id: str
     cpm: Decimal
     requested_at_ms: Decimal
     arrived_at_ms: Decimal
@@ -203,7 +202,7 @@ def run_scenario(
     render_fail = float(scenario.render_fail_probability)
     slots = []
     for i, slot in enumerate(scenario.slots):
-        bids = tuple(Bid(pid, slot.slot_id, cpms[i], requested, arrived, arrived > send_time, channel)
+        bids = tuple(Bid(pid, cpms[i], requested, arrived, arrived > send_time, channel)
                      for pid, cpms, requested, arrived, channel in filed)
         winner = select_winner(bids, slot.floor_price)
         failed = (winner is not None and render_fail > 0

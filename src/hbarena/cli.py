@@ -24,9 +24,11 @@ from .analytics import REPORT_NAMES, build_report, load_records, write_report_cs
 from .auction import run_scenario
 from .detector import extract_auction_metadata, result_row
 from .domain import (HB_FACETS, ConfigurationError, PartnerDirectory, TraceParseError, builtin_directory,
-                     compact_json, decimal_str, indented_json, quantize_cpm, read_json_file, read_json_lines)
+                     compact_json, indented_json, read_json_file, read_json_lines, rounded_str)
 from .scenario import expand_sites, load_scenario_file, validate_scenario_file
 from .tracegen import (
+    TRACE_SUFFIX,
+    TRUTH_SUFFIX,
     emit_trace,
     file_label,
     outcome_row,
@@ -44,7 +46,6 @@ EXIT_RUNTIME = 2
 EXIT_PARSE_ERRORS = 3
 
 ENV_SEED = "HBARENA_SEED"
-_CORPUS_SUFFIXES = (".trace.jsonl", ".truth.jsonl")
 
 # Tasks per pool submission, and chunks submitted per worker ahead of the
 # caller.  Finished chunks wait for the caller; simulate's hold trace and
@@ -312,7 +313,7 @@ def cmd_simulate(args) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     stale = sorted(
-        name for name in os.listdir(out_dir) if name.endswith(_CORPUS_SUFFIXES) and name not in digests
+        name for name in os.listdir(out_dir) if name.endswith((TRACE_SUFFIX, TRUTH_SUFFIX)) and name not in digests
     )
     if stale:
         print(
@@ -340,7 +341,7 @@ def _read_truth(trace_dir: str) -> dict[tuple[str, int], str]:
     """The facet of each (site id, round index) in the truth sidecars of
     trace_dir, read in name order, the last row for a key winning."""
     truth: dict[tuple[str, int], str] = {}
-    for path in sorted(os.path.join(trace_dir, n) for n in os.listdir(trace_dir) if n.endswith(".truth.jsonl")):
+    for path in sorted(os.path.join(trace_dir, n) for n in os.listdir(trace_dir) if n.endswith(TRUTH_SUFFIX)):
         for line_no, row in read_json_lines(path):
             site_id, round_index, facet = row.get("site_id"), row.get("round_index"), row.get("facet")
             if (type(site_id), type(round_index), type(facet)) != (str, int, str):
@@ -352,9 +353,9 @@ def _read_truth(trace_dir: str) -> dict[tuple[str, int], str]:
 def _score(per_trace: list[tuple], truth: dict[tuple[str, int], str]) -> None:
     """Print precision, recall and facet accuracy of (key, failed, is_hb,
     facet) per trace against the truth map of ``_read_truth``."""
-    tp = fp = fn = tn = 0
+    tp = fp = fn = 0
     scored = errors = 0
-    facet_hits = facet_total = 0
+    facet_hits = 0
     for key, failed, detected_hb, facet in per_trace:
         actual_facet = truth.get(key)
         if actual_facet is None:
@@ -368,23 +369,20 @@ def _score(per_trace: list[tuple], truth: dict[tuple[str, int], str]) -> None:
             continue
         if detected_hb and actual_hb:
             tp += 1
-            facet_total += 1
             facet_hits += int(facet == actual_facet)
         elif detected_hb and not actual_hb:
             fp += 1
         elif actual_hb:
             fn += 1
-        else:
-            tn += 1
 
     def ratio(num, den):
         if den == 0:
             return "n/a"
-        return decimal_str(quantize_cpm(Decimal(num) / Decimal(den)))
+        return rounded_str(Decimal(num) / Decimal(den))
 
     print(f"scored {scored} traces against sidecar truth" + (f" ({errors} errors)" if errors else ""))
     print(f"precision={ratio(tp, tp + fp)} recall={ratio(tp, tp + fn)} "
-          f"facet_accuracy={ratio(facet_hits, facet_total)}")
+          f"facet_accuracy={ratio(facet_hits, tp)}")
 
 
 def _detect_trace(trace_dir: str, directory: PartnerDirectory, name: str) -> dict:
@@ -400,7 +398,7 @@ def cmd_detect(args) -> int:
     if not os.path.isdir(args.trace_dir):
         raise ConfigurationError(f"trace directory not found: {args.trace_dir}")
     directory = _load_directory(args)
-    trace_names = sorted(n for n in os.listdir(args.trace_dir) if n.endswith(".trace.jsonl"))
+    trace_names = sorted(n for n in os.listdir(args.trace_dir) if n.endswith(TRACE_SUFFIX))
     out_path = args.out or os.path.join(args.trace_dir, "results.jsonl")
     if not os.path.isdir(os.path.dirname(out_path) or "."):
         raise ConfigurationError(f"cannot write {out_path}: its directory does not exist")

@@ -2,8 +2,8 @@
 
 Two complementary signals decide HB presence: wrapper DOM events (which only
 HB libraries fire) and web records that both match a known demand partner
-and carry HB parameters (bidder, hb_partner, hb_price, ...).  Records with
-hb_* parameters on unknown hosts still count, attributed to
+and carry HB parameters (bidder, or any hb_* key).  Records with
+HB parameters on unknown hosts still count, attributed to
 "unknown:<host>", so unlisted partners are not missed.  Plain waterfall
 traffic (no DOM events, no HB parameters) never triggers.
 
@@ -40,7 +40,7 @@ from .domain import (CHANNEL_AD_SERVER, CHANNEL_CLIENT, Facet, PartnerDirectory,
                      quantize_cpm, quantize_ms)
 from .tracegen import KIND_DOM, KIND_REQUEST, KIND_RESPONSE, Trace, url_host
 
-HB_PARAM_KEYWORDS = ("bidder", "hb_partner", "hb_price", "hb_size")
+HB_PARAM_KEYWORD = "bidder"
 HB_PARAM_PREFIX = "hb_"
 
 # DOM events emitted by the wrapper's bid flow; render notifications alone
@@ -142,7 +142,7 @@ def extract_auction_metadata(trace: Trace, directory: PartnerDirectory) -> Detec
             unmatched.append((ts, url, params, slot_id))
         # Known partner or not, HB-parameter traffic is HB activity;
         # attribution differs, detection does not.
-        if not is_hb and any(k in HB_PARAM_KEYWORDS or k.startswith(HB_PARAM_PREFIX) for k in params):
+        if not is_hb and any(k == HB_PARAM_KEYWORD or k.startswith(HB_PARAM_PREFIX) for k in params):
             is_hb = url_host(url) is not None
     if not is_hb:
         return DetectionResult(trace.site_id, trace.round_index)

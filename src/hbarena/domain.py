@@ -171,6 +171,11 @@ def decimal_str(value: Decimal) -> str:
     return text or "0"
 
 
+def rounded_str(value: Decimal) -> str:
+    """A report cell or score: ``value`` rounded as a CPM is, printed by ``decimal_str``."""
+    return decimal_str(quantize_cpm(value))
+
+
 # The text of json.dumps(value, separators=(",", ":")): one JSON Lines row.
 compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 

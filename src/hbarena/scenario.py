@@ -388,41 +388,34 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
     for idx, facet in enumerate(facet_list):
         site_id = f"{prefix}{idx:05d}"
         rank = rank_start + idx
-        if facet is Facet.NO_ADS:
-            sites.append(
-                WebsiteScenario(
-                    site_id=site_id, rank=rank, facet=facet, slots=(), partners=(),
-                    wrapper_policy=WrapperPolicy.WAIT_TIMEOUT,
-                    ad_server_latency=ad_server_latency, timeout_ms=timeout_ms,
-                )
-            )
-            continue
-
-        n_slots = _pick(slot_counts, RngStream(master_seed, site_id, 0, "gen:slot_count").uniform())
-        while len(slot_specs) < n_slots:
-            s = len(slot_specs)
-            slot_specs.append({wh: AdSlotSpec(f"slot{s}", *wh, floor) for wh in slot_sizes[0]})
-        size_draw = RngStream(master_seed, site_id, 0, "gen:slot_sizes").uniform
-        slots = tuple(slot_specs[s][_pick(slot_sizes, size_draw())] for s in range(n_slots))
-
-        if roster_order == "shuffle":
-            ordered_pool = _shuffle(RngStream(master_seed, site_id, 0, "gen:roster"), pool)
+        if facet is Facet.NO_ADS:  # no slots, partners or entity, and no per-site draws
+            slots, roster, entity, policy = (), (), None, WrapperPolicy.WAIT_TIMEOUT
         else:
-            ordered_pool = pool
+            n_slots = _pick(slot_counts, RngStream(master_seed, site_id, 0, "gen:slot_count").uniform())
+            while len(slot_specs) < n_slots:
+                s = len(slot_specs)
+                slot_specs.append({wh: AdSlotSpec(f"slot{s}", *wh, floor) for wh in slot_sizes[0]})
+            size_draw = RngStream(master_seed, site_id, 0, "gen:slot_sizes").uniform
+            slots = tuple(slot_specs[s][_pick(slot_sizes, size_draw())] for s in range(n_slots))
 
-        if facet is Facet.WATERFALL_ONLY:
-            roster = tuple(ordered_pool[:waterfall_tiers])
-            entity = None
-            policy = WrapperPolicy.WAIT_TIMEOUT
-        elif facet is Facet.SERVER_SIDE:
-            roster = tuple(ordered_pool[:backend_count])
-            entity = ad_server
-            policy = WrapperPolicy.WAIT_TIMEOUT
-        else:
-            k = _pick(partner_counts, RngStream(master_seed, site_id, 0, "gen:partner_count").uniform())
-            roster = tuple(ordered_pool[:k])
-            entity = ad_server if facet is Facet.HYBRID else None
-            policy = _pick(policies, RngStream(master_seed, site_id, 0, "gen:wrapper_policy").uniform())
+            if roster_order == "shuffle":
+                ordered_pool = _shuffle(RngStream(master_seed, site_id, 0, "gen:roster"), pool)
+            else:
+                ordered_pool = pool
+
+            if facet is Facet.WATERFALL_ONLY:
+                roster = tuple(ordered_pool[:waterfall_tiers])
+                entity = None
+                policy = WrapperPolicy.WAIT_TIMEOUT
+            elif facet is Facet.SERVER_SIDE:
+                roster = tuple(ordered_pool[:backend_count])
+                entity = ad_server
+                policy = WrapperPolicy.WAIT_TIMEOUT
+            else:
+                k = _pick(partner_counts, RngStream(master_seed, site_id, 0, "gen:partner_count").uniform())
+                roster = tuple(ordered_pool[:k])
+                entity = ad_server if facet is Facet.HYBRID else None
+                policy = _pick(policies, RngStream(master_seed, site_id, 0, "gen:wrapper_policy").uniform())
 
         sites.append(
             WebsiteScenario(
@@ -435,7 +428,7 @@ def _generate_sites(sf: ScenarioFile, gen: dict, master_seed: int) -> list[Websi
                 ad_server_latency=ad_server_latency,
                 timeout_ms=timeout_ms,
                 ad_server_partner_id=entity,
-                render_fail_probability=render_fail,
+                render_fail_probability=Decimal(0) if facet is Facet.NO_ADS else render_fail,
             )
         )
     return sites

@@ -106,12 +106,16 @@ class Trace(NamedTuple):
     events: tuple[TraceEvent, ...]
 
 
+TRACE_SUFFIX = ".trace.jsonl"
+TRUTH_SUFFIX = ".truth.jsonl"
+
+
 def trace_filename(site_id: str, round_index: int) -> str:
-    return f"{site_id}__r{round_index}.trace.jsonl"
+    return f"{site_id}__r{round_index}{TRACE_SUFFIX}"
 
 
 def truth_filename(site_id: str, round_index: int) -> str:
-    return f"{site_id}__r{round_index}.truth.jsonl"
+    return f"{site_id}__r{round_index}{TRUTH_SUFFIX}"
 
 
 def _ts(value: Decimal) -> str:
@@ -343,7 +347,7 @@ def parse_trace_text(text: str, site_id: str, round_index: int) -> Trace:
     return Trace(site_id, round_index, tuple([parse_event(obj, n) for n, obj in json_text_lines(text)]))
 
 
-_TRACE_NAME_RE = re.compile(r"^(?P<site>.+)__r(?P<round>\d+)\.trace\.jsonl$")
+_TRACE_NAME_RE = re.compile(r"^(?P<site>.+)__r(?P<round>\d+)" + re.escape(TRACE_SUFFIX) + "$")
 
 
 def trace_key(name: str) -> tuple[str, int]:

@@ -86,7 +86,6 @@ def test_criterion_01_winner_selection_oracle_equivalence():
                 bids.append(
                     Bid(
                         partner_id=f"p{rng.randint(0, 25):02d}",
-                        slot_id=f"slot{slot}",
                         cpm=D(rng.randint(0, 1000)) / 1000,
                         requested_at_ms=D(0),
                         arrived_at_ms=arrived,

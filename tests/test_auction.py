@@ -32,7 +32,6 @@ SIMULATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "simulate_golde
 def bid(pid, cpm, arrived="100", late=False, slot="slot0"):
     return Bid(
         partner_id=pid,
-        slot_id=slot,
         cpm=D(cpm),
         requested_at_ms=D(0),
         arrived_at_ms=D(arrived),

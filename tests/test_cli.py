@@ -1047,6 +1047,35 @@ def test_score_counts_error_rows(tmp_path, capsys):
     assert "precision=n/a recall=0 facet_accuracy=n/a" in out
 
 
+def test_score_counts_a_false_positive_a_miss_and_a_wrong_facet(tmp_path, capsys):
+    """Eight sites, four HB and four waterfall, with three truth sidecars
+    rewritten: an HB trace called waterfall (a false positive), a waterfall
+    trace called HB (a missed HB trace), and an HB trace called another HB
+    facet (a facet miss).  Three of four detected HB traces are HB, three of
+    four HB traces are detected, and two of those three have the right facet."""
+    scenario = json.loads((MINIMAL_SCENARIO.parent / "hb_vs_waterfall.json").read_text())
+    scenario["generator"]["num_sites"] = 8
+    path = tmp_path / "hb_vs_waterfall_8.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    sidecars = {}
+    for sidecar in sorted(out.glob("*.truth.jsonl")):
+        sidecars.setdefault(json.loads(sidecar.read_text())["facet"], []).append(sidecar)
+    assert {facet: len(paths) for facet, paths in sidecars.items()} == {"client_side": 4, "waterfall_only": 4}
+    for sidecar, facet in [(sidecars["client_side"][0], "waterfall_only"),
+                           (sidecars["waterfall_only"][0], "client_side"),
+                           (sidecars["client_side"][1], "hybrid")]:
+        row = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**row, "facet": facet}) + "\n")
+    capsys.readouterr()
+    assert main(["detect", str(out), "--score"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "scored 8 traces against sidecar truth",
+        "precision=0.75 recall=0.75 facet_accuracy=0.666667",
+    ]
+
+
 _JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),

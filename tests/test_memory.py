@@ -142,3 +142,66 @@ def test_reports_of_600_auctions_match_loop_reference(market_mix_corpora, source
     for name in REPORT_NAMES:
         for include_zero in (True, False):
             assert build_report(name, records, include_zero) == oracles.report_rows(name, reference, include_zero)
+
+
+# Sites and the two rounds-per-site settings of the per-round tests: the
+# traced peak of each stage may grow by a bounded number of bytes for each
+# site-round added between them.
+ROUND_SITES = 60
+ROUNDS = (1, 10)
+
+
+@pytest.fixture(scope="module")
+def market_mix_rounds(tmp_path_factory) -> dict[int, tuple[Path, Path]]:
+    """market_mix_5000.json cut to 60 sites at 1 and at 10 rounds per site:
+    rounds -> (its scenario file, its simulated corpus)."""
+    root = tmp_path_factory.mktemp("market_mix_rounds")
+    scenario = json.loads(MARKET_MIX.read_text())
+    scenario["generator"]["num_sites"] = ROUND_SITES
+    cuts = {}
+    for rounds in ROUNDS:
+        scenario["rounds_per_site"] = rounds
+        path = root / f"market_mix_{ROUND_SITES}x{rounds}.json"
+        path.write_text(json.dumps(scenario))
+        cuts[rounds] = path, root / f"run_{rounds}"
+        assert main(["simulate", "--scenario", str(path), "--out", str(cuts[rounds][1])]) == 0
+    return cuts
+
+
+def per_extra_round(peaks: dict[int, int]) -> float:
+    """Growth of a traced peak per site-round added from 1 to 10 rounds per site."""
+    return (peaks[ROUNDS[1]] - peaks[ROUNDS[0]]) / (ROUND_SITES * (ROUNDS[1] - ROUNDS[0]))
+
+
+def test_simulate_peak_per_extra_round(market_mix_rounds, tmp_path):
+    """A site-round adds the manifest digests of its two files, about 1,060
+    bytes, not its texts."""
+    assert main(["simulate", "--scenario", str(market_mix_rounds[ROUNDS[1]][0]), "--out",
+                 str(tmp_path / "warm-up")]) == 0
+    peaks = {rounds: simulate_peak_bytes(scenario, tmp_path / f"run_{rounds}", "1")
+             for rounds, (scenario, _) in market_mix_rounds.items()}
+    growth = per_extra_round(peaks)
+    assert growth < 1536, f"simulate's traced peak grows by {growth:.0f} bytes per site-round"
+
+
+def test_detect_peak_per_extra_round(market_mix_rounds, capsys):
+    """A site-round adds one truth entry and one small tuple for --score."""
+    assert main(["detect", str(market_mix_rounds[ROUNDS[1]][1])]) == 0
+    peaks = {rounds: detect_peak_bytes(run) for rounds, (_, run) in market_mix_rounds.items()}
+    assert capsys.readouterr().out.count("precision=1 recall=1 facet_accuracy=1") == 2
+    growth = per_extra_round(peaks)
+    assert growth < 512, f"detect --score's traced peak grows by {growth:.0f} bytes per site-round"
+
+
+@pytest.mark.parametrize("source", ["outcomes.jsonl", "results.jsonl"])
+def test_report_peak_per_extra_round(market_mix_rounds, tmp_path, source):
+    """A site-round adds its values to integer columns and, with --manifest,
+    the manifest's digests of its two files while ranks are read."""
+    runs = {rounds: run for rounds, (_, run) in market_mix_rounds.items()}
+    if source == "results.jsonl":
+        for run in runs.values():
+            assert main(["detect", str(run)]) == 0
+    assert main(report_args(runs[ROUNDS[1]], source, tmp_path / "warm-up")) == 0
+    peaks = {rounds: report_peak_bytes(run, source, tmp_path / run.name) for rounds, run in runs.items()}
+    growth = per_extra_round(peaks)
+    assert growth < 512, f"report's traced peak grows by {growth:.0f} bytes per site-round"

@@ -12,12 +12,14 @@ For each scenario it runs, in a temporary directory:
            --no-include-zero-bid-auctions
 
 The default scenarios are the seven canned ones under ``scenarios/`` and
-two cuts of ``market_mix_5000.json``, written into the temporary directory:
+three cuts of canned ones, written into the temporary directory:
 ``market_mix_500x5.json``, 500 sites of 5 rounds each, so that output of
-more than one round per site is digested too, and
+more than one round per site is digested too;
 ``market_mix_500_render_fail.json``, 500 sites with a
 ``render_fail_probability`` of 0.2, so that render failures are digested
-too.
+too; and ``mixed_corpus_5000.json``, ``mixed_corpus_1000.json`` at 5,000
+sites with its own seed, the corpus of the benchmark's ``mixed_sparse``
+workload.
 
 It prints each command's exit code and stdout, then one ``NAME/path sha256``
 line per file the commands wrote.  Commands run with relative paths, so the
@@ -54,9 +56,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def market_mix_cut(work: Path, name: str, generator: dict, **fields) -> Path:
-    """``market_mix_5000.json`` with ``generator`` and ``fields`` set, written as ``work/name``."""
-    data = json.loads((ROOT / "scenarios" / "market_mix_5000.json").read_text(encoding="utf-8"))
+def canned_cut(work: Path, canned: str, name: str, generator: dict, **fields) -> Path:
+    """``scenarios/canned`` with ``generator`` and ``fields`` set, written as ``work/name``."""
+    data = json.loads((ROOT / "scenarios" / canned).read_text(encoding="utf-8"))
     data["generator"].update(generator)
     data.update(fields)
     path = work / name
@@ -65,12 +67,13 @@ def market_mix_cut(work: Path, name: str, generator: dict, **fields) -> Path:
 
 
 def default_scenarios(work: Path) -> list[Path]:
-    """The canned scenarios, then the two cuts of ``market_mix_5000.json``."""
+    """The canned scenarios, then the three cuts of canned ones."""
     return [
         *sorted((ROOT / "scenarios").glob("*.json")),
-        market_mix_cut(work, "market_mix_500x5.json", {"num_sites": 500}, rounds_per_site=5),
-        market_mix_cut(work, "market_mix_500_render_fail.json",
-                       {"num_sites": 500, "render_fail_probability": "0.2"}),
+        canned_cut(work, "market_mix_5000.json", "market_mix_500x5.json", {"num_sites": 500}, rounds_per_site=5),
+        canned_cut(work, "market_mix_5000.json", "market_mix_500_render_fail.json",
+                   {"num_sites": 500, "render_fail_probability": "0.2"}),
+        canned_cut(work, "mixed_corpus_1000.json", "mixed_corpus_5000.json", {"num_sites": 5000}),
     ]
 
 
@@ -144,7 +147,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout whose src/ runs (default: this one)")
     parser.add_argument("--scenario", type=Path, action="append",
-                        help="scenario file (repeatable; default: every scenarios/*.json and two market_mix cuts)")
+                        help="scenario file (repeatable; default: every scenarios/*.json and three cuts)")
     parser.add_argument("--seed", type=int, default=None, help="master seed for every scenario")
     parser.add_argument("--simulate-jobs", type=int, default=1,
                         help="simulate --jobs N (default 1: no option passed)")
